@@ -51,6 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print(f"error: {args.file}: terms nested too deeply", file=sys.stderr)
+        return 3
 
     config = ProverConfig(
         mode="quasi" if args.order == "qlpo" else "strict",

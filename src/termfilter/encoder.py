@@ -6,6 +6,17 @@ strictly exceeds ``t``; ``tau_ge`` is the weak counterpart.  The builder
 applies three size optimizations: constant folding and flattening, pruning
 against atoms already known true or false on the current branch, and
 hash-consing of identical subformulas.  Each can be switched off.
+
+With sharing on, construction is memoized so that its cost tracks the DAG it
+produces.  ``_tau`` is keyed on its terms, relation and the whole branch
+context.  The quasi-mode comparison of two argument tuples, ``_lex_two``,
+would miss almost always on such a key, because every path to a cell
+``(i, j)`` fixes different filtering literals of the earlier positions.  A
+cell can only read atoms over the symbols of the argument suffixes from
+``i`` and ``j`` on, plus the filtering atoms of the two heads at those
+positions and later.  So it is keyed on the context cut down to these atoms
+and built under that cut-down context: every read answers as before, and
+hash-consing returns the same node the full context would have given.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from typing import Callable, Sequence
 from . import atoms as A
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
-from .terms import App, Rule, Symbol, Term, Var
+from .terms import App, Rule, Symbol, Term, Var, functions
 
 GT = "gt"
 GE = "ge"
@@ -83,6 +94,9 @@ class EncodingContext:
         self.builder = FormulaBuilder(simplify=simplify, share=share)
         self.propagate = propagate
         self._memo: dict = {}
+        self._lex_memo: dict = {}
+        # (argument tuple, position) -> symbols occurring from that position on
+        self._suffix_symbols: dict[tuple[tuple[Term, ...], int], frozenset[Symbol]] = {}
 
     # ------------------------------------------------------------------
     # context plumbing
@@ -244,7 +258,47 @@ class EncodingContext:
     def _lex_two(self, f: Symbol, g: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
                  i: int, j: int, rel: str, ctx: Ctx) -> Formula:
         """Lexicographic comparison across two equivalent symbols with
-        independent filterings (quasi mode)."""
+        independent filterings (quasi mode), memoized on the part of the
+        context the comparison can read."""
+        if not self.builder.share:
+            return self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
+        ctx = self._lex_readable(f, g, ss, ts, i, j, ctx)
+        key = (f, g, ss, ts, i, j, rel, ctx)
+        result = self._lex_memo.get(key)
+        if result is None:
+            result = self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
+            self._lex_memo[key] = result
+        return result
+
+    def _lex_readable(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
+                      ts: tuple[Term, ...], i: int, j: int, ctx: Ctx) -> Ctx:
+        """``ctx`` cut down to the atoms ``_lex_two`` at ``(i, j)`` can read:
+        those over symbols of ``ss[i-1:]`` and ``ts[j-1:]``, and the filtering
+        atoms of ``f`` from ``i`` and of ``g`` from ``j`` on."""
+        syms = self._symbols_from(ss, i) | self._symbols_from(ts, j)
+
+        def readable(atom) -> bool:
+            if isinstance(atom, A.ArgIn) and (
+                    (atom.fun == f and atom.pos >= i) or (atom.fun == g and atom.pos >= j)):
+                return True
+            if isinstance(atom, (A.PoGt, A.PoEq)):
+                return atom.left in syms and atom.right in syms
+            return atom.fun in syms
+
+        return Ctx(frozenset(filter(readable, ctx.true_atoms)),
+                   frozenset(filter(readable, ctx.false_atoms)))
+
+    def _symbols_from(self, args: tuple[Term, ...], i: int) -> frozenset[Symbol]:
+        """Function symbols occurring in ``args[i-1:]``."""
+        key = (args, i)
+        syms = self._suffix_symbols.get(key)
+        if syms is None:
+            syms = frozenset(h for t in args[i - 1:] for h in functions(t))
+            self._suffix_symbols[key] = syms
+        return syms
+
+    def _build_lex_two(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
+                       ts: tuple[Term, ...], i: int, j: int, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
         if i > len(ss):
             if rel == GT:

@@ -64,10 +64,6 @@ class FormulaBuilder:
             self._intern[key] = node
         return node
 
-    @property
-    def node_count(self) -> int:
-        return self._count
-
     def constant(self, value: bool) -> Formula:
         return self.TRUE if value else self.FALSE
 

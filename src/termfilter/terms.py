@@ -49,6 +49,13 @@ class Var(Term):
 
 @dataclass(frozen=True)
 class App(Term):
+    """Application of ``fun`` to ``args``.
+
+    The hash is computed once, from ``(fun, args)``, when the term is built.
+    The arguments' hashes are already cached, so this is constant work per
+    node, and hashing a term never walks it.
+    """
+
     fun: Symbol
     args: tuple[Term, ...] = ()
 
@@ -58,6 +65,15 @@ class App(Term):
                 f"symbol {self.fun.display}/{self.fun.arity} applied to "
                 f"{len(self.args)} arguments"
             )
+        object.__setattr__(self, "_hash", hash((self.fun, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so rebuild the cached hash
+        # on unpickling instead of carrying it.
+        return (App, (self.fun, self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -162,9 +178,6 @@ class Trs:
                             f"{prev.arity} and {f.arity}"
                         )
         return Trs(rules, frozenset(sig.values()))
-
-    def sorted_signature(self) -> tuple[Symbol, ...]:
-        return tuple(sorted(self.signature, key=symbol_key))
 
     def rules_for(self, f: Symbol) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.root == f)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from termfilter import atoms as A
-from termfilter.encoder import GE, GT, EncodingContext, encode_rp_formula
+from termfilter.encoder import EMPTY_CTX, GE, GT, EncodingContext, encode_rp_formula
 from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.formula import dag_size, evaluate, tree_size
 from termfilter.orders import lpo_af_ge, lpo_af_gt
@@ -242,3 +242,109 @@ def test_tau_lex_binary_satisfied_by_known_assignment():
     pi = ArgumentFiltering({minus_t: Keep((1,)), S1: Keep((1,))})
     prec = Precedence({minus_t: 1, S1: 1})
     assert evaluate(lex, concrete_atom_value(prec, pi))
+
+
+# ----------------------------------------------------------------------
+# the memo of the quasi lexicographic comparison
+
+def _rot_problem(k):
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    text = (f"(VAR {' '.join(xs)})(RULES "
+            f"f(s(x1),{','.join(xs[1:])}) -> g({','.join(xs[1:] + xs[:1])}) "
+            f"g({','.join(xs)}) -> f({','.join(xs)}))")
+    from termfilter.tpdb import parse_trs
+    trs = parse_trs(text)
+    return DpProblem(dependency_pairs(trs), trs)
+
+
+def _equivalent_by_sat(phi, psi, symbols, mode):
+    """No actual precedence and filtering tells ``phi`` and ``psi`` apart:
+    their XOR, under the structural constraints, is unsatisfiable."""
+    from termfilter.cnf import tseitin_cnf
+    from termfilter.formula import FormulaBuilder
+    from termfilter.lowering import VarMap, lower_atoms
+    from termfilter.solver import UNSAT, solve_internal
+    vm = VarMap(sorted(symbols, key=lambda f: f.name))
+    lb = FormulaBuilder()
+    low_phi, structural, _ = lower_atoms(phi, vm, mode, builder=lb)
+    low_psi, _, _ = lower_atoms(psi, vm, mode, builder=lb)
+    xor = lb.not_(lb.iff(low_phi, low_psi))
+    cnf = tseitin_cnf(lb.and_([xor] + structural), vm.num_reserved).cnf
+    return solve_internal(cnf).status == UNSAT
+
+
+def _quasi_cases(seed, count):
+    """Inequalities between f and g of arity 3-5.  One argument on each side
+    applies f or g again and the others are variables or h(variable), so the
+    atoms of f, g and h in later arguments matter to earlier cells of the
+    lexicographic comparison."""
+    rng = random.Random(seed)
+    h = Symbol("h", 1)
+    names = ["x", "y", "z"]
+    for case in range(count):
+        f = Symbol("f", rng.randint(3, 5))
+        g = Symbol("g", rng.randint(3, 5))
+
+        def args(n):
+            out = [rng.choice([Var(rng.choice(names)), mk(h, Var(rng.choice(names)))])
+                   for _ in range(n)]
+            sym = rng.choice([f, g])
+            out[rng.randrange(n)] = mk(sym, *(Var(rng.choice(names))
+                                             for _ in range(sym.arity)))
+            return out
+
+        rel = GT if case % 2 == 0 else GE
+        yield mk(f, *args(f.arity)), mk(g, *args(g.arity)), rel, [f, g, h]
+
+
+def _canonical(phi, table):
+    """Number of ``phi``'s structure in ``table``, independent of node ids
+    and hence of the order in which the nodes were built."""
+    from termfilter.formula import AND, IFF, OR, iter_nodes
+    ids = {}
+    for n in iter_nodes(phi):
+        kids = tuple(ids[c.id] for c in n.children)
+        if n.kind in (AND, OR, IFF):
+            kids = tuple(sorted(kids))
+        ids[n.id] = table.setdefault((n.kind, n.payload, kids), len(table))
+    return ids[phi.id]
+
+
+def test_lex_memo_keeps_quasi_encodings_equivalent():
+    for s, t, rel, symbols in _quasi_cases(5, 4):
+        opt = EncodingContext("quasi")._tau(s, t, rel, EMPTY_CTX)
+        raw = EncodingContext("quasi", simplify=False, share=False,
+                              propagate=False)._tau(s, t, rel, EMPTY_CTX)
+        assert _equivalent_by_sat(opt, raw, symbols, "quasi"), (str(s), rel, str(t))
+
+
+def test_lex_memo_builds_the_same_nodes():
+    # keyed on the whole context, the memo only hits where the parent built
+    # the very same node; the restricted key must not change a single node
+    for s, t, rel, _ in _quasi_cases(6, 8):
+        restricted = EncodingContext("quasi")
+        whole = EncodingContext("quasi")
+        whole._lex_readable = lambda f, g, ss, ts, i, j, ctx: ctx
+        table = {}
+        assert _canonical(restricted._tau(s, t, rel, EMPTY_CTX), table) == \
+            _canonical(whole._tau(s, t, rel, EMPTY_CTX), table), (str(s), rel, str(t))
+
+
+@pytest.mark.parametrize("k,size", [(3, 184), (4, 252), (5, 332), (6, 424), (7, 528)])
+def test_rot_quasi_dag_sizes(k, size):
+    enc = encode_rp_formula(_rot_problem(k), "thm12", "quasi")
+    assert dag_size(enc.formula) == size
+
+
+def test_lex_two_calls_grow_polynomially(monkeypatch):
+    calls = 0
+    inner = EncodingContext._lex_two
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(EncodingContext, "_lex_two", counted)
+    encode_rp_formula(_rot_problem(9), "thm12", "quasi")
+    assert 0 < calls <= 3000

@@ -187,6 +187,15 @@ def test_cli_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_deep_nesting_is_an_error(tmp_path, capsys):
+    path = tmp_path / "deep.trs"
+    depth = 3000
+    path.write_text("(VAR x)(RULES f(" + "s(" * depth + "x" + ")" * depth + ") -> f(x))")
+    assert cli_main([str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_missing_file(capsys):
     assert cli_main(["/no/such/file.trs"]) == 3
     assert "error" in capsys.readouterr().err

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -173,3 +177,41 @@ def test_variables_first_occurrence_order():
     f = Symbol("f", 3)
     t = App(f, (Var("y"), Var("x"), Var("y")))
     assert [v.name for v in variables(t)] == ["y", "x"]
+
+
+def test_app_hash_of_deep_tower():
+    s = Symbol("s", 1)
+    t = Var("x")
+    for _ in range(10_000):
+        t = App(s, (t,))
+    assert hash(t) == hash((t.fun, t.args))
+
+
+def test_equal_terms_hash_equal():
+    f, c = Symbol("f", 2), Symbol("c", 0)
+    u = App(f, (App(c), Var("x")))
+    v = App(f, (App(c), Var("x")))
+    assert u is not v and u == v
+    assert hash(u) == hash(v)
+
+
+def test_unpickled_app_rehashes_in_new_process(tmp_path):
+    # the cached hash depends on the process's string hashing, so a pickle
+    # made under one PYTHONHASHSEED must not carry it into another
+    path = tmp_path / "term.pickle"
+    dump = textwrap.dedent(f"""
+        import pickle
+        from termfilter.terms import App, Symbol, Var
+        f, c = Symbol("f", 2), Symbol("c", 0)
+        t = App(f, (App(c), App(f, (Var("x"), App(c)))))
+        open({str(path)!r}, "wb").write(pickle.dumps(t))
+    """)
+    load = textwrap.dedent(f"""
+        import pickle
+        t = pickle.loads(open({str(path)!r}, "rb").read())
+        assert hash(t) == hash((t.fun, t.args))
+        assert hash(t.args[1]) == hash((t.args[1].fun, t.args[1].args))
+    """)
+    for seed, script in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
