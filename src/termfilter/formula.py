@@ -64,9 +64,6 @@ class FormulaBuilder:
             self._intern[key] = node
         return node
 
-    def constant(self, value: bool) -> Formula:
-        return self.TRUE if value else self.FALSE
-
     def atom(self, payload: Hashable) -> Formula:
         return self._node(ATOM, payload, ())
 

@@ -1,8 +1,11 @@
 """Executable semantics of lexicographic path orders and argument filterings.
 
 This module is the ground truth the SAT pipeline is checked against: it
-decides ``s > t`` / ``s >= t`` for *concrete* precedences and filterings by
-direct case analysis, with no propositional machinery involved.
+decides ``s > t`` / ``s >= t`` for *concrete* precedences and filterings,
+with no propositional machinery involved.  The filtered order is defined, as
+in the paper, by filtering first and comparing with the plain LPO after:
+``s >pi t`` iff ``pi(s) > pi(t)``.  It deliberately does not mirror the
+encoder's case split (collapse / kept / lexicographic).
 """
 
 from __future__ import annotations
@@ -194,109 +197,12 @@ def lpo_ge(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
     return lpo_gt(prec, mode, s, t) or terms_equivalent(prec, mode, s, t)
 
 
-class _FilteredLpo:
-    """LPO combined with an argument filtering, decided by direct recursion.
-
-    The case split mirrors the filtered order itself: a collapsed symbol
-    stands for its chosen argument, a kept symbol compares root symbols and
-    the kept argument tuples.  The weak order differs from the strict one in
-    the collapsing cases, in the variable cases, and in its lexicographic
-    base case; the inner "all kept arguments below" guards stay strict.
-    """
-
-    def __init__(self, prec: Precedence, pi: ArgumentFiltering, mode: str):
-        _check_mode(mode)
-        self.prec = prec
-        self.pi = pi
-        self.mode = mode
-        self.memo: dict[tuple[str, Term, Term], bool] = {}
-
-    def gt(self, s: Term, t: Term) -> bool:
-        key = ("gt", s, t)
-        if key not in self.memo:
-            self.memo[key] = self._gt(s, t)
-        return self.memo[key]
-
-    def ge(self, s: Term, t: Term) -> bool:
-        key = ("ge", s, t)
-        if key not in self.memo:
-            self.memo[key] = self._ge(s, t)
-        return self.memo[key]
-
-    def _gt(self, s: Term, t: Term) -> bool:
-        if isinstance(s, Var):
-            return False
-        spec_f = self.pi.get(s.fun)
-        if isinstance(spec_f, Collapse):
-            if self.gt(s.args[spec_f.position - 1], t):
-                return True
-        else:
-            if any(self.ge(s.args[i - 1], t) for i in spec_f.positions):
-                return True
-        if isinstance(t, Var):
-            return False
-        spec_g = self.pi.get(t.fun)
-        if isinstance(spec_g, Collapse):
-            return self.gt(s, t.args[spec_g.position - 1])
-        if isinstance(spec_f, Collapse):
-            return False
-        return self._roots(s, t, spec_f, spec_g, weak_lex=False)
-
-    def _ge(self, s: Term, t: Term) -> bool:
-        if isinstance(s, Var):
-            if isinstance(t, Var):
-                return s == t
-            spec_g = self.pi.get(t.fun)
-            if isinstance(spec_g, Collapse):
-                return self.ge(s, t.args[spec_g.position - 1])
-            return False
-        spec_f = self.pi.get(s.fun)
-        if isinstance(spec_f, Collapse):
-            if self.ge(s.args[spec_f.position - 1], t):
-                return True
-        else:
-            if any(self.ge(s.args[i - 1], t) for i in spec_f.positions):
-                return True
-        if isinstance(t, Var):
-            return False
-        spec_g = self.pi.get(t.fun)
-        if isinstance(spec_g, Collapse):
-            return self.ge(s, t.args[spec_g.position - 1])
-        if isinstance(spec_f, Collapse):
-            return False
-        return self._roots(s, t, spec_f, spec_g, weak_lex=True)
-
-    def _roots(self, s: App, t: App, spec_f: Keep, spec_g: Keep, weak_lex: bool) -> bool:
-        if not all(self.gt(s, t.args[j - 1]) for j in spec_g.positions):
-            return False
-        if self.prec.gt(s.fun, t.fun):
-            return True
-        if not self.prec.equivalent(s.fun, t.fun, self.mode):
-            return False
-        ss = tuple(s.args[i - 1] for i in spec_f.positions)
-        ts = tuple(t.args[j - 1] for j in spec_g.positions)
-        return self._lex_ge(ss, ts) if weak_lex else self._lex_gt(ss, ts)
-
-    def _lex_gt(self, ss: tuple[Term, ...], ts: tuple[Term, ...]) -> bool:
-        if not ss:
-            return False
-        if not ts:
-            return True
-        return self.gt(ss[0], ts[0]) or (self.ge(ss[0], ts[0]) and self._lex_gt(ss[1:], ts[1:]))
-
-    def _lex_ge(self, ss: tuple[Term, ...], ts: tuple[Term, ...]) -> bool:
-        if not ss:
-            return not ts
-        if not ts:
-            return True
-        return self.gt(ss[0], ts[0]) or (self.ge(ss[0], ts[0]) and self._lex_ge(ss[1:], ts[1:]))
-
-
 def lpo_af_gt(prec: Precedence, pi: ArgumentFiltering, mode: str, s: Term, t: Term) -> bool:
-    """``s`` strictly above ``t`` in the LPO induced by ``prec`` modulo ``pi``."""
-    return _FilteredLpo(prec, pi, mode).gt(s, t)
+    """``s`` strictly above ``t`` in the LPO induced by ``prec`` modulo ``pi``:
+    ``pi(s) > pi(t)`` in the plain LPO."""
+    return lpo_gt(prec, mode, apply_filtering(pi, s), apply_filtering(pi, t))
 
 
 def lpo_af_ge(prec: Precedence, pi: ArgumentFiltering, mode: str, s: Term, t: Term) -> bool:
-    """Weak companion of :func:`lpo_af_gt`."""
-    return _FilteredLpo(prec, pi, mode).ge(s, t)
+    """Weak companion of :func:`lpo_af_gt`: ``pi(s) >= pi(t)``."""
+    return lpo_ge(prec, mode, apply_filtering(pi, s), apply_filtering(pi, t))

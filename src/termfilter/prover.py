@@ -3,9 +3,9 @@
 ``prove`` starts from the initial pair problem of a system, splits it along
 strongly connected components of the estimated dependency graph, and removes
 strictly decreasing pairs found by one SAT call per sub-problem, iterating to
-a fixpoint.  Every satisfying assignment is replayed through the direct order
-semantics before it is trusted; a verdict is never based on the SAT path
-alone.
+a fixpoint.  Every satisfying assignment is replayed through the filtered
+order of ``orders`` (filter both sides, then compare with the plain LPO)
+before it is trusted; a verdict is never based on the SAT path alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class ProverConfig:
     timeout: float | None = None
     emit_dimacs: str | None = None
     dump_formula: bool = False
-    verify: bool = True
     simplify: bool = True
     share: bool = True
     propagate: bool = True
@@ -54,7 +53,6 @@ class ReductionWitness:
     filtering: ArgumentFiltering
     removed: tuple[Rule, ...]
     usable: tuple[Rule, ...]
-    usable_symbols: tuple[Symbol, ...]
 
 
 @dataclass(frozen=True)
@@ -121,11 +119,9 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
                             simplify=config.simplify, share=config.share,
                             propagate=config.propagate)
     vm = VarMap(_problem_signature(problem), len(problem.pairs.rules), enc.usable_symbols)
-    builder = None
-    if not (config.simplify and config.share):
-        builder = FormulaBuilder(simplify=config.simplify, share=config.share)
-    lowered, structural, lbuilder = lower_atoms(enc.formula, vm, config.mode,
-                                                builder=builder)
+    lowered, structural, lbuilder = lower_atoms(
+        enc.formula, vm, config.mode,
+        builder=FormulaBuilder(simplify=config.simplify, share=config.share))
     full = lbuilder.and_([lowered] + structural)
     ts = tseitin_cnf(full, vm.num_reserved)
 
@@ -157,12 +153,6 @@ def _verify(problem: DpProblem, config: ProverConfig, decoded: DecodedModel,
         obligations = classical_usable
     else:
         obligations = usable_rules_mod_pi(problem.pairs, problem.rules, pi)
-    witness = ReductionWitness(
-        mode, config.processor, prec, pi,
-        tuple(problem.pairs.rules[i] for i in decoded.strict_pairs),
-        obligations, decoded.usable_symbols)
-    if not config.verify:
-        return witness
     if not decoded.strict_pairs:
         raise VerificationError("model removes no pair")
     strict = set(decoded.strict_pairs)
@@ -174,7 +164,9 @@ def _verify(problem: DpProblem, config: ProverConfig, decoded: DecodedModel,
     for rule in obligations:
         if not lpo_af_ge(prec, pi, mode, rule.lhs, rule.rhs):
             raise VerificationError(f"usable rule not weakly decreasing: {rule}")
-    return witness
+    return ReductionWitness(
+        mode, config.processor, prec, pi,
+        tuple(problem.pairs.rules[i] for i in decoded.strict_pairs), obligations)
 
 
 def _emit(cnf, vm: VarMap, definitions: dict[int, str], enc, session: _Session) -> None:

@@ -115,7 +115,7 @@ def test_sharing_on_golden_encoding():
 @pytest.mark.parametrize("propagate", [True, False])
 def test_encoder_matches_oracle_exhaustively(mode, propagate):
     """Evaluate tau under every concrete (precedence, filtering) assignment
-    and compare with the direct order semantics."""
+    and compare with the filtered order of ``orders``."""
     c = Symbol("c", 0)
     g = Symbol("g", 1)
     h = Symbol("h", 2)

@@ -9,11 +9,14 @@ from termfilter.cli import main as cli_main
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.orders import lpo_af_ge, lpo_af_gt
 from termfilter.prover import (Maybe, ProverConfig, Terminating, Timeout,
-                               reduction_pair_processor, prove, render_proof)
+                               _problem_signature, reduction_pair_processor, prove,
+                               render_proof)
 from termfilter.terms import Trs
 from termfilter.tpdb import parse_trs
+from termfilter.usable import usable_rules, usable_rules_mod_pi
 
-from util import EX13_TEXT, EX2_TEXT, ex13, ex2, random_trs
+from util import (EX13_TEXT, EX2_TEXT, all_filterings, all_precedences, ex13, ex2,
+                  random_trs)
 
 
 CONFIGS = [(proc, mode) for proc in ("thm5", "thm12") for mode in ("strict", "quasi")]
@@ -304,3 +307,53 @@ def test_size_preserving_recursion_is_maybe():
     verdict = prove(trs, ProverConfig(processor="thm12", mode="quasi", timeout=30))
     assert isinstance(verdict, Maybe)
     assert "shuffle#" in verdict.reason
+
+
+def _orientable(problem, processor, mode):
+    """Exhaustive search: does some precedence and filtering make every pair
+    weakly decreasing, some pair strictly decreasing, and every usable rule
+    weakly decreasing?"""
+    symbols = list(_problem_signature(problem))
+    pairs = problem.pairs.rules
+    classical = usable_rules(problem.pairs, problem.rules)
+    for pi in all_filterings(symbols):
+        usable = (classical if processor == "thm5"
+                  else usable_rules_mod_pi(problem.pairs, problem.rules, pi))
+        for prec in all_precedences(symbols):
+            if (all(lpo_af_ge(prec, pi, mode, p.lhs, p.rhs) for p in pairs)
+                    and any(lpo_af_gt(prec, pi, mode, p.lhs, p.rhs) for p in pairs)
+                    and all(lpo_af_ge(prec, pi, mode, r.lhs, r.rhs) for r in usable)):
+                return True
+    return False
+
+
+def test_processor_answers_match_exhaustive_search():
+    """Both SAT answers (progress) and UNSAT answers (no progress, which a
+    MAYBE rests on) agree with a search over every precedence and filtering."""
+    rng = random.Random(5)
+    answers = {True: 0, False: 0}
+    runs = 0
+    while runs < 40:
+        trs = random_trs(rng, 3, 3, 2, 2)
+        for sub in scc_decompose(DpProblem(dependency_pairs(trs), trs)):
+            if len(_problem_signature(sub)) > 4:
+                continue
+            for mode in ("strict", "quasi"):
+                for processor in ("thm5", "thm12"):
+                    if runs == 40:
+                        break
+                    runs += 1
+                    outcome = reduction_pair_processor(
+                        sub, ProverConfig(mode=mode, processor=processor))
+                    sat = outcome.status == "progress"
+                    assert sat == _orientable(sub, processor, mode), \
+                        (str(sub.pairs), str(sub.rules), mode, processor)
+                    answers[sat] += 1
+    assert answers[True] >= 4 and answers[False] >= 4, answers
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_deep_tower_terminates(mode):
+    # f(s^120(x)) -> f(x), the deepest tower the benchmark times
+    trs = parse_trs("(VAR x)(RULES f(" + "s(" * 120 + "x" + ")" * 120 + ") -> f(x))")
+    assert isinstance(prove(trs, ProverConfig(mode=mode)), Terminating)
