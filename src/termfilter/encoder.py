@@ -361,8 +361,7 @@ class RpEncoding:
 
 
 def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
-                      mode: str = "strict", *, context: EncodingContext | None = None,
-                      simplify: bool = True, share: bool = True,
+                      mode: str = "strict", *, simplify: bool = True, share: bool = True,
                       propagate: bool = True) -> RpEncoding:
     """Formula whose models are the orderings accepted by the reduction pair
     processor: every pair weakly decreasing, at least one strictly, and the
@@ -377,8 +376,7 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
 
     if processor not in ("thm5", "thm12"):
         raise ValueError(f"processor must be 'thm5' or 'thm12', got {processor!r}")
-    ctx = context or EncodingContext(mode, simplify=simplify, share=share,
-                                     propagate=propagate)
+    ctx = EncodingContext(mode, simplify=simplify, share=share, propagate=propagate)
     b = ctx.builder
     pairs = problem.pairs.rules
     usable = usable_rules(problem.pairs, problem.rules)

@@ -157,10 +157,12 @@ def _verify(problem: DpProblem, config: ProverConfig, decoded: DecodedModel,
         raise VerificationError("model removes no pair")
     strict = set(decoded.strict_pairs)
     for i, p in enumerate(problem.pairs.rules):
-        if not lpo_af_ge(prec, pi, mode, p.lhs, p.rhs):
+        # a strict decrease is also a weak one, so each pair needs one check
+        if i in strict:
+            if not lpo_af_gt(prec, pi, mode, p.lhs, p.rhs):
+                raise VerificationError(f"pair marked strict but not strictly decreasing: {p}")
+        elif not lpo_af_ge(prec, pi, mode, p.lhs, p.rhs):
             raise VerificationError(f"pair not weakly decreasing: {p}")
-        if i in strict and not lpo_af_gt(prec, pi, mode, p.lhs, p.rhs):
-            raise VerificationError(f"pair marked strict but not strictly decreasing: {p}")
     for rule in obligations:
         if not lpo_af_ge(prec, pi, mode, rule.lhs, rule.rhs):
             raise VerificationError(f"usable rule not weakly decreasing: {rule}")

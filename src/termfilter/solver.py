@@ -205,11 +205,10 @@ class _Cdcl:
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self) -> int:
+        # every unassigned variable is on the heap: all start there, and
+        # _backtrack pushes back each one it unassigns
         while self.heap:
             _, v = heapq.heappop(self.heap)
-            if self.assign[v] == 0:
-                return v
-        for v in range(1, self.n + 1):
             if self.assign[v] == 0:
                 return v
         return 0

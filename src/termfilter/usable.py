@@ -1,5 +1,7 @@
-"""Usable rules: the classical closure, the filtered variant, and the
-propositional encoding that lets the SAT search pick the usable set itself."""
+"""Usable rules: the classical closure, the filtered variant (the recursive
+definition, which checks models), and the propositional encoding that lets
+the SAT search pick the usable set itself, with one implication per defined
+symbol."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from . import atoms as A
 from .encoder import EMPTY_CTX, Ctx, EncodingContext
 from .formula import Formula
 from .orders import ArgumentFiltering
-from .terms import Rule, Symbol, Term, Trs, Var, functions
+from .terms import Rule, Symbol, Term, Trs, Var, defined_symbols, functions
 
 
 def usable_rules(pairs: Trs, rules: Trs) -> tuple[Rule, ...]:
@@ -74,43 +76,34 @@ def usable_rules_mod_pi(pairs: Trs, rules: Trs, pi: ArgumentFiltering) -> tuple[
 
 
 def omega(pairs: Trs, rules: Trs, ctx: EncodingContext) -> Formula:
-    """Propositional usable-rules tracking.
+    """Propositional usable-rules tracking, one implication per defined symbol.
 
-    For every pair's right-hand side, descending only through kept argument
-    positions, reaching a defined symbol ``f`` asserts its flag ``u_f``;
-    and each flag implies the weak orientation of that symbol's rules.
+    Every pair's right-hand side asserts the flag ``u_f`` of each defined
+    symbol ``f`` reached through kept argument positions.  Each flag of a
+    classically usable symbol implies the weak orientation of that symbol's
+    rules, and the flags their right-hand sides reach in the same way.  A
+    flag reached again inside its own implication folds to true.
     """
     b = ctx.builder
-    parts: list[Formula] = []
-    for p in pairs.rules:
-        parts.append(_omega_term(p.rhs, frozenset(rules.rules), rules, ctx, EMPTY_CTX))
+    defined = defined_symbols(rules)
+    parts = [_omega_term(p.rhs, defined, ctx, EMPTY_CTX) for p in pairs.rules]
     for f in defined_usable_symbols(pairs, rules):
-        obligations = [ctx.tau_ge(r.lhs, r.rhs) for r in rules.rules_for(f)]
-        parts.append(b.implies(b.atom(A.Usable(f)), b.and_(obligations)))
+        own = rules.rules_for(f)
+        parts.append(ctx._guarded(EMPTY_CTX, A.Usable(f), lambda c, own=own: b.and_(
+            [ctx.tau_ge(r.lhs, r.rhs) for r in own]
+            + [_omega_term(r.rhs, defined, ctx, c) for r in own])))
     return b.and_(parts)
 
 
-def _omega_term(t: Term, remaining: frozenset[Rule], rules: Trs,
-                ctx: EncodingContext, ectx: Ctx) -> Formula:
-    b = ctx.builder
+def _omega_term(t: Term, defined: frozenset[Symbol], ctx: EncodingContext,
+                ectx: Ctx) -> Formula:
+    """Flags of the defined symbols of ``t``, descending only into kept
+    argument positions."""
     if isinstance(t, Var):
-        return b.TRUE
+        return ctx.builder.TRUE
     f = t.fun
-    own = [r for r in rules.rules_for(f) if r in remaining]
-    if not own:
-        return b.and_([
-            ctx._guarded(ectx, A.ArgIn(f, i),
-                         lambda c, i=i: _omega_term(t.args[i - 1], remaining, rules, ctx, c))
-            for i in range(1, f.arity + 1)
-        ])
-    rest = remaining - set(own)
-
-    def body(c: Ctx) -> list[Formula]:
-        out = [_omega_term(r.rhs, rest, rules, ctx, c) for r in own]
-        out.extend(
-            ctx._guarded(c, A.ArgIn(f, i),
-                         lambda c2, i=i: _omega_term(t.args[i - 1], rest, rules, ctx, c2))
-            for i in range(1, f.arity + 1))
-        return out
-
-    return ctx._with_literals(ectx, [(A.Usable(f), True)], body)
+    flag = [(A.Usable(f), True)] if f in defined else []
+    return ctx._with_literals(ectx, flag, lambda c: [
+        ctx._guarded(c, A.ArgIn(f, i),
+                     lambda c2, i=i: _omega_term(t.args[i - 1], defined, ctx, c2))
+        for i in range(1, f.arity + 1)])

@@ -228,23 +228,36 @@ def test_omega_completeness_on_division(mode):
     assert winners > 0
 
 
-def test_omega_model_enumeration_soundness():
+def _enumeration_problem(cyclic):
+    from termfilter.terms import App, Rule, Symbol, Var
+
+    g = Symbol("g", 1)
+    h = Symbol("h", 1)
+    ft = Symbol("f", 1, True)
+    x = Var("x")
+    if cyclic:
+        # the rules of g and h reach each other
+        rules = Trs.of([Rule(App(g, (App(h, (x,)),)), App(h, (x,))),
+                        Rule(App(h, (App(g, (x,)),)), App(g, (x,)))])
+        pair = Rule(App(ft, (App(g, (App(h, (x,)),)),)), App(ft, (App(g, (x,)),)))
+        return DpProblem(Trs.of([pair]), rules), {g, h, ft}
+    rules = Trs.of([Rule(App(g, (x,)), x)])
+    pair = Rule(App(ft, (App(g, (App(g, (x,)),)),)), App(ft, (App(g, (x,)),)))
+    return DpProblem(Trs.of([pair]), rules), {g, ft}
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
+def test_omega_model_enumeration_soundness(cyclic):
     """Every model of the filtered-usable encoding flags at least the rules
     that are usable under its own decoded filtering."""
     from termfilter.cnf import tseitin_cnf
     from termfilter.lowering import VarMap, decode_model, lower_atoms
     from termfilter.solver import solve_internal
-    from termfilter.terms import App, Rule, Symbol, Var
 
-    g = Symbol("g", 1)
-    ft = Symbol("f", 1, True)
-    x = Var("x")
-    rules = Trs.of([Rule(App(g, (x,)), x)])
-    pair = Rule(App(ft, (App(g, (App(g, (x,)),)),)), App(ft, (App(g, (x,)),)))
-    problem = DpProblem(Trs.of([pair]), rules)
-
+    problem, signature = _enumeration_problem(cyclic)
+    rules = problem.rules
     enc = encode_rp_formula(problem, "thm12", "strict")
-    symbols = sorted({g, ft}, key=lambda f: (f.name, f.is_tuple))
+    symbols = sorted(signature, key=lambda f: (f.name, f.is_tuple))
     vm = VarMap(symbols, 1, enc.usable_symbols)
     low, structural, b = lower_atoms(enc.formula, vm, "strict")
     base = tseitin_cnf(b.and_([low] + structural), vm.num_reserved)
@@ -267,3 +280,31 @@ def test_omega_model_enumeration_soundness():
         clauses.append(tuple(-v if res.model[v] else v
                              for v in range(1, vm.num_reserved + 1)))
     assert 0 < models < 300  # enumeration exhausted the model space
+
+
+def _dense_family(n):
+    """``h_i(s(x)) -> c(h_1(x), ..., h_n(x))`` for i = 1..n, where every
+    ``h_i`` calls every other, plus ``f(s(x)) -> f(h_1(x))``."""
+    calls = ",".join(f"h{j}(x)" for j in range(1, n + 1))
+    rules = " ".join(f"h{i}(s(x)) -> c({calls})" for i in range(1, n + 1))
+    return parse_trs(f"(VAR x)(RULES {rules} f(s(x)) -> f(h1(x)))")
+
+
+def test_omega_calls_grow_polynomially(monkeypatch):
+    """Building the usable-rule formula walks each right-hand side once per
+    symbol, not once per call path (233,031 walks on the path-wise form)."""
+    from termfilter import usable
+    from termfilter.prover import ProverConfig, Terminating, prove
+
+    calls = 0
+    inner = usable._omega_term
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(usable, "_omega_term", counted)
+    verdict = prove(_dense_family(8), ProverConfig(processor="thm12"))
+    assert isinstance(verdict, Terminating)
+    assert 0 < calls <= 1000
