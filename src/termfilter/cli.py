@@ -6,6 +6,7 @@ Exit codes: 0 termination proved, 1 no proof found, 2 timeout, 3 error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -13,8 +14,24 @@ from .prover import Maybe, ProverConfig, Terminating, prove, render_proof
 from .tpdb import ParseError, parse_trs
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse exits 2, which is the timeout code here
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def seconds(text: str) -> float:
+    """A ``--timeout`` value: finite and non-negative (no deadline check ever
+    trips on NaN, and infinity overflows an external solver's timeout)."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite non-negative number: {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="termfilter",
         description="Termination prover for term rewrite systems based on "
                     "lexicographic path orders with argument filterings, "
@@ -27,7 +44,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "thm12 = filtered, chosen by the solver (default)")
     parser.add_argument("--solver", default="internal",
                         help="'internal' or 'external:<command>' (default: internal)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    parser.add_argument("--timeout", type=seconds, default=None, metavar="SECONDS")
     parser.add_argument("--emit-dimacs", default=None, metavar="DIR",
                         help="write every CNF plus a variable manifest to DIR")
     parser.add_argument("--proof", action="store_true", help="print the proof steps")
@@ -38,7 +55,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.solver != "internal" and not args.solver.startswith("external:"):
+    external = args.solver.startswith("external:")
+    if args.solver != "internal" and not (external and args.solver[len("external:"):].strip()):
         print(f"error: bad --solver value {args.solver!r}", file=sys.stderr)
         return 3
     try:

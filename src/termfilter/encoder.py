@@ -190,11 +190,10 @@ class EncodingContext:
         if isinstance(t, App):
             g = t.fun
             # target root collapsed away
-            inner = GE if rel == GE else GT
             for j in range(1, g.arity + 1):
                 branches.append(self._with_literals(
                     ctx, [(A.CollapsesTo(g, j), True)],
-                    lambda c, j=j: [self._tau(s, t.args[j - 1], inner, c)]))
+                    lambda c, j=j: [self._tau(s, t.args[j - 1], rel, c)]))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
 

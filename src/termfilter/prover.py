@@ -24,7 +24,7 @@ from .orders import ArgumentFiltering, Collapse, Precedence, lpo_af_ge, lpo_af_g
 from .solver import UNKNOWN, UNSAT, solve
 from .terms import Rule, Symbol, Trs, symbol_key
 from .tpdb import parse_trs
-from .usable import usable_rules_mod_pi
+from .usable import usable_rules, usable_rules_mod_pi
 from . import atoms as A
 
 
@@ -139,18 +139,20 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
         return RpOutcome("unsat")
 
     decoded = decode_model(result.model, vm)
-    witness = _verify(problem, config, decoded, enc.usable)
+    witness = _verify(problem, config, decoded)
     strict = set(decoded.strict_pairs)
     keep = [p for i, p in enumerate(problem.pairs.rules) if i not in strict]
     return RpOutcome("progress", DpProblem(Trs.of(keep), problem.rules), witness)
 
 
-def _verify(problem: DpProblem, config: ProverConfig, decoded: DecodedModel,
-            classical_usable: tuple[Rule, ...]) -> ReductionWitness:
+def _verify(problem: DpProblem, config: ProverConfig,
+            decoded: DecodedModel) -> ReductionWitness:
+    """Replay the model through the filtered order, with the usable rules
+    worked out from the problem and the decoded filtering, not the encoder."""
     prec, pi = decoded.precedence, decoded.filtering
     mode = config.mode
     if config.processor == "thm5":
-        obligations = classical_usable
+        obligations = usable_rules(problem.pairs, problem.rules)
     else:
         obligations = usable_rules_mod_pi(problem.pairs, problem.rules, pi)
     if not decoded.strict_pairs:
@@ -222,13 +224,16 @@ def prove_file(path: str, config: ProverConfig | None = None) -> Verdict:
     return prove(parse_trs(Path(path).read_text()), config)
 
 
-def _format_precedence(prec: Precedence, symbols: tuple[Symbol, ...]) -> str:
+def _format_precedence(prec: Precedence, symbols: tuple[Symbol, ...], mode: str) -> str:
+    # symbols of one rank are equivalent in a quasi precedence, but
+    # incomparable in a strict one
+    same_rank = " ~ " if mode == "quasi" else ", "
     groups: dict[int, list[str]] = {}
     for f in symbols:
         groups.setdefault(prec.rank(f), []).append(f.display)
     chains = []
     for rank in sorted(groups, reverse=True):
-        chains.append(" ~ ".join(sorted(groups[rank])))
+        chains.append(same_rank.join(sorted(groups[rank])))
     return " > ".join(chains)
 
 
@@ -261,7 +266,7 @@ def render_proof(verdict: Verdict) -> str:
             lines.append(f"reduction pair ({w.processor}, "
                          f"{'qlpo' if w.mode == 'quasi' else 'lpo'}): removed "
                          f"{len(w.removed)} of {len(step.problem.pairs.rules)} pair(s)")
-            lines.append(f"  precedence: {_format_precedence(w.precedence, symbols)}")
+            lines.append(f"  precedence: {_format_precedence(w.precedence, symbols, w.mode)}")
             lines.append(f"  filtering:  {_format_filtering(w.filtering, symbols)}")
             for p in w.removed:
                 lines.append(f"  removed: {p}")

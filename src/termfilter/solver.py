@@ -319,6 +319,8 @@ def solve(cnf: Cnf, backend: str = "internal", *, deadline: float | None = None)
         return solve_internal(cnf, deadline)
     if backend.startswith("external:"):
         command = backend[len("external:"):]
+        if not command.strip():
+            raise ValueError("external solver backend needs a command")
         timeout = None
         if deadline is not None:
             timeout = max(0.01, deadline - time.monotonic())

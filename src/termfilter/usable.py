@@ -1,78 +1,53 @@
-"""Usable rules: the classical closure, the filtered variant (the recursive
-definition, which checks models), and the propositional encoding that lets
-the SAT search pick the usable set itself, with one implication per defined
-symbol."""
+"""Usable rules: one worklist walk that finds the classical closure or, under
+an argument filtering, the filtered variant (which checks models), and the
+propositional encoding that lets the SAT search pick the usable set itself,
+with one implication per defined symbol."""
 
 from __future__ import annotations
-
-from collections import deque
 
 from . import atoms as A
 from .encoder import EMPTY_CTX, Ctx, EncodingContext
 from .formula import Formula
 from .orders import ArgumentFiltering
-from .terms import Rule, Symbol, Term, Trs, Var, defined_symbols, functions
+from .terms import Rule, Symbol, Term, Trs, Var, defined_symbols
+
+
+def _reachable(pairs: Trs, rules: Trs, pi: ArgumentFiltering | None) -> tuple[Rule, ...]:
+    """Rules of every symbol reached from the right-hand sides of ``pairs``,
+    descending into the positions ``pi`` keeps (or collapses onto), or into
+    every position when ``pi`` is None.  Each symbol's rules are expanded
+    once.  Returned in rule order."""
+    expanded: set[Symbol] = set()
+    stack: list[Term] = [p.rhs for p in pairs.rules]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            continue
+        f = t.fun
+        if f not in expanded:
+            expanded.add(f)
+            stack.extend(r.rhs for r in rules.rules_for(f))
+        positions = range(1, f.arity + 1) if pi is None else pi.kept(f)
+        stack.extend(t.args[i - 1] for i in positions)
+    return tuple(r for r in rules.rules if r.root in expanded)
 
 
 def usable_rules(pairs: Trs, rules: Trs) -> tuple[Rule, ...]:
     """Rules reachable from the right-hand sides of ``pairs``: all rules of
     every symbol occurring there, closed under right-hand sides of rules
     already usable.  Returned in rule order."""
-    chosen: set[Rule] = set()
-    seen: set[Symbol] = set()
-    queue: deque[Symbol] = deque()
-    for p in pairs.rules:
-        queue.extend(functions(p.rhs))
-    while queue:
-        f = queue.popleft()
-        if f in seen:
-            continue
-        seen.add(f)
-        for rule in rules.rules_for(f):
-            if rule not in chosen:
-                chosen.add(rule)
-                queue.extend(functions(rule.rhs))
-    return tuple(r for r in rules.rules if r in chosen)
+    return _reachable(pairs, rules, None)
 
 
 def defined_usable_symbols(pairs: Trs, rules: Trs) -> tuple[Symbol, ...]:
     """Root symbols of the usable rules, in rule order."""
-    out: list[Symbol] = []
-    for rule in usable_rules(pairs, rules):
-        if rule.root not in out:
-            out.append(rule.root)
-    return tuple(out)
+    return tuple(dict.fromkeys(rule.root for rule in usable_rules(pairs, rules)))
 
 
 def usable_rules_mod_pi(pairs: Trs, rules: Trs, pi: ArgumentFiltering) -> tuple[Rule, ...]:
-    """Usable rules restricted by a filtering: reachability only descends
-    into argument positions the filtering keeps (or collapses onto), and the
-    rules of a symbol are removed from the system before recursing."""
-    all_rules = rules.rules
-    memo: dict[tuple[Term, frozenset[Rule]], frozenset[Rule]] = {}
-
-    def go(t: Term, remaining: frozenset[Rule]) -> frozenset[Rule]:
-        if isinstance(t, Var):
-            return frozenset()
-        key = (t, remaining)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        own = frozenset(r for r in remaining if r.root == t.fun)
-        rest = remaining - own
-        out = set(own)
-        for rule in own:
-            out |= go(rule.rhs, rest)
-        for i in pi.kept(t.fun):
-            out |= go(t.args[i - 1], rest)
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    found: set[Rule] = set()
-    for p in pairs.rules:
-        found |= go(p.rhs, frozenset(all_rules))
-    return tuple(r for r in all_rules if r in found)
+    """Usable rules restricted by a filtering: the same walk, descending only
+    into argument positions the filtering keeps (or collapses onto)."""
+    return _reachable(pairs, rules, pi)
 
 
 def omega(pairs: Trs, rules: Trs, ctx: EncodingContext) -> Formula:

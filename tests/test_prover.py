@@ -236,6 +236,73 @@ def test_cli_bad_solver_value(tmp_path, capsys):
     assert cli_main([str(path), "--solver", "quantum"]) == 3
 
 
+@pytest.mark.parametrize("solver", ["external:", "external:   "])
+def test_cli_empty_external_command(tmp_path, capsys, solver):
+    from termfilter.cnf import Cnf
+    from termfilter.solver import solve
+    with pytest.raises(ValueError):
+        solve(Cnf(1, ((1,),)), solver)
+    path = tmp_path / "division.trs"
+    path.write_text(EX2_TEXT)
+    assert cli_main([str(path), "--solver", solver]) == 3
+    assert "bad --solver value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--timeout", "abc"], ["--timeout", "nan"],
+                                  ["--timeout", "-1"], ["--timeout", "inf"], []],
+                         ids=["abc", "nan", "negative", "infinite", "no-file"])
+def test_cli_usage_errors_exit_3(tmp_path, capsys, args):
+    # argparse's own code 2 is the timeout code here
+    path = tmp_path / "division.trs"
+    path.write_text(EX2_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(([str(path)] if args else []) + args)
+    assert exc.value.code == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_strict_proof_precedence_has_no_equivalence():
+    """Same-rank symbols of a strict precedence are incomparable, so the
+    proof must not print them joined by the equivalence sign."""
+    def precedences(mode):
+        text = render_proof(prove(ex2(), ProverConfig(mode=mode)))
+        return [l for l in text.splitlines() if "precedence:" in l]
+
+    strict = precedences("strict")
+    assert strict and not any("~" in l for l in strict)
+    assert any(", " in l for l in strict)
+    assert any("~" in l for l in precedences("quasi"))
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """The per-layer benchmark wraps names the prover imports; renaming one
+    of them must fail here, not only in the benchmark's own smoke test."""
+    import importlib.util
+    from pathlib import Path
+
+    from termfilter import prover, usable
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names, omega = dict(vars(prover)), usable.omega
+    restore = layers.Tracer().install()
+    try:
+        assert prover.usable_rules_mod_pi is not names["usable_rules_mod_pi"]
+        assert isinstance(prove(ex2()), Terminating)
+    finally:
+        restore()
+    assert dict(vars(prover)) == names and usable.omega is omega
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "division.trs"
     path.write_text(EX2_TEXT)

@@ -172,3 +172,39 @@ def model_assignment(prec: Precedence, pi: ArgumentFiltering, vm) -> dict[int, b
         for i in range(1, f.arity + 1):
             out[vm.arg_var(f, i)] = i in pi.kept(f)
     return out
+
+
+# ----------------------------------------------------------------------
+# reference definition of the filtered usable rules
+
+def usable_rules_mod_pi_reference(pairs: Trs, rules: Trs,
+                                  pi: ArgumentFiltering) -> tuple[Rule, ...]:
+    """Usable rules restricted by a filtering, by the paper's recursive
+    definition: reachability only descends into argument positions the
+    filtering keeps (or collapses onto), and the rules of a symbol are
+    removed from the system before recursing."""
+    all_rules = rules.rules
+    memo: dict[tuple[Term, frozenset[Rule]], frozenset[Rule]] = {}
+
+    def go(t: Term, remaining: frozenset[Rule]) -> frozenset[Rule]:
+        if isinstance(t, Var):
+            return frozenset()
+        key = (t, remaining)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        own = frozenset(r for r in remaining if r.root == t.fun)
+        rest = remaining - own
+        out = set(own)
+        for rule in own:
+            out |= go(rule.rhs, rest)
+        for i in pi.kept(t.fun):
+            out |= go(t.args[i - 1], rest)
+        result = frozenset(out)
+        memo[key] = result
+        return result
+
+    found: set[Rule] = set()
+    for p in pairs.rules:
+        found |= go(p.rhs, frozenset(all_rules))
+    return tuple(r for r in all_rules if r in found)
