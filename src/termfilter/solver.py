@@ -4,6 +4,16 @@ The internal solver is a conflict-driven clause learner with two watched
 literals per clause, first-UIP learning, activity-based decisions, phase
 saving (all variables start false), and Luby restarts.  It is deterministic:
 identical input yields the identical model.
+
+The layout follows MiniSat (Een & Sorensson 2003).  Values and watch lists
+are lists indexed by the literal itself, negative literals wrapping into the
+upper half; watch lists and reasons hold the clause lists themselves; the
+propagation loop compacts each watch list in place.  The decision heap holds
+no duplicate entry per activity: only assigned variables are bumped, and a
+variable goes back on the heap when it is unassigned with a changed
+activity.  Every decision, conflict, learnt clause and model is the same as
+those of the plain variable-indexed solver that the tests keep as their
+reference.
 """
 
 from __future__ import annotations
@@ -43,182 +53,226 @@ def _luby(i: int) -> int:
 
 class _Cdcl:
     def __init__(self, cnf: Cnf, deadline: float | None):
-        self.n = cnf.num_vars
+        n = self.n = cnf.num_vars
         self.deadline = deadline
-        n1 = self.n + 1
-        self.assign = [0] * n1          # 0 unset, 1 true, -1 false
-        self.level = [0] * n1
-        self.reason = [-1] * n1         # clause index, -1 for decisions
+        # indexed by literal: -v wraps to index 2n+1-v
+        self.val = [0] * (2 * n + 1)    # 0 unset, 1 true, -1 false
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+        self.level = [0] * (n + 1)
+        self.reason: list[list[int] | None] = [None] * (n + 1)  # None for decisions
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.activity = [0.0] * n1
+        self.seen = [False] * (n + 1)
+        self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
-        self.phase = [False] * n1
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n1)]
-        heapq.heapify(self.heap)
+        self.phase = [-v for v in range(n + 1)]   # literal to decide next
+        # queued[v] is the activity of v's newest heap entry, or -1.0 once that
+        # entry is popped; older entries of v hold lower activities.
+        self.queued = [0.0] * (n + 1)
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
         self.ok = True
         for clause in cnf.clauses:
-            self._add_clause(list(clause))
+            self._add_clause(clause)
             if not self.ok:
                 return
 
-    def value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _watch(self, lit: int, ci: int) -> None:
-        self.watches.setdefault(lit, []).append(ci)
-
-    def _add_clause(self, lits: list[int]) -> None:
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in lits:
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
+    def _add_clause(self, lits: tuple[int, ...]) -> None:
+        out = list(dict.fromkeys(lits))     # drop repeats, keep the order
+        if len(set(map(abs, out))) < len(out):
+            return  # tautology
         if not out:
             self.ok = False
             return
         if len(out) == 1:
-            if not self._enqueue(out[0], -1):
+            if not self._enqueue(out[0], None):
                 self.ok = False
             return
-        ci = len(self.clauses)
-        self.clauses.append(out)
-        self._watch(out[0], ci)
-        self._watch(out[1], ci)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
 
-    def _enqueue(self, lit: int, reason: int) -> bool:
-        val = self.value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
+        """Make lit true; False if it is already false."""
+        val = self.val[lit]
+        if val:
+            return val == 1
+        self.val[lit] = 1
+        self.val[-lit] = -1
         v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int:
-        """Exhaust unit propagation; return a conflicting clause index or -1."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
-            ws = self.watches.get(false_lit)
+    def _propagate(self) -> list[int] | None:
+        """Exhaust unit propagation; return a conflicting clause or None.
+
+        The watched literals are clause[0] and clause[1].  A clause that
+        leaves the watch list of false_lit goes to the end of its new
+        literal's list; the others keep their order.
+        """
+        trail = self.trail
+        val = self.val
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        depth = len(self.trail_lim)
+        start = len(trail)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
             if not ws:
                 continue
-            kept: list[int] = []
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
+            i = j = 0               # ws[:j] keeps the clauses still watched
+            for clause in ws:
                 i += 1
-                clause = self.clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self.value(first) == 1:
-                    kept.append(ci)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_val = val[first]
+                if first_val == 1:
+                    ws[j] = clause
+                    j += 1
                     continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self.value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self._watch(clause[1], ci)
-                        moved = True
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if val[lit] != -1:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if self.value(first) == -1:
-                    kept.extend(ws[i:])
-                    self.watches[false_lit] = kept
-                    return ci
-                self._enqueue(first, ci)
-            self.watches[false_lit] = kept
-        return -1
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if first_val:
+                        del ws[j:i]     # the unvisited ws[i:] stay watched
+                        self.qhead = qhead
+                        self.propagations += len(trail) - start
+                        return clause
+                    val[first] = 1
+                    val[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = depth
+                    reason[v] = clause
+                    trail.append(first)
+            del ws[j:]
+        self.qhead = qhead
+        self.propagations += len(trail) - start
+        return None
 
     def _bump(self, v: int) -> None:
+        # v is assigned (it is on the trail), so it needs no heap entry until
+        # _backtrack unassigns it
         self.activity[v] += self.var_inc
         if self.activity[v] > 1e100:
-            for u in range(1, self.n + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-        heapq.heappush(self.heap, (-self.activity[v], v))
+            self._rescale()
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _rescale(self) -> None:
+        activity = self.activity
+        for u in range(1, self.n + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        # every heap key is now out of date: rebuild from current activities
+        val = self.val
+        self.queued = queued = [-1.0] * (self.n + 1)
+        self.heap = [(-activity[u], u) for u in range(1, self.n + 1) if not val[u]]
+        for _, u in self.heap:
+            queued[u] = activity[u]
+        heapq.heapify(self.heap)
+
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        seen = self.seen
         learnt: list[int] = [0]
-        seen = [False] * (self.n + 1)
         counter = 0
         p = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         current = len(self.trail_lim)
-        reason_lits = list(self.clauses[confl])
+        clause = confl
         while True:
-            for q in reason_lits:
+            for q in clause:
                 if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.level[v] == current:
+                    if level[v] == current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             v = abs(p)
             idx -= 1
             seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            reason_lits = [q for q in self.clauses[self.reason[v]] if q != p]
+            clause = reason[v]
         learnt[0] = -p
+        for q in learnt:
+            seen[abs(q)] = False
         if len(learnt) == 1:
             return learnt, 0
-        max_i = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+        max_i = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _backtrack(self, level: int) -> None:
         if len(self.trail_lim) <= level:
             return
         bound = self.trail_lim[level]
-        for lit in reversed(self.trail[bound:]):
-            v = abs(lit)
-            self.phase[v] = lit > 0
-            self.assign[v] = 0
-            self.reason[v] = -1
-            heapq.heappush(self.heap, (-self.activity[v], v))
+        val = self.val
+        phase = self.phase
+        activity = self.activity
+        queued = self.queued
+        heap = self.heap
+        for lit in self.trail[bound:]:
+            val[lit] = 0
+            val[-lit] = 0
+            v = lit if lit > 0 else -lit
+            phase[v] = lit
+            # an unchanged activity means v's entry is still on the heap
+            if activity[v] != queued[v]:
+                queued[v] = activity[v]
+                heapq.heappush(heap, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[level:]
-        self.qhead = min(self.qhead, len(self.trail))
+        self.qhead = min(self.qhead, bound)
 
     def _decide(self) -> int:
-        # every unassigned variable is on the heap: all start there, and
-        # _backtrack pushes back each one it unassigns
-        while self.heap:
-            _, v = heapq.heappop(self.heap)
-            if self.assign[v] == 0:
-                return v
+        """The unassigned variable of highest activity, ties to the lowest
+        index; 0 when every variable is assigned.
+
+        Every unassigned variable has an entry keyed by its current activity:
+        all start on the heap, only assigned variables are bumped, and
+        _backtrack pushes each one it unassigns whose activity changed.
+        """
+        heap = self.heap
+        val = self.val
+        queued = self.queued
+        while heap:
+            key, v = heapq.heappop(heap)
+            if key == -queued[v]:
+                queued[v] = -1.0
+                if not val[v]:
+                    return v
         return 0
 
     def solve(self) -> SolveResult:
         if not self.ok:
             return SolveResult(UNSAT)
-        if self._propagate() != -1:
-            return SolveResult(UNSAT)
-        conflicts_total = 0
         restart = 0
         while True:
             restart += 1
@@ -226,25 +280,24 @@ class _Cdcl:
             conflicts = 0
             while True:
                 confl = self._propagate()
-                if confl != -1:
+                if confl is not None:
                     conflicts += 1
-                    conflicts_total += 1
-                    if conflicts_total % 64 == 0 and self.deadline is not None \
+                    self.conflicts += 1
+                    if self.conflicts % 64 == 0 and self.deadline is not None \
                             and time.monotonic() > self.deadline:
                         return SolveResult(UNKNOWN)
                     if not self.trail_lim:
                         return SolveResult(UNSAT)
                     learnt, back = self._analyze(confl)
                     self._backtrack(back)
+                    # learnt[0] was assigned at the conflict level, so it is
+                    # unassigned now and the enqueue succeeds
                     if len(learnt) == 1:
-                        if not self._enqueue(learnt[0], -1):
-                            return SolveResult(UNSAT)
+                        self._enqueue(learnt[0], None)
                     else:
-                        ci = len(self.clauses)
-                        self.clauses.append(learnt)
-                        self._watch(learnt[0], ci)
-                        self._watch(learnt[1], ci)
-                        self._enqueue(learnt[0], ci)
+                        self.watches[learnt[0]].append(learnt)
+                        self.watches[learnt[1]].append(learnt)
+                        self._enqueue(learnt[0], learnt)
                     self.var_inc /= 0.95
                     if conflicts >= budget:
                         self._backtrack(0)
@@ -252,10 +305,11 @@ class _Cdcl:
                     continue
                 v = self._decide()
                 if v == 0:
-                    model = {u: self.assign[u] > 0 for u in range(1, self.n + 1)}
+                    model = {u: self.val[u] > 0 for u in range(1, self.n + 1)}
                     return SolveResult(SAT, model)
+                self.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.phase[v] else -v, -1)
+                self._enqueue(self.phase[v], None)
 
 
 def solve_internal(cnf: Cnf, deadline: float | None = None) -> SolveResult:

@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from termfilter import atoms as A
+from termfilter import prover
 from termfilter.cnf import Cnf, parse_dimacs, tseitin_cnf, write_dimacs
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import encode_rp_formula
@@ -15,12 +16,12 @@ from termfilter.formula import FormulaBuilder, evaluate
 from termfilter.lowering import (EncodingError, VarMap, _bit_eq, _bit_gt,
                                  decode_model, lower_atoms, structural_constraints)
 from termfilter.orders import Collapse, Keep, lpo_af_ge, lpo_af_gt
-from termfilter.solver import (SAT, UNKNOWN, UNSAT, ExternalSolverError,
+from termfilter.solver import (SAT, UNKNOWN, UNSAT, ExternalSolverError, _Cdcl,
                                solve_external, solve_internal)
 from termfilter.terms import Symbol
-from termfilter.prover import _problem_signature
+from termfilter.prover import ProverConfig, _problem_signature, prove
 
-from util import ex2
+from util import ReferenceCdcl, ex13, ex2
 
 
 # ----------------------------------------------------------------------
@@ -259,12 +260,114 @@ def test_solver_deterministic():
 
 
 def test_solver_deadline_unknown():
-    rng = random.Random(99)
-    # a pigeonhole-ish hard-ish instance plus an immediate deadline
-    cnf = _random_cnf(rng, 14, 60)
     import time
-    res = solve_internal(cnf, deadline=time.monotonic() - 1)
-    assert res.status in (UNKNOWN, SAT, UNSAT)  # tiny instances may finish early
+    # the deadline is read every 64 conflicts: pigeonhole 5 needs 166 of
+    # them, pigeonhole 4 only 28
+    past = time.monotonic() - 1
+    assert solve_internal(_pigeonhole_cnf(5), deadline=past).status == UNKNOWN
+    assert solve_internal(_pigeonhole_cnf(4), deadline=past).status == UNSAT
+
+
+class _CountingReference(ReferenceCdcl):
+    """The reference solver, counted from outside the way the solver counts
+    itself: a conflict per conflicting propagation, a decision per variable
+    _decide returns, a propagation per literal the trail gains in
+    _propagate."""
+
+    def __init__(self, cnf, deadline):
+        self.conflicts = self.decisions = self.propagations = 0
+        super().__init__(cnf, deadline)
+
+    def _propagate(self):
+        before = len(self.trail)
+        confl = super()._propagate()
+        self.propagations += len(self.trail) - before
+        if confl != -1:
+            self.conflicts += 1
+        return confl
+
+    def _decide(self):
+        v = super()._decide()
+        if v:
+            self.decisions += 1
+        return v
+
+
+def _replay(cnf):
+    """Solve with both solvers, require the same search; return the
+    reference's status and conflict count."""
+    ref = _CountingReference(cnf, None)
+    want = ref.solve()
+    new = _Cdcl(cnf, None)
+    got = new.solve()
+    assert (got.status, got.model) == (want.status, want.model)
+    assert (new.conflicts, new.decisions, new.propagations) == \
+        (ref.conflicts, ref.decisions, ref.propagations)
+    return want.status, ref.conflicts
+
+
+def _random_3sat(rng, n_vars, ratio):
+    clauses = []
+    for _ in range(round(n_vars * ratio)):
+        chosen = rng.sample(range(1, n_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+    return Cnf(n_vars, tuple(clauses))
+
+
+def test_solver_replays_reference_on_random_cnfs():
+    rng = random.Random(2024)
+    # small mixed-width CNFs with units, repeats and tautologies, then 3-SAT
+    # around the threshold, where searches restart and half are UNSAT
+    cnfs = [_random_cnf(rng, rng.randint(2, 8), rng.randint(1, 22))
+            for _ in range(150)]
+    cnfs += [_random_3sat(rng, rng.randint(10, 60), rng.uniform(3.8, 4.6))
+             for _ in range(150)]
+    outcomes = [_replay(cnf) for cnf in cnfs]
+    assert sum(status == UNSAT for status, _ in outcomes) >= 50
+    assert sum(status == SAT for status, _ in outcomes) >= 50
+    assert sum(conflicts > 64 for _, conflicts in outcomes) >= 5
+
+
+def test_solver_replays_reference_on_pigeonhole():
+    outcomes = [_replay(_pigeonhole_cnf(holes)) for holes in (3, 4, 5)]
+    assert [status for status, _ in outcomes] == [UNSAT] * 3
+    assert outcomes[-1][1] > 64         # pigeonhole 5 restarts
+
+
+def test_solver_replays_reference_on_acceptance_cnfs(monkeypatch):
+    cnfs = []
+    real = prover.solve
+
+    def record(cnf, *args, **kwargs):
+        cnfs.append(cnf)
+        return real(cnf, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "solve", record)
+    for trs in (ex2(), ex13()):
+        for mode in ("strict", "quasi"):
+            for processor in ("thm5", "thm12"):
+                prove(trs, ProverConfig(mode=mode, processor=processor))
+    statuses = {_replay(cnf)[0] for cnf in cnfs}
+    assert len(cnfs) >= 8 and SAT in statuses
+
+
+def test_solver_rescale_refreshes_heap():
+    s = _Cdcl(Cnf(3, ()), None)
+    # variable 1 goes back on the heap with activity 5e99
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-1, None)
+    s.var_inc = 5e99
+    s._bump(1)
+    s._backtrack(0)
+    # bumping variable 2 past 1e100 scales every activity by 1e-100
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-2, None)
+    s.var_inc = 2e100
+    s._bump(2)
+    s._backtrack(0)
+    assert s.activity[1] < s.activity[2] < 1e100
+    by_activity = sorted(range(1, 4), key=lambda v: (-s.activity[v], v))
+    assert [s._decide() for _ in range(4)] == by_activity + [0] == [2, 1, 3, 0]
 
 
 # ----------------------------------------------------------------------
