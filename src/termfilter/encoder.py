@@ -7,21 +7,34 @@ applies three size optimizations: constant folding and flattening, pruning
 against atoms already known true or false on the current branch, and
 hash-consing of identical subformulas.  Each can be switched off.
 
+The branch context is one int, ``Ctx``: each ``EncodingContext`` numbers
+the atoms it meets and gives every atom a "known true" and a "known false"
+bit.  Looking an atom up tests a bit, and assuming one ORs in the bits of
+its consequences, computed once per atom and value.
+
 With sharing on, construction is memoized so that its cost tracks the DAG it
-produces.  ``_tau`` is keyed on its terms, relation and the whole branch
-context.  The quasi-mode comparison of two argument tuples, ``_lex_two``,
-would miss almost always on such a key, because every path to a cell
-``(i, j)`` fixes different filtering literals of the earlier positions.  A
-cell can only read atoms over the symbols of the argument suffixes from
-``i`` and ``j`` on, plus the filtering atoms of the two heads at those
-positions and later.  So it is keyed on the context cut down to these atoms
-and built under that cut-down context: every read answers as before, and
-hash-consing returns the same node the full context would have given.
+produces.  A key holding the whole branch context would miss almost always,
+because every path to a comparison fixes different literals elsewhere in the
+problem.  So each memoized comparison is keyed on the context cut down, by
+one AND with a cached mask, to the atoms it can read, and built under that
+cut-down context: every read answers as before, and hash-consing returns the
+same node the full context would have given.
+- ``_tau(s, t)`` reads and assumes only atoms over the function symbols of
+  ``s`` and ``t``.
+- The quasi-mode comparison of two argument tuples, ``_lex_two`` at cell
+  ``(i, j)``, reads the atoms over the symbols of the argument suffixes from
+  ``i`` and ``j`` on, plus the filtering atoms of the two heads at those
+  positions and later.
+
+For a mask to stay complete, meeting a symbol numbers at once every atom
+over it alone and every precedence atom between it and the symbols met
+before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 from . import atoms as A
@@ -33,22 +46,12 @@ GT = "gt"
 GE = "ge"
 
 
-@dataclass(frozen=True)
-class Ctx:
-    """Atoms known true/false on the current construction branch."""
+Ctx = int
+"""Atoms known true or false on the current construction branch, as a bit
+set.  Each ``EncodingContext`` numbers the atoms it meets: atom ``k`` owns
+bit ``2k`` ("known true") and bit ``2k + 1`` ("known false")."""
 
-    true_atoms: frozenset = frozenset()
-    false_atoms: frozenset = frozenset()
-
-    def value(self, atom) -> bool | None:
-        if atom in self.true_atoms:
-            return True
-        if atom in self.false_atoms:
-            return False
-        return None
-
-
-EMPTY_CTX = Ctx()
+EMPTY_CTX: Ctx = 0
 
 
 def _consequences(atom, value: bool) -> list[tuple[object, bool]]:
@@ -78,7 +81,9 @@ def _consequences(atom, value: bool) -> list[tuple[object, bool]]:
 
 
 def _poeq(f: Symbol, g: Symbol) -> A.PoEq:
-    if (g.name, g.is_tuple) < (f.name, f.is_tuple):
+    # a total order, so that both argument orders give the one atom that
+    # ``EncodingContext._meet`` numbers
+    if (g.name, g.is_tuple, g.arity) < (f.name, f.is_tuple, f.arity):
         f, g = g, f
     return A.PoEq(f, g)
 
@@ -97,21 +102,92 @@ class EncodingContext:
         self._lex_memo: dict = {}
         # (argument tuple, position) -> symbols occurring from that position on
         self._suffix_symbols: dict[tuple[tuple[Term, ...], int], frozenset[Symbol]] = {}
+        # atom -> its "known true" bit; the "known false" bit is the next one
+        self._bits: dict = {}
+        # symbol -> both bits of each atom over it alone
+        self._own: dict[Symbol, int] = {}
+        # (f, g) -> both bits of each precedence atom between f and g
+        self._between: dict[tuple[Symbol, Symbol], int] = {}
+        # (atom, value) -> the bits that fixing the atom sets
+        self._implied: dict = {}
+        # symbol set -> both bits of each atom over those symbols
+        self._masks: dict[frozenset[Symbol], int] = {}
+        # cells -> the bits ``_tau`` and ``_lex_two`` can read there
+        self._tau_masks: dict[tuple[Term, Term], int] = {}
+        self._lex_masks: dict = {}
 
     # ------------------------------------------------------------------
     # context plumbing
 
+    def _meet(self, f: Symbol) -> None:
+        """On first meeting ``f``, number the atoms over ``f`` alone and the
+        precedence atoms between ``f`` and every symbol met before.  A mask
+        taken over met symbols then already holds every atom over them that
+        can ever get a bit."""
+        if f in self._own:
+            return
+        others = list(self._own)
+        own = [A.ListP(f), A.Usable(f)]
+        for i in range(1, f.arity + 1):
+            own += [A.ArgIn(f, i), A.CollapsesTo(f, i)]
+        self._own[f] = self._number(own)
+        for g in others:
+            self._between[f, g] = self._between[g, f] = self._number(
+                [A.PoGt(f, g), A.PoGt(g, f), _poeq(f, g)])
+
+    def _number(self, atoms: list) -> int:
+        mask = 0
+        for atom in atoms:
+            bit = 1 << 2 * len(self._bits)
+            self._bits[atom] = bit
+            mask |= bit | bit << 1
+        return mask
+
+    def _bit(self, atom) -> int:
+        bit = self._bits.get(atom)
+        if bit is None:
+            if isinstance(atom, (A.PoGt, A.PoEq)):
+                self._meet(atom.left)
+                self._meet(atom.right)
+            else:
+                self._meet(atom.fun)
+            bit = self._bits[atom]
+        return bit
+
+    def _readable(self, symbols: frozenset[Symbol]) -> int:
+        """Both bits of every atom over ``symbols``."""
+        mask = self._masks.get(symbols)
+        if mask is None:
+            mask = 0
+            for f in symbols:
+                self._meet(f)
+                mask |= self._own[f]
+            for f, g in combinations(symbols, 2):
+                mask |= self._between[f, g]
+            self._masks[symbols] = mask
+        return mask
+
     def _known(self, ctx: Ctx, atom) -> bool | None:
-        return ctx.value(atom) if self.propagate else None
+        if not ctx:
+            return None
+        bit = self._bit(atom)
+        if ctx & bit:
+            return True
+        if ctx & bit << 1:
+            return False
+        return None
 
     def _assume(self, ctx: Ctx, atom, value: bool) -> Ctx:
         if not self.propagate:
             return ctx
-        true_atoms = set(ctx.true_atoms)
-        false_atoms = set(ctx.false_atoms)
-        for a, v in _consequences(atom, value):
-            (true_atoms if v else false_atoms).add(a)
-        return Ctx(frozenset(true_atoms), frozenset(false_atoms))
+        implied = self._implied.get((atom, value))
+        if implied is None:
+            implied = 0
+            for a, v in _consequences(atom, value):
+                bit = self._bit(a)
+                implied |= bit if v else bit << 1
+            self._implied[atom, value] = implied
+        return ctx | implied
 
     def _atom(self, ctx: Ctx, payload) -> Formula:
         known = self._known(ctx, payload)
@@ -160,14 +236,27 @@ class EncodingContext:
         return self._tau(s, t, GE, ctx)
 
     def _tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
-        use_memo = self.builder.share
-        key = (s, t, rel, ctx) if use_memo else None
-        if use_memo and key in self._memo:
-            return self._memo[key]
-        result = self._build_tau(s, t, rel, ctx)
-        if use_memo:
+        """Memoized on the part of the context the comparison can read."""
+        if not self.builder.share:
+            return self._build_tau(s, t, rel, ctx)
+        ctx = self._tau_readable(s, t, ctx)
+        key = (s, t, rel, ctx)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._build_tau(s, t, rel, ctx)
             self._memo[key] = result
         return result
+
+    def _tau_readable(self, s: Term, t: Term, ctx: Ctx) -> Ctx:
+        """``ctx`` cut down to the atoms ``_tau`` on ``s`` and ``t`` can read:
+        those over the function symbols of the two terms."""
+        if not ctx:
+            return ctx
+        mask = self._tau_masks.get((s, t))
+        if mask is None:
+            mask = self._readable(self._symbols_from((s, t), 1))
+            self._tau_masks[s, t] = mask
+        return ctx & mask
 
     def _build_tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
@@ -272,20 +361,19 @@ class EncodingContext:
     def _lex_readable(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
                       ts: tuple[Term, ...], i: int, j: int, ctx: Ctx) -> Ctx:
         """``ctx`` cut down to the atoms ``_lex_two`` at ``(i, j)`` can read:
-        those over symbols of ``ss[i-1:]`` and ``ts[j-1:]``, and the filtering
+        those over symbols of ``ss[i-1:]`` and ``ts[j-1:]``, and the ``ArgIn``
         atoms of ``f`` from ``i`` and of ``g`` from ``j`` on."""
-        syms = self._symbols_from(ss, i) | self._symbols_from(ts, j)
-
-        def readable(atom) -> bool:
-            if isinstance(atom, A.ArgIn) and (
-                    (atom.fun == f and atom.pos >= i) or (atom.fun == g and atom.pos >= j)):
-                return True
-            if isinstance(atom, (A.PoGt, A.PoEq)):
-                return atom.left in syms and atom.right in syms
-            return atom.fun in syms
-
-        return Ctx(frozenset(filter(readable, ctx.true_atoms)),
-                   frozenset(filter(readable, ctx.false_atoms)))
+        if not ctx:
+            return ctx
+        key = (f, g, ss, ts, i, j)
+        mask = self._lex_masks.get(key)
+        if mask is None:
+            mask = self._readable(self._symbols_from(ss, i) | self._symbols_from(ts, j))
+            for h, start in ((f, i), (g, j)):
+                for k in range(start, h.arity + 1):
+                    mask |= 3 * self._bit(A.ArgIn(h, k))
+            self._lex_masks[key] = mask
+        return ctx & mask
 
     def _symbols_from(self, args: tuple[Term, ...], i: int) -> frozenset[Symbol]:
         """Function symbols occurring in ``args[i-1:]``."""
@@ -371,14 +459,14 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     orientation is conditional on per-symbol usability flags that track which
     rules survive under the chosen filtering.
     """
-    from .usable import omega, usable_rules, defined_usable_symbols
+    from . import usable as U
 
     if processor not in ("thm5", "thm12"):
         raise ValueError(f"processor must be 'thm5' or 'thm12', got {processor!r}")
     ctx = EncodingContext(mode, simplify=simplify, share=share, propagate=propagate)
     b = ctx.builder
     pairs = problem.pairs.rules
-    usable = usable_rules(problem.pairs, problem.rules)
+    usable = U.usable_rules(problem.pairs, problem.rules)
     usable_syms: tuple[Symbol, ...] = ()
 
     parts: list[Formula] = []
@@ -386,8 +474,9 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
         for rule in usable:
             parts.append(ctx.tau_ge(rule.lhs, rule.rhs))
     else:
-        usable_syms = defined_usable_symbols(problem.pairs, problem.rules)
-        parts.append(omega(problem.pairs, problem.rules, ctx))
+        usable_syms = U.roots(usable)
+        # looked up on the module at call time, where a tracer may wrap it
+        parts.append(U.omega(problem.pairs, problem.rules, ctx, usable_syms))
 
     for p in pairs:
         parts.append(ctx.tau_ge(p.lhs, p.rhs))

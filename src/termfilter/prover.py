@@ -136,6 +136,9 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     if result.status == UNKNOWN:
         return RpOutcome("timeout")
     if result.status == UNSAT:
+        # a refutation that arrives after the deadline is not a verdict in time
+        if session.deadline is not None and time.monotonic() > session.deadline:
+            return RpOutcome("timeout")
         return RpOutcome("unsat")
 
     decoded = decode_model(result.model, vm)

@@ -41,7 +41,12 @@ def usable_rules(pairs: Trs, rules: Trs) -> tuple[Rule, ...]:
 
 def defined_usable_symbols(pairs: Trs, rules: Trs) -> tuple[Symbol, ...]:
     """Root symbols of the usable rules, in rule order."""
-    return tuple(dict.fromkeys(rule.root for rule in usable_rules(pairs, rules)))
+    return roots(usable_rules(pairs, rules))
+
+
+def roots(rules: tuple[Rule, ...]) -> tuple[Symbol, ...]:
+    """Root symbols of ``rules``, in rule order."""
+    return tuple(dict.fromkeys(rule.root for rule in rules))
 
 
 def usable_rules_mod_pi(pairs: Trs, rules: Trs, pi: ArgumentFiltering) -> tuple[Rule, ...]:
@@ -50,19 +55,24 @@ def usable_rules_mod_pi(pairs: Trs, rules: Trs, pi: ArgumentFiltering) -> tuple[
     return _reachable(pairs, rules, pi)
 
 
-def omega(pairs: Trs, rules: Trs, ctx: EncodingContext) -> Formula:
+def omega(pairs: Trs, rules: Trs, ctx: EncodingContext,
+          usable_symbols: tuple[Symbol, ...] | None = None) -> Formula:
     """Propositional usable-rules tracking, one implication per defined symbol.
 
     Every pair's right-hand side asserts the flag ``u_f`` of each defined
     symbol ``f`` reached through kept argument positions.  Each flag of a
     classically usable symbol implies the weak orientation of that symbol's
     rules, and the flags their right-hand sides reach in the same way.  A
-    flag reached again inside its own implication folds to true.
+    flag reached again inside its own implication folds to true.  A caller
+    that has already walked the classical closure passes its
+    ``defined_usable_symbols`` instead of having it walked again.
     """
     b = ctx.builder
     defined = defined_symbols(rules)
+    if usable_symbols is None:
+        usable_symbols = defined_usable_symbols(pairs, rules)
     parts = [_omega_term(p.rhs, defined, ctx, EMPTY_CTX) for p in pairs.rules]
-    for f in defined_usable_symbols(pairs, rules):
+    for f in usable_symbols:
         own = rules.rules_for(f)
         parts.append(ctx._guarded(EMPTY_CTX, A.Usable(f), lambda c, own=own: b.and_(
             [ctx.tau_ge(r.lhs, r.rhs) for r in own]

@@ -6,10 +6,12 @@ import pytest
 from termfilter import atoms as A
 from termfilter.encoder import EMPTY_CTX, GE, GT, EncodingContext, encode_rp_formula
 from termfilter.dp import DpProblem, dependency_pairs
-from termfilter.formula import dag_size, evaluate, tree_size
+from termfilter.formula import dag_size, dump, evaluate, tree_size
 from termfilter.orders import lpo_af_ge, lpo_af_gt
 from termfilter.terms import App, Rule, Symbol, Trs, Var
-from util import (all_filterings, all_precedences, concrete_atom_value, ex2,
+from termfilter.tpdb import parse_trs
+from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
+                  all_filterings, all_precedences, concrete_atom_value, ex13, ex2,
                   random_signature, random_term)
 
 S1 = Symbol("s", 1)
@@ -328,6 +330,67 @@ def test_lex_memo_builds_the_same_nodes():
         table = {}
         assert _canonical(restricted._tau(s, t, rel, EMPTY_CTX), table) == \
             _canonical(whole._tau(s, t, rel, EMPTY_CTX), table), (str(s), rel, str(t))
+
+
+# ----------------------------------------------------------------------
+# the memo of ``_tau``, keyed on the context cut to what the cell can read
+
+PAPER_SYSTEMS = [EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT]
+
+
+def _whole_context(monkeypatch):
+    monkeypatch.setattr(EncodingContext, "_tau_readable", lambda self, s, t, ctx: ctx)
+
+
+@pytest.mark.parametrize("processor", ["thm5", "thm12"])
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tau_memo_builds_the_same_formula(monkeypatch, mode, processor):
+    # the cut is exact and the builder hash-conses, so the formula is the
+    # same DAG node for node, built in the same order, with the same ids
+    problems = []
+    for text in PAPER_SYSTEMS:
+        trs = parse_trs(text)
+        problems.append(DpProblem(dependency_pairs(trs), trs))
+    cut = [dump(encode_rp_formula(p, processor, mode).formula, A.describe) for p in problems]
+    _whole_context(monkeypatch)
+    whole = [dump(encode_rp_formula(p, processor, mode).formula, A.describe) for p in problems]
+    assert cut == whole
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tau_memo_builds_the_same_nodes(monkeypatch, mode):
+    rng = random.Random(31)
+    cases = []
+    for case in range(40):
+        symbols = random_signature(rng, 4, 3)
+        cases.append((random_term(rng, symbols, ["x", "y"], 3),
+                      random_term(rng, symbols, ["x", "y"], 3), GT if case % 2 else GE))
+    if mode == "quasi":
+        cases += [(s, t, rel) for s, t, rel, _ in _quasi_cases(6, 8)]
+    table = {}
+    with monkeypatch.context() as m:
+        _whole_context(m)
+        whole = [_canonical(EncodingContext(mode)._tau(s, t, rel, EMPTY_CTX), table)
+                 for s, t, rel in cases]
+    for (s, t, rel), expected in zip(cases, whole):
+        got = _canonical(EncodingContext(mode)._tau(s, t, rel, EMPTY_CTX), table)
+        assert got == expected, (str(s), rel, str(t))
+
+
+def test_tau_memo_hits_across_contexts(monkeypatch):
+    # keyed on the whole context, the unsplit div/if problem builds 914 cells
+    builds = 0
+    inner = EncodingContext._build_tau
+
+    def counted(self, *args):
+        nonlocal builds
+        builds += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(EncodingContext, "_build_tau", counted)
+    trs = ex13()
+    encode_rp_formula(DpProblem(dependency_pairs(trs), trs), "thm12", "quasi")
+    assert 0 < builds <= 300
 
 
 @pytest.mark.parametrize("k,size", [(3, 184), (4, 252), (5, 332), (6, 424), (7, 528)])

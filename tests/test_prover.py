@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -15,8 +16,8 @@ from termfilter.terms import Trs
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules, usable_rules_mod_pi
 
-from util import (EX13_TEXT, EX2_TEXT, all_filterings, all_precedences, ex13, ex2,
-                  random_trs)
+from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
+                  all_filterings, all_precedences, ex13, ex2, random_trs)
 
 
 CONFIGS = [(proc, mode) for proc in ("thm5", "thm12") for mode in ("strict", "quasi")]
@@ -103,6 +104,42 @@ def test_full_problem_processor_thm12():
 def test_timeout_verdict():
     verdict = prove(ex13(), ProverConfig(timeout=0.0))
     assert isinstance(verdict, Timeout)
+
+
+def test_refutation_after_the_deadline_is_timeout(monkeypatch):
+    from termfilter import prover
+    from termfilter.solver import UNSAT, SolveResult
+    calls = []
+
+    def late_unsat(cnf, backend="internal", *, deadline=None):
+        calls.append(deadline)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return SolveResult(UNSAT)
+
+    monkeypatch.setattr(prover, "solve", late_unsat)
+    verdict = prove(parse_trs("(VAR x)(RULES f(x) -> f(x))"), ProverConfig(timeout=0.2))
+    assert calls and isinstance(verdict, Timeout)
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_classical_usable_closure_walked_once_per_round(monkeypatch, mode):
+    from termfilter import prover, usable
+    walks, rounds = [], []
+    reachable, encode = usable._reachable, prover.encode_rp_formula
+
+    def counted_reachable(pairs, rules, pi):
+        walks.append(pi)
+        return reachable(pairs, rules, pi)
+
+    def counted_encode(*args, **kwargs):
+        rounds.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(usable, "_reachable", counted_reachable)
+    monkeypatch.setattr(prover, "encode_rp_formula", counted_encode)
+    assert isinstance(prove(ex13(), ProverConfig(mode=mode, processor="thm12")), Terminating)
+    assert len(rounds) == 3
+    assert sum(pi is None for pi in walks) == len(rounds)
 
 
 def test_prove_deterministic():
@@ -312,21 +349,11 @@ def test_console_entry_point(tmp_path):
     assert "TERMINATING" in proc.stdout
 
 
-ACKERMANN = """
-(VAR x y)
-(RULES
-  ack(0,y) -> s(y)
-  ack(s(x),0) -> ack(x,s(0))
-  ack(s(x),s(y)) -> ack(x,ack(s(x),y))
-)
-"""
-
-
 @pytest.mark.parametrize("processor,mode", CONFIGS)
 def test_ackermann_terminates(processor, mode):
     # one three-pair component; exercises nested defined calls and
     # multi-pair strictness bookkeeping
-    trs = parse_trs(ACKERMANN)
+    trs = parse_trs(ACKERMANN_TEXT)
     verdict = prove(trs, ProverConfig(mode=mode, processor=processor, timeout=30))
     assert isinstance(verdict, Terminating)
 
@@ -348,20 +375,9 @@ def test_duplicate_rules_tolerated():
     assert isinstance(prove(trs, ProverConfig()), Terminating)
 
 
-REVERSE = """
-(VAR x l k)
-(RULES
-  app(nil,k) -> k
-  app(cons(x,l),k) -> cons(x,app(l,k))
-  rev(nil) -> nil
-  rev(cons(x,l)) -> app(rev(l),cons(x,nil))
-)
-"""
-
-
 @pytest.mark.parametrize("processor,mode", CONFIGS)
 def test_list_reverse_terminates(processor, mode):
-    trs = parse_trs(REVERSE)
+    trs = parse_trs(REVERSE_TEXT)
     verdict = prove(trs, ProverConfig(mode=mode, processor=processor, timeout=30))
     assert isinstance(verdict, Terminating)
 
@@ -369,8 +385,7 @@ def test_list_reverse_terminates(processor, mode):
 def test_size_preserving_recursion_is_maybe():
     # shuffle recurses through rev, which no path order with filterings can
     # measure as decreasing; the honest answer is "no proof found"
-    trs = parse_trs(REVERSE + "\n(VAR x l)\n(RULES shuffle(nil) -> nil "
-                    "shuffle(cons(x,l)) -> cons(x,shuffle(rev(l))))")
+    trs = parse_trs(SHUFFLE_TEXT)
     verdict = prove(trs, ProverConfig(processor="thm12", mode="quasi", timeout=30))
     assert isinstance(verdict, Maybe)
     assert "shuffle#" in verdict.reason

@@ -38,6 +38,33 @@ EX13_TEXT = """
 )
 """
 
+ACKERMANN_TEXT = """
+(VAR x y)
+(RULES
+  ack(0,y) -> s(y)
+  ack(s(x),0) -> ack(x,s(0))
+  ack(s(x),s(y)) -> ack(x,ack(s(x),y))
+)
+"""
+
+REVERSE_TEXT = """
+(VAR x l k)
+(RULES
+  app(nil,k) -> k
+  app(cons(x,l),k) -> cons(x,app(l,k))
+  rev(nil) -> nil
+  rev(cons(x,l)) -> app(rev(l),cons(x,nil))
+)
+"""
+
+SHUFFLE_TEXT = REVERSE_TEXT + """
+(VAR x l)
+(RULES
+  shuffle(nil) -> nil
+  shuffle(cons(x,l)) -> cons(x,shuffle(rev(l)))
+)
+"""
+
 
 def ex2() -> Trs:
     return parse_trs(EX2_TEXT)
