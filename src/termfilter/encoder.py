@@ -7,10 +7,15 @@ applies three size optimizations: constant folding and flattening, pruning
 against atoms already known true or false on the current branch, and
 hash-consing of identical subformulas.  Each can be switched off.
 
-The branch context is one int, ``Ctx``: each ``EncodingContext`` numbers
-the atoms it meets and gives every atom a "known true" and a "known false"
-bit.  Looking an atom up tests a bit, and assuming one ORs in the bits of
-its consequences, computed once per atom and value.
+Construction works on atom numbers, not atom objects.  Each
+``EncodingContext`` builds every atom once, when it first meets a symbol
+(``_meet``), and numbers it; per-symbol and per-pair tables then give the
+number of each atom a comparison needs, and a literal is a pair ``(k,
+positive)``.  The branch context is one int, ``Ctx``: atom ``k`` owns a
+"known true" and a "known false" bit.  Looking an atom up tests a bit, and
+assuming one ORs in the bits of its consequences, computed once per literal
+from the tables.  The formula node of an atom is made from its object when
+first needed, and kept per number when the builder shares nodes.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
 produces.  A key holding the whole branch context would miss almost always,
@@ -40,7 +45,7 @@ from typing import Callable, Sequence
 from . import atoms as A
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
-from .terms import App, Rule, Symbol, Term, Var, functions
+from .terms import App, Rule, Symbol, Term, Var
 
 GT = "gt"
 GE = "ge"
@@ -48,48 +53,41 @@ GE = "ge"
 
 Ctx = int
 """Atoms known true or false on the current construction branch, as a bit
-set.  Each ``EncodingContext`` numbers the atoms it meets: atom ``k`` owns
-bit ``2k`` ("known true") and bit ``2k + 1`` ("known false")."""
+set.  Each ``EncodingContext`` numbers the atoms it builds: atom ``k`` owns
+bit ``2k`` ("known true") and bit ``2k + 1`` ("known false"), so the bit of
+literal ``(k, positive)`` is bit ``2k + (not positive)``."""
 
 EMPTY_CTX: Ctx = 0
 
+_NO_SYMBOLS: frozenset[Symbol] = frozenset()
 
-def _consequences(atom, value: bool) -> list[tuple[object, bool]]:
-    """Facts entailed by fixing one atom, for assignments that describe an
-    actual precedence and filtering."""
-    out: list[tuple[object, bool]] = [(atom, value)]
-    if isinstance(atom, A.CollapsesTo) and value:
-        f, i = atom.fun, atom.pos
-        out.append((A.ListP(f), False))
-        out.append((A.ArgIn(f, i), True))
-        for j in range(1, f.arity + 1):
-            if j != i:
-                out.append((A.CollapsesTo(f, j), False))
-                out.append((A.ArgIn(f, j), False))
-    elif isinstance(atom, A.ListP) and value:
-        for j in range(1, atom.fun.arity + 1):
-            out.append((A.CollapsesTo(atom.fun, j), False))
-    elif isinstance(atom, A.ArgIn) and not value:
-        out.append((A.CollapsesTo(atom.fun, atom.pos), False))
-    elif isinstance(atom, A.PoGt) and value:
-        out.append((A.PoGt(atom.right, atom.left), False))
-        out.append((_poeq(atom.left, atom.right), False))
-    elif isinstance(atom, A.PoEq) and value:
-        out.append((A.PoGt(atom.left, atom.right), False))
-        out.append((A.PoGt(atom.right, atom.left), False))
-    return out
+
+class SymbolAtoms:
+    """Numbers of the atoms over one symbol alone.  ``arg_in[i]`` and
+    ``collapses_to[i]`` belong to argument position ``i + 1``, so they line
+    up with ``args[i]``; ``mask`` holds both bits of each of these atoms."""
+
+    __slots__ = ("list_p", "usable", "arg_in", "collapses_to", "mask")
+
+    def __init__(self, list_p: int, usable: int, arg_in: tuple[int, ...],
+                 collapses_to: tuple[int, ...], mask: int):
+        self.list_p = list_p
+        self.usable = usable
+        self.arg_in = arg_in
+        self.collapses_to = collapses_to
+        self.mask = mask
 
 
 def _poeq(f: Symbol, g: Symbol) -> A.PoEq:
-    # a total order, so that both argument orders give the one atom that
-    # ``EncodingContext._meet`` numbers
+    # a total order, so that both argument orders give the one atom
     if (g.name, g.is_tuple, g.arity) < (f.name, f.is_tuple, f.arity):
         f, g = g, f
     return A.PoEq(f, g)
 
 
 class EncodingContext:
-    """One encoding session: builder, comparison mode, and memo tables."""
+    """One encoding session: builder, comparison mode, atom tables and memo
+    tables."""
 
     def __init__(self, mode: str = "strict", *, simplify: bool = True,
                  share: bool = True, propagate: bool = True):
@@ -100,59 +98,135 @@ class EncodingContext:
         self.propagate = propagate
         self._memo: dict = {}
         self._lex_memo: dict = {}
-        # (argument tuple, position) -> symbols occurring from that position on
-        self._suffix_symbols: dict[tuple[tuple[Term, ...], int], frozenset[Symbol]] = {}
-        # atom -> its "known true" bit; the "known false" bit is the next one
-        self._bits: dict = {}
-        # symbol -> both bits of each atom over it alone
-        self._own: dict[Symbol, int] = {}
+        # per atom number k: the atom, its "known true" bit (the "known
+        # false" bit is the next one), and its formula node once made
+        self._atoms: list = []
+        self._bits: list[int] = []
+        self._nodes: list[Formula | None] = []
+        # the one lookup from an atom object to its number
+        self._numbers: dict = {}
+        # literal 2k + (not positive) -> the bits that assuming it sets
+        self._implied: list[int | None] = []
+        self._own: dict[Symbol, SymbolAtoms] = {}
+        # (f, g) -> numbers of PoGt(f, g) and of the PoEq atom of f and g
+        self._precedence: dict[tuple[Symbol, Symbol], tuple[int, int]] = {}
         # (f, g) -> both bits of each precedence atom between f and g
         self._between: dict[tuple[Symbol, Symbol], int] = {}
-        # (atom, value) -> the bits that fixing the atom sets
-        self._implied: dict = {}
         # symbol set -> both bits of each atom over those symbols
         self._masks: dict[frozenset[Symbol], int] = {}
+        # term -> its function symbols; (argument tuple, position) -> the
+        # symbols occurring from that position on
+        self._term_symbols: dict[Term, frozenset[Symbol]] = {}
+        self._suffix_symbols: dict[tuple[tuple[Term, ...], int], frozenset[Symbol]] = {}
         # cells -> the bits ``_tau`` and ``_lex_two`` can read there
         self._tau_masks: dict[tuple[Term, Term], int] = {}
         self._lex_masks: dict = {}
 
     # ------------------------------------------------------------------
-    # context plumbing
+    # atom tables
 
-    def _meet(self, f: Symbol) -> None:
-        """On first meeting ``f``, number the atoms over ``f`` alone and the
-        precedence atoms between ``f`` and every symbol met before.  A mask
-        taken over met symbols then already holds every atom over them that
-        can ever get a bit."""
-        if f in self._own:
-            return
+    def _number(self, atom) -> int:
+        k = len(self._atoms)
+        self._atoms.append(atom)
+        self._bits.append(1 << 2 * k)
+        self._nodes.append(None)
+        self._implied += (None, None)
+        self._numbers[atom] = k
+        return k
+
+    def _meet(self, f: Symbol) -> SymbolAtoms:
+        """The atom numbers over ``f``, numbering them when ``f`` is first
+        met, together with the precedence atoms between ``f`` and every
+        symbol met before.  A mask taken over met symbols then already holds
+        every atom over them that can ever get a bit."""
+        own = self._own.get(f)
+        if own is not None:
+            return own
         others = list(self._own)
-        own = [A.ListP(f), A.Usable(f)]
+        first = len(self._atoms)
+        list_p = self._number(A.ListP(f))
+        usable = self._number(A.Usable(f))
+        arg_in, collapses_to = [], []
         for i in range(1, f.arity + 1):
-            own += [A.ArgIn(f, i), A.CollapsesTo(f, i)]
-        self._own[f] = self._number(own)
+            arg_in.append(self._number(A.ArgIn(f, i)))
+            collapses_to.append(self._number(A.CollapsesTo(f, i)))
+        mask = (1 << 2 * len(self._atoms)) - (1 << 2 * first)
+        own = self._own[f] = SymbolAtoms(list_p, usable, tuple(arg_in),
+                                         tuple(collapses_to), mask)
         for g in others:
-            self._between[f, g] = self._between[g, f] = self._number(
-                [A.PoGt(f, g), A.PoGt(g, f), _poeq(f, g)])
+            first = len(self._atoms)
+            fg = self._number(A.PoGt(f, g))
+            gf = self._number(A.PoGt(g, f))
+            eq = self._number(_poeq(f, g))
+            self._precedence[f, g] = (fg, eq)
+            self._precedence[g, f] = (gf, eq)
+            self._between[f, g] = self._between[g, f] = \
+                (1 << 2 * len(self._atoms)) - (1 << 2 * first)
+        return own
 
-    def _number(self, atoms: list) -> int:
-        mask = 0
-        for atom in atoms:
-            bit = 1 << 2 * len(self._bits)
-            self._bits[atom] = bit
-            mask |= bit | bit << 1
-        return mask
+    def _prec(self, f: Symbol, g: Symbol) -> tuple[int, int]:
+        """Numbers of ``PoGt(f, g)`` and of the ``PoEq`` atom of ``f`` and
+        ``g``, for distinct symbols."""
+        pair = self._precedence.get((f, g))
+        if pair is None:
+            self._meet(f)
+            self._meet(g)
+            pair = self._precedence[f, g]
+        return pair
 
-    def _bit(self, atom) -> int:
-        bit = self._bits.get(atom)
-        if bit is None:
+    def _atom_number(self, atom) -> int:
+        """The number of ``atom`` in this context, for callers that hold the
+        atom object rather than its number."""
+        k = self._numbers.get(atom)
+        if k is None:
             if isinstance(atom, (A.PoGt, A.PoEq)):
-                self._meet(atom.left)
-                self._meet(atom.right)
+                self._prec(atom.left, atom.right)
             else:
                 self._meet(atom.fun)
-            bit = self._bits[atom]
-        return bit
+            k = self._numbers[atom]
+        return k
+
+    def _node(self, k: int) -> Formula:
+        """The formula node of atom ``k``: kept per number when nodes are
+        shared, made afresh on every request when not."""
+        node = self._nodes[k]
+        if node is None:
+            node = self.builder.atom(self._atoms[k])
+            if self.builder.share:
+                self._nodes[k] = node
+        return node
+
+    def _consequences(self, k: int, positive: bool) -> int:
+        """Bits of the facts entailed by the literal ``(k, positive)``, for
+        assignments that describe an actual precedence and filtering."""
+        bits = self._bits
+        atom = self._atoms[k]
+        if not positive:
+            mask = bits[k] << 1
+            if isinstance(atom, A.ArgIn):
+                mask |= bits[self._own[atom.fun].collapses_to[atom.pos - 1]] << 1
+            return mask
+        mask = bits[k]
+        if isinstance(atom, A.CollapsesTo):
+            own = self._own[atom.fun]
+            i = atom.pos - 1
+            mask |= bits[own.list_p] << 1 | bits[own.arg_in[i]]
+            for j in range(len(own.arg_in)):
+                if j != i:
+                    mask |= bits[own.collapses_to[j]] << 1 | bits[own.arg_in[j]] << 1
+        elif isinstance(atom, A.ListP):
+            for c in self._own[atom.fun].collapses_to:
+                mask |= bits[c] << 1
+        elif isinstance(atom, A.PoGt):
+            gt, eq = self._precedence[atom.right, atom.left]
+            mask |= bits[gt] << 1 | bits[eq] << 1
+        elif isinstance(atom, A.PoEq):
+            mask |= bits[self._precedence[atom.left, atom.right][0]] << 1
+            mask |= bits[self._precedence[atom.right, atom.left][0]] << 1
+        return mask
+
+    # ------------------------------------------------------------------
+    # context plumbing
 
     def _readable(self, symbols: frozenset[Symbol]) -> int:
         """Both bits of every atom over ``symbols``."""
@@ -160,69 +234,63 @@ class EncodingContext:
         if mask is None:
             mask = 0
             for f in symbols:
-                self._meet(f)
-                mask |= self._own[f]
+                mask |= self._meet(f).mask
             for f, g in combinations(symbols, 2):
                 mask |= self._between[f, g]
             self._masks[symbols] = mask
         return mask
 
-    def _known(self, ctx: Ctx, atom) -> bool | None:
-        if not ctx:
-            return None
-        bit = self._bit(atom)
+    def _known(self, ctx: Ctx, k: int) -> bool | None:
+        bit = self._bits[k]
         if ctx & bit:
             return True
         if ctx & bit << 1:
             return False
         return None
 
-    def _assume(self, ctx: Ctx, atom, value: bool) -> Ctx:
+    def _assume(self, ctx: Ctx, k: int, positive: bool) -> Ctx:
         if not self.propagate:
             return ctx
-        implied = self._implied.get((atom, value))
+        lit = 2 * k + (not positive)
+        implied = self._implied[lit]
         if implied is None:
-            implied = 0
-            for a, v in _consequences(atom, value):
-                bit = self._bit(a)
-                implied |= bit if v else bit << 1
-            self._implied[atom, value] = implied
+            implied = self._implied[lit] = self._consequences(k, positive)
         return ctx | implied
 
-    def _atom(self, ctx: Ctx, payload) -> Formula:
-        known = self._known(ctx, payload)
+    def _atom(self, ctx: Ctx, k: int) -> Formula:
+        known = self._known(ctx, k)
         if known is True:
             return self.builder.TRUE
         if known is False:
             return self.builder.FALSE
-        return self.builder.atom(payload)
+        return self._node(k)
 
-    def _with_literals(self, ctx: Ctx, literals: Sequence[tuple[object, bool]],
+    def _with_literals(self, ctx: Ctx, literals: Sequence[tuple[int, bool]],
                        body: Callable[[Ctx], Sequence[Formula]]) -> Formula:
-        """Conjunction of the given atom literals with formulas built under a
-        context extended by them."""
+        """Conjunction of the given literals ``(k, positive)`` with formulas
+        built under a context extended by them."""
         b = self.builder
         parts: list[Formula] = []
         inner = ctx
-        for payload, positive in literals:
-            known = self._known(inner, payload)
+        for k, positive in literals:
+            known = self._known(inner, k)
             if known is None:
-                node = b.atom(payload)
+                node = self._node(k)
                 parts.append(node if positive else b.not_(node))
-                inner = self._assume(inner, payload, positive)
+                inner = self._assume(inner, k, positive)
             elif known != positive:
                 return b.FALSE
-        return b.and_(list(parts) + list(body(inner)))
+        return b.and_(parts + list(body(inner)))
 
-    def _guarded(self, ctx: Ctx, payload, body: Callable[[Ctx], Formula]) -> Formula:
-        """``payload -> body``, with the guard assumed inside the body."""
+    def _guarded(self, ctx: Ctx, k: int, body: Callable[[Ctx], Formula]) -> Formula:
+        """``atom k -> body``, with the guard assumed inside the body."""
         b = self.builder
-        known = self._known(ctx, payload)
+        known = self._known(ctx, k)
         if known is True:
             return body(ctx)
         if known is False:
             return b.TRUE
-        return b.implies(b.atom(payload), body(self._assume(ctx, payload, True)))
+        return b.implies(self._node(k), body(self._assume(ctx, k, True)))
 
     # ------------------------------------------------------------------
     # inequality encodings
@@ -267,64 +335,61 @@ class EncodingContext:
                 return b.TRUE if s == t else b.FALSE
             # a variable only weakly exceeds a collapsed application
             return b.or_([
-                self._with_literals(
-                    ctx, [(A.CollapsesTo(t.fun, j), True)],
-                    lambda c, j=j: [self._tau(s, t.args[j - 1], GE, c)])
-                for j in range(1, t.fun.arity + 1)
+                self._with_literals(ctx, [(k, True)],
+                                    lambda c, a=a: [self._tau(s, a, GE, c)])
+                for k, a in zip(self._meet(t.fun).collapses_to, t.args)
             ])
 
-        f = s.fun
+        f = self._meet(s.fun)
         branches: list[Formula] = []
 
         if isinstance(t, App):
-            g = t.fun
             # target root collapsed away
-            for j in range(1, g.arity + 1):
+            for k, a in zip(self._meet(t.fun).collapses_to, t.args):
                 branches.append(self._with_literals(
-                    ctx, [(A.CollapsesTo(g, j), True)],
-                    lambda c, j=j: [self._tau(s, t.args[j - 1], rel, c)]))
+                    ctx, [(k, True)], lambda c, a=a: [self._tau(s, a, rel, c)]))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
 
         # source root collapsed onto one argument
-        for i in range(1, f.arity + 1):
+        for k, a in zip(f.collapses_to, s.args):
             branches.append(self._with_literals(
-                ctx, [(A.CollapsesTo(f, i), True)],
-                lambda c, i=i: [self._tau(s.args[i - 1], t, rel, c)]))
+                ctx, [(k, True)], lambda c, a=a: [self._tau(a, t, rel, c)]))
         # source kept: some kept argument already weakly exceeds t
         branches.append(self._with_literals(
-            ctx, [(A.ListP(f), True)],
+            ctx, [(f.list_p, True)],
             lambda c: [b.or_([
-                self._with_literals(c, [(A.ArgIn(f, i), True)],
-                                    lambda c2, i=i: [self._tau(s.args[i - 1], t, GE, c2)])
-                for i in range(1, f.arity + 1)
+                self._with_literals(c, [(k, True)],
+                                    lambda c2, a=a: [self._tau(a, t, GE, c2)])
+                for k, a in zip(f.arg_in, s.args)
             ])]))
         return b.or_(branches)
 
     def _roots_branch(self, s: App, t: App, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
         f, g = s.fun, t.fun
+        g_atoms = self._meet(g)
 
         def body(c: Ctx) -> list[Formula]:
             parts: list[Formula] = []
             if f == g:
                 parts.append(self._lex_same(f, s.args, t.args, 1, rel, c))
             elif self.mode == "quasi":
+                gt, eq = self._prec(f, g)
                 lex = self._with_literals(
-                    c, [(_poeq(f, g), True)],
+                    c, [(eq, True)],
                     lambda c2: [self._lex_two(f, g, s.args, t.args, 1, 1, rel, c2)])
-                parts.append(b.or_([self._atom(c, A.PoGt(f, g)), lex]))
-            for j in range(1, g.arity + 1):
+                parts.append(b.or_([self._atom(c, gt), lex]))
+            for k, a in zip(g_atoms.arg_in, t.args):
                 parts.append(self._guarded(
-                    c, A.ArgIn(g, j),
-                    lambda c2, j=j: self._tau(s, t.args[j - 1], GT, c2)))
+                    c, k, lambda c2, a=a: self._tau(s, a, GT, c2)))
             return parts
 
-        literals = [(A.ListP(f), True)]
+        literals = [(self._meet(f).list_p, True)]
         if f != g:
-            literals.append((A.ListP(g), True))
+            literals.append((g_atoms.list_p, True))
             if self.mode == "strict":
-                literals.append((A.PoGt(f, g), True))
+                literals.append((self._prec(f, g)[0], True))
         return self._with_literals(ctx, literals, body)
 
     def _lex_same(self, f: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
@@ -334,12 +399,11 @@ class EncodingContext:
         b = self.builder
         if i > len(ss):
             return b.FALSE if rel == GT else b.TRUE
+        k = self._meet(f).arg_in[i - 1]
         first = self._with_literals(
-            ctx, [(A.ArgIn(f, i), True)],
-            lambda c: [self._tau(ss[i - 1], ts[i - 1], GT, c)])
+            ctx, [(k, True)], lambda c: [self._tau(ss[i - 1], ts[i - 1], GT, c)])
         hold = self._guarded(
-            ctx, A.ArgIn(f, i),
-            lambda c: self._tau(ss[i - 1], ts[i - 1], GE, c))
+            ctx, k, lambda c: self._tau(ss[i - 1], ts[i - 1], GE, c))
         rest = self._lex_same(f, ss, ts, i + 1, rel, ctx)
         return b.or_([first, b.and_([hold, rest])])
 
@@ -369,45 +433,74 @@ class EncodingContext:
         mask = self._lex_masks.get(key)
         if mask is None:
             mask = self._readable(self._symbols_from(ss, i) | self._symbols_from(ts, j))
+            bits = self._bits
             for h, start in ((f, i), (g, j)):
-                for k in range(start, h.arity + 1):
-                    mask |= 3 * self._bit(A.ArgIn(h, k))
+                for k in self._meet(h).arg_in[start - 1:]:
+                    mask |= 3 * bits[k]
             self._lex_masks[key] = mask
         return ctx & mask
 
     def _symbols_from(self, args: tuple[Term, ...], i: int) -> frozenset[Symbol]:
-        """Function symbols occurring in ``args[i-1:]``."""
-        key = (args, i)
-        syms = self._suffix_symbols.get(key)
+        """Function symbols occurring in ``args[i-1:]``: those of ``args[i-1]``
+        joined with ``_symbols_from(args, i + 1)``, filled from the end."""
+        memo = self._suffix_symbols
+        syms = memo.get((args, i))
         if syms is None:
-            syms = frozenset(h for t in args[i - 1:] for h in functions(t))
-            self._suffix_symbols[key] = syms
+            syms = _NO_SYMBOLS
+            for k in range(len(args), i - 1, -1):
+                known = memo.get((args, k))
+                if known is None:
+                    known = memo[args, k] = self._symbols_of(args[k - 1]) | syms
+                syms = known
         return syms
+
+    def _symbols_of(self, t: Term) -> frozenset[Symbol]:
+        """Function symbols of ``t``, each subterm's set built once from its
+        arguments' sets, by an explicit post-order walk."""
+        memo = self._term_symbols
+        syms = memo.get(t)
+        if syms is not None:
+            return syms
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+            elif isinstance(u, Var):
+                memo[u] = _NO_SYMBOLS
+                stack.pop()
+            else:
+                missing = [a for a in u.args if a not in memo]
+                if missing:
+                    stack += missing
+                else:
+                    memo[u] = frozenset((u.fun,)).union(*[memo[a] for a in u.args])
+                    stack.pop()
+        return memo[t]
 
     def _build_lex_two(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
                        ts: tuple[Term, ...], i: int, j: int, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
+        f_in, g_in = self._meet(f).arg_in, self._meet(g).arg_in
         if i > len(ss):
             if rel == GT:
                 return b.FALSE
             # weak: nothing may remain on the right either
             return self._with_literals(
-                ctx, [(A.ArgIn(g, c), False) for c in range(j, len(ts) + 1)],
-                lambda _c: [])
+                ctx, [(k, False) for k in g_in[j - 1:len(ts)]], lambda _c: [])
         if j > len(ts):
             if rel == GE:
                 return b.TRUE
             # strict: something must remain on the left
-            return b.or_([self._atom(ctx, A.ArgIn(f, c))
-                          for c in range(i, len(ss) + 1)])
+            return b.or_([self._atom(ctx, k) for k in f_in[i - 1:len(ss)]])
         skip_left = self._with_literals(
-            ctx, [(A.ArgIn(f, i), False)],
+            ctx, [(f_in[i - 1], False)],
             lambda c: [self._lex_two(f, g, ss, ts, i + 1, j, rel, c)])
         skip_right = self._with_literals(
-            ctx, [(A.ArgIn(f, i), True), (A.ArgIn(g, j), False)],
+            ctx, [(f_in[i - 1], True), (g_in[j - 1], False)],
             lambda c: [self._lex_two(f, g, ss, ts, i, j + 1, rel, c)])
         compare = self._with_literals(
-            ctx, [(A.ArgIn(f, i), True), (A.ArgIn(g, j), True)],
+            ctx, [(f_in[i - 1], True), (g_in[j - 1], True)],
             lambda c: [b.or_([
                 self._tau(ss[i - 1], ts[j - 1], GT, c),
                 b.and_([self._tau(ss[i - 1], ts[j - 1], GE, c),

@@ -13,11 +13,24 @@ class Symbol:
     Tuple symbols are the marked copies of defined symbols used by dependency
     pairs.  The marker lives in ``is_tuple`` so that a tuple symbol can never
     collide with a user symbol; the trailing ``#`` is display only.
+
+    The hash is ``hash((name, arity, is_tuple))``, the value the generated
+    one would have, computed once when the symbol is built.
     """
 
     name: str
     arity: int
     is_tuple: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.is_tuple)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # as for ``App``: rebuild the cached hash in the unpickling process
+        return (Symbol, (self.name, self.arity, self.is_tuple))
 
     @property
     def display(self) -> str:
@@ -83,36 +96,26 @@ class App(Term):
 
 def variables(t: Term) -> tuple[Var, ...]:
     """Variables of ``t`` in order of first occurrence."""
-    out: list[Var] = []
-    seen: set[Var] = set()
-
-    def walk(u: Term) -> None:
+    out: dict[Var, None] = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
+            out.setdefault(u)
         else:
-            for a in u.args:  # type: ignore[union-attr]
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(u.args))  # type: ignore[union-attr]
     return tuple(out)
 
 
 def functions(t: Term) -> tuple[Symbol, ...]:
     """Function symbols of ``t`` in order of first occurrence."""
-    out: list[Symbol] = []
-    seen: set[Symbol] = set()
-
-    def walk(u: Term) -> None:
+    out: dict[Symbol, None] = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, App):
-            if u.fun not in seen:
-                seen.add(u.fun)
-                out.append(u.fun)
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+            out.setdefault(u.fun)
+            stack.extend(reversed(u.args))
     return tuple(out)
 
 

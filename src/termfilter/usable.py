@@ -5,7 +5,6 @@ with one implication per defined symbol."""
 
 from __future__ import annotations
 
-from . import atoms as A
 from .encoder import EMPTY_CTX, Ctx, EncodingContext
 from .formula import Formula
 from .orders import ArgumentFiltering
@@ -74,7 +73,7 @@ def omega(pairs: Trs, rules: Trs, ctx: EncodingContext,
     parts = [_omega_term(p.rhs, defined, ctx, EMPTY_CTX) for p in pairs.rules]
     for f in usable_symbols:
         own = rules.rules_for(f)
-        parts.append(ctx._guarded(EMPTY_CTX, A.Usable(f), lambda c, own=own: b.and_(
+        parts.append(ctx._guarded(EMPTY_CTX, ctx._meet(f).usable, lambda c, own=own: b.and_(
             [ctx.tau_ge(r.lhs, r.rhs) for r in own]
             + [_omega_term(r.rhs, defined, ctx, c) for r in own])))
     return b.and_(parts)
@@ -86,9 +85,8 @@ def _omega_term(t: Term, defined: frozenset[Symbol], ctx: EncodingContext,
     argument positions."""
     if isinstance(t, Var):
         return ctx.builder.TRUE
-    f = t.fun
-    flag = [(A.Usable(f), True)] if f in defined else []
+    f = ctx._meet(t.fun)
+    flag = [(f.usable, True)] if t.fun in defined else []
     return ctx._with_literals(ectx, flag, lambda c: [
-        ctx._guarded(c, A.ArgIn(f, i),
-                     lambda c2, i=i: _omega_term(t.args[i - 1], defined, ctx, c2))
-        for i in range(1, f.arity + 1)])
+        ctx._guarded(c, k, lambda c2, a=a: _omega_term(a, defined, ctx, c2))
+        for k, a in zip(f.arg_in, t.args)])

@@ -91,7 +91,7 @@ def test_tau_gt_identical_terms_unsatisfiable():
 def test_context_pruning_kills_contradictory_branch():
     from termfilter.encoder import EMPTY_CTX
     ctx = EncodingContext("strict")
-    banned = ctx._assume(EMPTY_CTX, A.ListP(MINUS), False)
+    banned = ctx._assume(EMPTY_CTX, ctx._atom_number(A.ListP(MINUS)), False)
     got = ctx.tau_gt(mk(MINUS, mk(S1, X), mk(S1, Y)), mk(MINUS, X, Y), banned)
     # with minus collapsed, the same-root branch is gone; what remains must
     # not mention the list flag of minus positively
@@ -411,3 +411,58 @@ def test_lex_two_calls_grow_polynomially(monkeypatch):
     monkeypatch.setattr(EncodingContext, "_lex_two", counted)
     encode_rp_formula(_rot_problem(9), "thm12", "quasi")
     assert 0 < calls <= 3000
+
+
+# ----------------------------------------------------------------------
+# atoms built once per context, and the output pinned
+
+def _depth_problem(d):
+    trs = parse_trs("(VAR x)(RULES f(" + "s(" * d + "x" + ")" * d + ") -> f(x))")
+    return DpProblem(dependency_pairs(trs), trs)
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+@pytest.mark.parametrize("system", ["rot7", "depth120"])
+def test_each_atom_built_once_per_context(monkeypatch, system, mode):
+    # an encoder that builds an atom per literal makes 4,171 atom objects
+    # for rot7 quasi, with 45 numbered atoms, and 5,679 for depth120 quasi,
+    # with 11
+    problem = _rot_problem(7) if system == "rot7" else _depth_problem(120)
+    built = 0
+    for cls in vars(A).values():
+        if isinstance(cls, type) and cls.__module__ == A.__name__:
+            def counted(self, *args, inner=cls.__init__, **kwargs):
+                nonlocal built
+                built += 1
+                inner(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+    enc = encode_rp_formula(problem, "thm12", mode)
+    numbered = len(enc.context._atoms)
+    assert 0 < built <= numbered + len(problem.pairs.rules)
+
+
+ABLATION_DIGESTS = {
+    "EX2": "01c7cbb178d1e62fd6a9357612863699ca3b59b29097bde269f487b551d6f401",
+    "EX13": "1c4be01d8407b2027e40333ef6085fe1a8ba5f49bdb9d3db7bc638c724f1519d",
+    "ACKERMANN": "c5b2fa64a4cb9b90271a17c6521be763a8c5088f3879bbcd7645d7bdd0837654",
+    "REVERSE": "d7be1fd99aca1a11313ca63acf72a4037ff27f2e613753004396231f65ac079a",
+    "SHUFFLE": "e44b9dc04b9be115971f0fc7a302f1a529c2873679a2fc3d48ac5a2539ae6c63",
+}
+
+
+@pytest.mark.parametrize("name,text", zip(ABLATION_DIGESTS, PAPER_SYSTEMS),
+                         ids=list(ABLATION_DIGESTS))
+def test_encoder_output_pinned_under_every_ablation(name, text):
+    # digests of the formulas of the payload-based encoder: every node, id
+    # and atom must come out the same under every setting of the switches
+    import hashlib
+    trs = parse_trs(text)
+    problem = DpProblem(dependency_pairs(trs), trs)
+    digest = hashlib.sha256()
+    for mode in ("strict", "quasi"):
+        for processor in ("thm5", "thm12"):
+            for simplify, share, propagate in itertools.product((True, False), repeat=3):
+                enc = encode_rp_formula(problem, processor, mode, simplify=simplify,
+                                        share=share, propagate=propagate)
+                digest.update(dump(enc.formula).encode() + b"\n")
+    assert digest.hexdigest() == ABLATION_DIGESTS[name]

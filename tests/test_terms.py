@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from termfilter.terms import (App, Rule, Symbol, Trs, Var, defined_symbols,
-                              format_trs, substitute, unify, variables)
+                              format_trs, functions, substitute, unify, variables)
 from termfilter.tpdb import ParseError, UnsupportedBlockError, parse_trs
 
 from util import EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term
@@ -187,6 +187,23 @@ def test_app_hash_of_deep_tower():
     assert hash(t) == hash((t.fun, t.args))
 
 
+def test_functions_and_variables_of_deep_tower():
+    # built directly, not parsed, so nothing but the two walks sees the depth
+    s = Symbol("s", 1)
+    t = Var("x")
+    for _ in range(5000):
+        t = App(s, (t,))
+    assert functions(t) == (s,)
+    assert variables(t) == (Var("x"),)
+
+
+def test_functions_first_occurrence_order():
+    f, g, c = Symbol("f", 3), Symbol("g", 1), Symbol("c", 0)
+    t = App(f, (App(g, (App(c),)), Var("x"), App(f, (App(c), Var("y"), App(g, (Var("x"),))))))
+    assert functions(t) == (f, g, c)
+    assert variables(t) == (Var("x"), Var("y"))
+
+
 def test_equal_terms_hash_equal():
     f, c = Symbol("f", 2), Symbol("c", 0)
     u = App(f, (App(c), Var("x")))
@@ -196,21 +213,27 @@ def test_equal_terms_hash_equal():
 
 
 def test_unpickled_app_rehashes_in_new_process(tmp_path):
-    # the cached hash depends on the process's string hashing, so a pickle
-    # made under one PYTHONHASHSEED must not carry it into another
+    # a symbol's cached hash is the value the generated one would have, so
+    # set orders cannot move
+    assert hash(Symbol("f", 2, True)) == hash(("f", 2, True))
+    # the cached hashes depend on the process's string hashing, so a pickle
+    # made under one PYTHONHASHSEED must not carry them into another
     path = tmp_path / "term.pickle"
     dump = textwrap.dedent(f"""
         import pickle
         from termfilter.terms import App, Symbol, Var
         f, c = Symbol("f", 2), Symbol("c", 0)
         t = App(f, (App(c), App(f, (Var("x"), App(c)))))
-        open({str(path)!r}, "wb").write(pickle.dumps(t))
+        open({str(path)!r}, "wb").write(pickle.dumps((t, Symbol("g", 1, True))))
     """)
     load = textwrap.dedent(f"""
         import pickle
-        t = pickle.loads(open({str(path)!r}, "rb").read())
+        from termfilter.terms import Symbol
+        t, g = pickle.loads(open({str(path)!r}, "rb").read())
         assert hash(t) == hash((t.fun, t.args))
         assert hash(t.args[1]) == hash((t.args[1].fun, t.args[1].args))
+        assert hash(t.fun) == hash(("f", 2, False))
+        assert hash(g) == hash(("g", 1, True)) and g == Symbol("g", 1, True)
     """)
     for seed, script in (("1", dump), ("2", load)):
         env = dict(os.environ, PYTHONHASHSEED=seed)
