@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .formula import ATOM, AND, FALSE, IFF, IMPLIES, NOT, OR, TRUE, Formula
 
@@ -28,19 +29,24 @@ class TseitinResult:
     definitions: dict[int, str] = field(default_factory=dict)
 
 
-def tseitin_cnf(phi: Formula, num_reserved: int) -> TseitinResult:
+def tseitin_cnf(phi: Formula, num_reserved: int,
+                lower: Callable[[Any], Formula]) -> TseitinResult:
     """Equisatisfiable clause form.
 
     Every connective node of the DAG gets one definition variable and is
     encoded once regardless of how often it is referenced; negations reuse
     the child's literal; a conjunctive root is asserted child by child
-    instead of through a definition.  Any model of the result restricted to
-    the original variables satisfies the input.
+    instead of through a definition.  An atom whose payload is an ``int`` is
+    that variable.  Any other atom is translated by ``lower`` into a formula
+    over variables the first time the walk reaches its node, once per node,
+    and stands for that formula.  Any model of the result restricted to the
+    original variables satisfies the input with its atoms so translated.
     """
     clauses: list[tuple[int, ...]] = []
     defs: dict[int, str] = {}
     counter = [num_reserved]
-    lits: dict[int, int] = {}
+    # keyed by node, so a translation cannot alias a node of ``phi``
+    lits: dict[Formula, int] = {}
     const_lit: list[int] = []
 
     def fresh(desc: str) -> int:
@@ -67,7 +73,7 @@ def tseitin_cnf(phi: Formula, num_reserved: int) -> TseitinResult:
         clauses.append(tuple(out))
 
     def lit(n: Formula) -> int:
-        hit = lits.get(n.id)
+        hit = lits.get(n)
         if hit is not None:
             return hit
         k = n.kind
@@ -76,7 +82,8 @@ def tseitin_cnf(phi: Formula, num_reserved: int) -> TseitinResult:
         elif k == FALSE:
             out = -true_lit()
         elif k == ATOM:
-            out = int(n.payload)  # type: ignore[arg-type]
+            payload = n.payload
+            out = payload if isinstance(payload, int) else lit(lower(payload))
         elif k == NOT:
             out = -lit(n.children[0])
         else:
@@ -104,7 +111,7 @@ def tseitin_cnf(phi: Formula, num_reserved: int) -> TseitinResult:
             else:
                 raise ValueError(f"unknown node kind {k!r}")
             out = v
-        lits[n.id] = out
+        lits[n] = out
         return out
 
     def is_literal(n: Formula) -> bool:

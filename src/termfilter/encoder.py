@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 from . import atoms as A
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
-from .terms import App, Rule, Symbol, Term, Var
+from .terms import App, Symbol, Term, Var
 
 GT = "gt"
 GE = "ge"
@@ -536,7 +536,6 @@ class RpEncoding:
     context: EncodingContext
     problem: DpProblem
     processor: str
-    usable: tuple[Rule, ...]
     usable_symbols: tuple[Symbol, ...]
 
 
@@ -581,4 +580,4 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
         strict_atoms.append(marker)
     parts.append(b.or_(strict_atoms))
 
-    return RpEncoding(b.and_(parts), ctx, problem, processor, usable, usable_syms)
+    return RpEncoding(b.and_(parts), ctx, problem, processor, usable_syms)

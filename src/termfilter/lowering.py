@@ -1,17 +1,19 @@
-"""Lowering atom-level formulas onto propositional variables.
+"""Lowering atoms onto propositional variables.
 
 Each symbol gets a little-endian vector of rank bits, a list flag, and one
 variable per argument position; precedence atoms become unsigned bit-vector
-comparisons, filtering atoms become (combinations of) flag variables.
+comparisons, filtering atoms become (combinations of) flag variables.  No
+second formula is built: ``cnf.tseitin_cnf`` walks the encoder's DAG and
+translates each atom the first time it reaches it, once per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import atoms as A
-from .formula import ATOM, AND, FALSE, IFF, IMPLIES, NOT, OR, TRUE, Formula, FormulaBuilder
+from .formula import Formula, FormulaBuilder
 from .orders import ArgumentFiltering, Collapse, Keep, Precedence
 from .terms import Symbol, symbol_key
 
@@ -94,15 +96,10 @@ def _bit_eq(b: FormulaBuilder, fb: Sequence[int], gb: Sequence[int]) -> Formula:
     return b.and_([b.iff(b.atom(x), b.atom(y)) for x, y in zip(fb, gb)])
 
 
-def lower_atoms(phi: Formula, vm: VarMap, mode: str, *,
-                builder: FormulaBuilder | None = None
-                ) -> tuple[Formula, list[Formula], FormulaBuilder]:
-    """Translate an atom-level formula into one over integer variables, and
-    return the per-symbol structural constraints alongside it."""
-    b = builder or FormulaBuilder()
-    memo: dict[int, Formula] = {}
-
-    def tr_atom(payload) -> Formula:
+def lower_atoms(vm: VarMap, mode: str, b: FormulaBuilder) -> Callable[[Any], Formula]:
+    """The translation of one atom into a formula over integer variables,
+    built with ``b``; ``cnf.tseitin_cnf`` calls it once per atom node."""
+    def lower(payload) -> Formula:
         if isinstance(payload, A.PoGt):
             return _bit_gt(b, vm.bits(payload.left), vm.bits(payload.right))
         if isinstance(payload, A.PoEq):
@@ -122,33 +119,7 @@ def lower_atoms(phi: Formula, vm: VarMap, mode: str, *,
             return b.atom(vm.strict_var(payload.index))
         raise EncodingError(f"unknown atom {payload!r}")
 
-    def tr(node: Formula) -> Formula:
-        hit = memo.get(node.id)
-        if hit is not None:
-            return hit
-        k = node.kind
-        if k == TRUE:
-            out = b.TRUE
-        elif k == FALSE:
-            out = b.FALSE
-        elif k == ATOM:
-            out = tr_atom(node.payload)
-        elif k == NOT:
-            out = b.not_(tr(node.children[0]))
-        elif k == AND:
-            out = b.and_([tr(c) for c in node.children])
-        elif k == OR:
-            out = b.or_([tr(c) for c in node.children])
-        elif k == IMPLIES:
-            out = b.implies(tr(node.children[0]), tr(node.children[1]))
-        elif k == IFF:
-            out = b.iff(tr(node.children[0]), tr(node.children[1]))
-        else:
-            raise EncodingError(f"unknown node kind {k!r}")
-        memo[node.id] = out
-        return out
-
-    return tr(phi), structural_constraints(vm, b), b
+    return lower
 
 
 def structural_constraints(vm: VarMap, b: FormulaBuilder) -> list[Formula]:
@@ -170,12 +141,11 @@ class DecodedModel:
     precedence: Precedence
     filtering: ArgumentFiltering
     strict_pairs: tuple[int, ...]
-    usable_symbols: tuple[Symbol, ...]
 
 
 def decode_model(model: Mapping[int, bool], vm: VarMap) -> DecodedModel:
-    """Read a precedence, filtering, strict-pair set, and usable set off a
-    satisfying assignment.  Ranks are compressed to 1..d preserving order."""
+    """Read a precedence, filtering and strict-pair set off a satisfying
+    assignment.  Ranks are compressed to 1..d preserving order."""
     def val(v: int) -> bool:
         return bool(model.get(v, False))
 
@@ -197,6 +167,4 @@ def decode_model(model: Mapping[int, bool], vm: VarMap) -> DecodedModel:
             pi[f] = Collapse(kept[0])
 
     stricts = tuple(i for i in range(len(vm._strict)) if val(vm.strict_var(i)))
-    usable = tuple(f for f in vm.symbols if symbol_key(f) in vm._usable
-                   and val(vm._usable[symbol_key(f)]))
-    return DecodedModel(prec, ArgumentFiltering(pi), stricts, usable)
+    return DecodedModel(prec, ArgumentFiltering(pi), stricts)

@@ -18,8 +18,9 @@ from pathlib import Path
 from .cnf import tseitin_cnf, write_dimacs
 from .dp import DpProblem, dependency_pairs, scc_decompose
 from .encoder import encode_rp_formula
-from .formula import FormulaBuilder, dump
-from .lowering import DecodedModel, VarMap, decode_model, lower_atoms
+from .formula import dump
+from .lowering import (DecodedModel, VarMap, decode_model, lower_atoms,
+                       structural_constraints)
 from .orders import ArgumentFiltering, Collapse, Precedence, lpo_af_ge, lpo_af_gt
 from .solver import UNKNOWN, UNSAT, solve
 from .terms import Rule, Symbol, Trs, symbol_key
@@ -108,7 +109,8 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
                              session: _Session | None = None) -> RpOutcome:
     """One SAT round: encode, solve, decode, verify, and drop the strictly
     decreasing pairs.  ``unsat`` and ``timeout`` outcomes leave the problem
-    untouched."""
+    untouched; an encoding that ends past the deadline is neither lowered
+    nor solved."""
     session = session or _Session(config,
                                   None if config.timeout is None
                                   else time.monotonic() + config.timeout)
@@ -118,12 +120,12 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode,
                             simplify=config.simplify, share=config.share,
                             propagate=config.propagate)
+    if session.out_of_time():
+        return RpOutcome("timeout")
     vm = VarMap(_problem_signature(problem), len(problem.pairs.rules), enc.usable_symbols)
-    lowered, structural, lbuilder = lower_atoms(
-        enc.formula, vm, config.mode,
-        builder=FormulaBuilder(simplify=config.simplify, share=config.share))
-    full = lbuilder.and_([lowered] + structural)
-    ts = tseitin_cnf(full, vm.num_reserved)
+    b = enc.context.builder
+    ts = tseitin_cnf(b.and_([enc.formula] + structural_constraints(vm, b)),
+                     vm.num_reserved, lower_atoms(vm, config.mode, b))
 
     session.calls += 1
     if config.dump_formula:
@@ -137,7 +139,7 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
         return RpOutcome("timeout")
     if result.status == UNSAT:
         # a refutation that arrives after the deadline is not a verdict in time
-        if session.deadline is not None and time.monotonic() > session.deadline:
+        if session.out_of_time():
             return RpOutcome("timeout")
         return RpOutcome("unsat")
 

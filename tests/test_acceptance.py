@@ -21,18 +21,16 @@ from termfilter.solver import SAT, UNSAT, solve_internal
 from termfilter.terms import App, Symbol, Var
 from termfilter.usable import omega
 
-from util import (all_filterings, all_precedences, ex13, ex2,
-                  random_signature, random_term, random_trs, symbol_map)
+from util import (all_filterings, all_precedences, ex13, ex2, lowered_cnf,
+                  no_atoms, random_signature, random_term, random_trs, symbol_map)
 
 
 def report(number: int, description: str, ok: bool) -> None:
     print(f"criterion {number} [{'PASS' if ok else 'FAIL'}] {description}")
 
 
-def solve_formula(formula, vm, mode):
-    low, structural, b = lower_atoms(formula, vm, mode)
-    ts = tseitin_cnf(b.and_([low] + structural), vm.num_reserved)
-    return solve_internal(ts.cnf), ts
+def solve_formula(formula, builder, vm, mode):
+    return solve_internal(lowered_cnf(formula, builder, vm, mode).cnf)
 
 
 def signature_of(*systems):
@@ -132,7 +130,7 @@ def test_criterion_3_negative_control():
         parts.append(ctx.identity_filtering_constraint(symbols))
         formula = ctx.builder.and_(parts)
         vm = VarMap(symbols)
-        res, _ = solve_formula(formula, vm, "strict")
+        res = solve_formula(formula, ctx.builder, vm, "strict")
         assert res.status == UNSAT
         ok = True
     finally:
@@ -158,7 +156,7 @@ def test_criterion_4_encoder_oracle_equivalence():
             ctx = EncodingContext(mode)
             formula = ctx.tau_gt(s, t) if relation == "gt" else ctx.tau_ge(s, t)
             vm = VarMap(sorted(symbols, key=lambda f: f.name))
-            res, _ = solve_formula(formula, vm, mode)
+            res = solve_formula(formula, ctx.builder, vm, mode)
 
             exists = any(
                 oracle(prec, pi, mode, s, t)
@@ -222,7 +220,7 @@ def test_criterion_5_golden_formula():
         vm = VarMap([minus, s1])
         assert vm.k == 1
         lb = FormulaBuilder()
-        lowered, _, _ = lower_atoms(mine, vm, "strict", builder=lb)
+        lower = lower_atoms(vm, "strict", lb)
         v_list_m = lb.atom(vm.list_var(minus))
         v_arg_m1 = lb.atom(vm.arg_var(minus, 1))
         v_arg_m2 = lb.atom(vm.arg_var(minus, 2))
@@ -241,7 +239,7 @@ def test_criterion_5_golden_formula():
                      vm.bits(s1)[0], vm.bits(minus)[0]]
         for bits in itertools.product([False, True], repeat=7):
             env = dict(zip(variables, bits))
-            assert evaluate(lowered, env.__getitem__) == \
+            assert evaluate(mine, lambda a: evaluate(lower(a), env.__getitem__)) == \
                 evaluate(expected_low, env.__getitem__), bits
         ok = True
     finally:
@@ -320,7 +318,7 @@ def test_criterion_7_bits_and_tseitin():
                 else:
                     pool.append(b.iff(rng.choice(pool), rng.choice(pool)))
             phi = pool[-1]
-            res = tseitin_cnf(phi, num_reserved=n_vars)
+            res = tseitin_cnf(phi, n_vars, no_atoms)
             res.cnf.validate()
             got = solve_internal(res.cnf)
             expected = any(
@@ -355,21 +353,15 @@ def test_criterion_8_sharing_and_optimizations():
 
         trs = ex2()
         problem = DpProblem(dependency_pairs(trs), trs)
-        vm = VarMap(signature_of(problem.pairs, problem.rules),
-                    len(problem.pairs.rules))
 
         enc_opt = encode_rp_formula(problem, "thm5", "strict")
         vm_opt = VarMap(signature_of(problem.pairs, problem.rules),
                         len(problem.pairs.rules), enc_opt.usable_symbols)
-        low, structural, b = lower_atoms(enc_opt.formula, vm_opt, "strict")
-        ts_opt = tseitin_cnf(b.and_([low] + structural), vm_opt.num_reserved)
+        ts_opt = lowered_cnf(enc_opt.formula, enc_opt.context.builder, vm_opt, "strict")
 
         enc_raw = encode_rp_formula(problem, "thm5", "strict",
                                     simplify=False, share=False, propagate=False)
-        rb = FormulaBuilder(simplify=False, share=False)
-        low_r, structural_r, _ = lower_atoms(enc_raw.formula, vm_opt, "strict",
-                                             builder=rb)
-        ts_raw = tseitin_cnf(rb.and_([low_r] + structural_r), vm_opt.num_reserved)
+        ts_raw = lowered_cnf(enc_raw.formula, enc_raw.context.builder, vm_opt, "strict")
 
         assert ts_opt.cnf.num_vars < ts_raw.cnf.num_vars
         factor = ts_raw.cnf.num_vars / ts_opt.cnf.num_vars
@@ -402,7 +394,7 @@ def test_criterion_9_filtered_usable_dominates():
                     enc = encode_rp_formula(problem, processor, mode)
                     vm = VarMap(signature_of(problem.pairs, problem.rules),
                                 len(problem.pairs.rules), enc.usable_symbols)
-                    res, _ = solve_formula(enc.formula, vm, mode)
+                    res = solve_formula(enc.formula, enc.context.builder, vm, mode)
                     results[processor] = res.status
                 compared += 1
                 if results["thm5"] == SAT:

@@ -10,9 +10,10 @@ from termfilter.formula import dag_size, dump, evaluate, tree_size
 from termfilter.orders import lpo_af_ge, lpo_af_gt
 from termfilter.terms import App, Rule, Symbol, Trs, Var
 from termfilter.tpdb import parse_trs
+from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, concrete_atom_value, ex13, ex2,
-                  random_signature, random_term)
+                  lowered_cnf, random_signature, random_term)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -182,7 +183,7 @@ def test_encode_rp_formula_structure():
     strict_atoms = [a for a in _reachable_atoms(enc.formula)
                     if isinstance(a, A.StrictPair)]
     assert {a.index for a in strict_atoms} == {0, 1, 2}
-    assert [str(r) for r in enc.usable] == [
+    assert [str(r) for r in usable_rules(problem.pairs, problem.rules)] == [
         "minus(x,0) -> x", "minus(s(x),s(y)) -> minus(x,y)"]
 
 
@@ -213,13 +214,11 @@ def test_ground_pair_problem_satisfiable():
     problem = DpProblem(Trs.of([pair]), Trs.of([]))
     enc = encode_rp_formula(problem, "thm5", "strict")
 
-    from termfilter.cnf import tseitin_cnf
-    from termfilter.lowering import VarMap, decode_model, lower_atoms
+    from termfilter.lowering import VarMap, decode_model
     from termfilter.solver import solve_internal
     symbols = sorted({a, bsym, ft}, key=lambda f: (f.name, f.is_tuple))
     vm = VarMap(symbols, 1)
-    low, structural, b = lower_atoms(enc.formula, vm, "strict")
-    res = solve_internal(tseitin_cnf(b.and_([low] + structural), vm.num_reserved).cnf)
+    res = solve_internal(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
     assert res.status == "sat"
     decoded = decode_model(res.model, vm)
     assert lpo_af_gt(decoded.precedence, decoded.filtering, "strict",
@@ -261,18 +260,41 @@ def _rot_problem(k):
 
 def _equivalent_by_sat(phi, psi, symbols, mode):
     """No actual precedence and filtering tells ``phi`` and ``psi`` apart:
-    their XOR, under the structural constraints, is unsatisfiable."""
-    from termfilter.cnf import tseitin_cnf
+    their XOR, under the structural constraints, is unsatisfiable.  Both are
+    rebuilt with one sharing builder first: an unshared encoding expands
+    into a tree that takes the solver far longer than its DAG."""
     from termfilter.formula import FormulaBuilder
-    from termfilter.lowering import VarMap, lower_atoms
+    from termfilter.lowering import VarMap
     from termfilter.solver import UNSAT, solve_internal
     vm = VarMap(sorted(symbols, key=lambda f: f.name))
-    lb = FormulaBuilder()
-    low_phi, structural, _ = lower_atoms(phi, vm, mode, builder=lb)
-    low_psi, _, _ = lower_atoms(psi, vm, mode, builder=lb)
-    xor = lb.not_(lb.iff(low_phi, low_psi))
-    cnf = tseitin_cnf(lb.and_([xor] + structural), vm.num_reserved).cnf
-    return solve_internal(cnf).status == UNSAT
+    b = FormulaBuilder()
+    xor = b.not_(b.iff(_rebuilt(phi, b), _rebuilt(psi, b)))
+    return solve_internal(lowered_cnf(xor, b, vm, mode).cnf).status == UNSAT
+
+
+def _rebuilt(f, b):
+    """``f`` built again, node by node, with the builder ``b``."""
+    from termfilter.formula import AND, ATOM, FALSE, IFF, IMPLIES, NOT, TRUE, iter_nodes
+    out = {}
+    for n in iter_nodes(f):
+        cs = [out[c.id] for c in n.children]
+        if n.kind == TRUE:
+            out[n.id] = b.TRUE
+        elif n.kind == FALSE:
+            out[n.id] = b.FALSE
+        elif n.kind == ATOM:
+            out[n.id] = b.atom(n.payload)
+        elif n.kind == NOT:
+            out[n.id] = b.not_(cs[0])
+        elif n.kind == IMPLIES:
+            out[n.id] = b.implies(*cs)
+        elif n.kind == IFF:
+            out[n.id] = b.iff(*cs)
+        elif n.kind == AND:
+            out[n.id] = b.and_(cs)
+        else:
+            out[n.id] = b.or_(cs)
+    return out[f.id]
 
 
 def _quasi_cases(seed, count):

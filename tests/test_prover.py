@@ -121,6 +121,27 @@ def test_refutation_after_the_deadline_is_timeout(monkeypatch):
     assert calls and isinstance(verdict, Timeout)
 
 
+def test_encoding_past_the_deadline_is_neither_lowered_nor_solved(monkeypatch):
+    from termfilter import prover
+    from termfilter.solver import UNKNOWN, SolveResult
+    solved = []
+    encode = prover.encode_rp_formula
+
+    def late_encode(*args, **kwargs):
+        out = encode(*args, **kwargs)
+        time.sleep(0.1)
+        return out
+
+    def recorded_solve(cnf, *args, **kwargs):
+        solved.append(cnf)
+        return SolveResult(UNKNOWN)
+
+    monkeypatch.setattr(prover, "encode_rp_formula", late_encode)
+    monkeypatch.setattr(prover, "solve", recorded_solve)
+    verdict = prove(ex2(), ProverConfig(timeout=0.05))
+    assert isinstance(verdict, Timeout) and not solved
+
+
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 def test_classical_usable_closure_walked_once_per_round(monkeypatch, mode):
     from termfilter import prover, usable
@@ -263,6 +284,11 @@ def test_cli_emit_dimacs_and_dump(tmp_path, capsys):
     import json
     manifest = json.loads((outdir / "problem001.vars.json").read_text())
     assert "variables" in manifest and manifest["pairs"]
+    # the reserved variables 1..num_reserved, then the definitions after them
+    num_vars = int((outdir / "problem001.cnf").read_text().split()[2])
+    reserved = len(manifest["variables"])
+    assert list(manifest["variables"]) == [str(v) for v in range(1, reserved + 1)]
+    assert list(manifest["definitions"]) == [str(v) for v in range(reserved + 1, num_vars + 1)]
     out = capsys.readouterr().out
     assert "(atom" in out  # formula dump made it to stdout
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -12,16 +13,17 @@ from termfilter import prover
 from termfilter.cnf import Cnf, parse_dimacs, tseitin_cnf, write_dimacs
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import encode_rp_formula
-from termfilter.formula import FormulaBuilder, evaluate
+from termfilter.formula import ATOM, FormulaBuilder, evaluate, iter_nodes
 from termfilter.lowering import (EncodingError, VarMap, _bit_eq, _bit_gt,
                                  decode_model, lower_atoms, structural_constraints)
 from termfilter.orders import Collapse, Keep, lpo_af_ge, lpo_af_gt
 from termfilter.solver import (SAT, UNKNOWN, UNSAT, ExternalSolverError, _Cdcl,
                                solve_external, solve_internal)
 from termfilter.terms import Symbol
+from termfilter.usable import usable_rules
 from termfilter.prover import ProverConfig, _problem_signature, prove
 
-from util import ReferenceCdcl, ex13, ex2
+from util import EX2_TEXT, ReferenceCdcl, ex13, ex2, lowered_cnf, no_atoms
 
 
 # ----------------------------------------------------------------------
@@ -79,9 +81,8 @@ def test_poeq_rejected_in_strict_mode():
     b = FormulaBuilder()
     phi = b.atom(A.PoEq(f, g))
     with pytest.raises(EncodingError):
-        lower_atoms(phi, vm, "strict", builder=b)
-    lowered, _, _ = lower_atoms(phi, vm, "quasi", builder=b)
-    assert lowered.kind == "iff"
+        tseitin_cnf(phi, vm.num_reserved, lower_atoms(vm, "strict", b))
+    assert lower_atoms(vm, "quasi", b)(phi.payload).kind == "iff"
 
 
 def test_decode_model_roundtrip():
@@ -101,7 +102,6 @@ def test_decode_model_roundtrip():
     assert decoded.filtering.get(f) == Collapse(1)
     assert decoded.filtering.get(g) == Keep((1,))
     assert decoded.strict_pairs == (0,)
-    assert decoded.usable_symbols == (f,)
 
 
 def test_decode_model_detects_bad_collapse():
@@ -129,7 +129,7 @@ def test_identity_filtering_decodes_identity():
 
 def test_tseitin_single_atom():
     b = FormulaBuilder()
-    res = tseitin_cnf(b.atom(5), num_reserved=5)
+    res = tseitin_cnf(b.atom(5), 5, no_atoms)
     assert res.cnf.clauses == ((5,),)
     assert res.cnf.num_vars == 5
 
@@ -138,21 +138,21 @@ def test_tseitin_contradiction_unsat():
     b = FormulaBuilder(simplify=False)
     x = b.atom(1)
     phi = b.and_([x, b.not_(x)])
-    res = tseitin_cnf(phi, num_reserved=1)
+    res = tseitin_cnf(phi, 1, no_atoms)
     assert solve_internal(res.cnf).status == UNSAT
 
 
 def test_tseitin_false_root():
     b = FormulaBuilder()
-    res = tseitin_cnf(b.FALSE, num_reserved=0)
+    res = tseitin_cnf(b.FALSE, 0, no_atoms)
     assert res.cnf.clauses == ((),)
     assert solve_internal(res.cnf).status == UNSAT
-    res_t = tseitin_cnf(b.TRUE, num_reserved=0)
+    res_t = tseitin_cnf(b.TRUE, 0, no_atoms)
     assert res_t.cnf.clauses == ()
 
 
-def _random_formula(rng, b, n_vars, size):
-    pool = [b.atom(v) for v in range(1, n_vars + 1)]
+def _random_formula(rng, b, n_vars, size, payloads=()):
+    pool = [b.atom(v) for v in range(1, n_vars + 1)] + [b.atom(p) for p in payloads]
     for _ in range(size):
         op = rng.randrange(5)
         if op == 0:
@@ -168,12 +168,22 @@ def _random_formula(rng, b, n_vars, size):
     return pool[-1]
 
 
-def _brute_force_sat(phi, n_vars):
-    for bits in itertools.product([False, True], repeat=n_vars):
-        env = dict(zip(range(1, n_vars + 1), bits))
-        if evaluate(phi, env.__getitem__):
-            return True
-    return False
+def _brute_force_sat(value, n_vars):
+    """Whether some assignment to the variables ``1..n_vars`` makes
+    ``value`` true."""
+    return any(value(dict(zip(range(1, n_vars + 1), bits)))
+               for bits in itertools.product([False, True], repeat=n_vars))
+
+
+def _lowered_value(phi, translation):
+    """``phi`` under an assignment to the variables, with each symbolic atom
+    standing for its translation."""
+    def atom_value(env, payload):
+        if isinstance(payload, int):
+            return env[payload]
+        return evaluate(translation[payload], env.__getitem__)
+
+    return lambda env: evaluate(phi, lambda a: atom_value(env, a))
 
 
 def test_tseitin_equisatisfiable_and_projecting():
@@ -182,14 +192,45 @@ def test_tseitin_equisatisfiable_and_projecting():
         n_vars = rng.randint(2, 8)
         b = FormulaBuilder()
         phi = _random_formula(rng, b, n_vars, rng.randint(3, 14))
-        res = tseitin_cnf(phi, num_reserved=n_vars)
-        got = solve_internal(res.cnf)
-        expected = _brute_force_sat(phi, n_vars)
-        assert (got.status == SAT) == expected, f"round {round_no}"
-        if got.status == SAT:
-            env = {v: got.model.get(v, False) for v in range(1, n_vars + 1)}
-            assert evaluate(phi, lambda a: env[a])
-        res.cnf.validate()
+        res = tseitin_cnf(phi, n_vars, no_atoms)
+        _check_projecting(res, _lowered_value(phi, {}), n_vars, f"round {round_no}")
+
+    # symbolic atoms, each lowered to a formula over the variables that a
+    # builder with clashing node ids makes: the memo must not alias them
+    for round_no in range(120):
+        n_vars = rng.randint(2, 6)
+        share = round_no % 2 == 0
+        b = FormulaBuilder(simplify=rng.random() < 0.5, share=share)
+        lb = FormulaBuilder()
+        payloads = [("a", i) for i in range(rng.randint(1, 4))]
+        translation = {p: _random_formula(rng, lb, n_vars, rng.randint(0, 4))
+                       for p in payloads}
+        phi = _random_formula(rng, b, n_vars, rng.randint(3, 14), payloads)
+        calls = []
+
+        def lower(payload):
+            calls.append(payload)
+            return translation[payload]
+
+        res = tseitin_cnf(phi, n_vars, lower)
+        _check_projecting(res, _lowered_value(phi, translation), n_vars,
+                          f"atom round {round_no}")
+        if phi.kind not in ("true", "false"):
+            nodes = [n for n in iter_nodes(phi)
+                     if n.kind == ATOM and not isinstance(n.payload, int)]
+            assert len(calls) == len(nodes)
+            if share:
+                assert sorted(calls) == sorted({n.payload for n in nodes})
+
+
+def _check_projecting(res, value, n_vars, where):
+    """``res`` is satisfiable exactly when ``value`` is, and its models,
+    cut down to the variables ``1..n_vars``, satisfy ``value``."""
+    res.cnf.validate()
+    got = solve_internal(res.cnf)
+    assert (got.status == SAT) == _brute_force_sat(value, n_vars), where
+    if got.status == SAT:
+        assert value({v: got.model.get(v, False) for v in range(1, n_vars + 1)}), where
 
 
 def test_tseitin_shares_definitions():
@@ -197,7 +238,7 @@ def test_tseitin_shares_definitions():
     x, y, p, q = b.atom(1), b.atom(2), b.atom(3), b.atom(4)
     shared = b.or_([x, y])
     phi = b.iff(b.implies(p, shared), b.implies(q, shared))
-    res = tseitin_cnf(phi, num_reserved=4)
+    res = tseitin_cnf(phi, 4, no_atoms)
     # one definition for the shared disjunction, two implications, one iff
     assert len(res.definitions) == 4
 
@@ -381,32 +422,25 @@ def test_dimacs_roundtrip():
 
 
 def test_dimacs_deterministic_across_hash_seeds(tmp_path):
-    script = textwrap.dedent("""
-        from termfilter.cnf import tseitin_cnf, write_dimacs
-        from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
-        from termfilter.encoder import encode_rp_formula
-        from termfilter.lowering import VarMap, lower_atoms
-        from termfilter.prover import _problem_signature
-        from termfilter.tpdb import parse_trs
-        trs = parse_trs('(VAR x y)(RULES minus(x,0) -> x minus(s(x),s(y)) -> minus(x,y) quot(0,s(y)) -> 0 quot(s(x),s(y)) -> s(quot(minus(x,y),s(y))))')
-        sub = scc_decompose(DpProblem(dependency_pairs(trs), trs))[1]
-        enc = encode_rp_formula(sub, 'thm12', 'quasi')
-        vm = VarMap(_problem_signature(sub), len(sub.pairs.rules), enc.usable_symbols)
-        low, structural, b = lower_atoms(enc.formula, vm, 'quasi')
-        ts = tseitin_cnf(b.and_([low] + structural), vm.num_reserved)
-        import sys
-        sys.stdout.write(write_dimacs(ts.cnf))
-    """)
-    path = tmp_path / "emit.py"
-    path.write_text(script)
-    outputs = []
+    """``termfilter --emit-dimacs`` writes the same files whatever order
+    string hashing gives the prover's sets."""
+    import termfilter
+    src = str(Path(termfilter.__file__).resolve().parent.parent)
+    path = tmp_path / "division.trs"
+    path.write_text(EX2_TEXT)
+    emitted = []
     for seed in ("0", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run([sys.executable, str(path)], capture_output=True,
-                              text=True, env=env, check=True)
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].startswith("p cnf ")
+        outdir = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "termfilter.cli", "--order", "qlpo",
+                        "--emit-dimacs", str(outdir), str(path)],
+                       capture_output=True, text=True, env=env, check=True)
+        emitted.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert emitted[0] == emitted[1]
+    names = sorted(emitted[0])
+    assert names == ["problem001.cnf", "problem001.vars.json",
+                     "problem002.cnf", "problem002.vars.json"]
+    assert all(emitted[0][n].startswith(b"p cnf ") for n in names if n.endswith(".cnf"))
 
 
 FAKE_SOLVER = textwrap.dedent("""
@@ -456,9 +490,7 @@ def test_division_component_model_verifies():
     enc = encode_rp_formula(problem, "thm5", "strict")
     vm = VarMap(_problem_signature(problem), len(problem.pairs.rules),
                 enc.usable_symbols)
-    low, structural, b = lower_atoms(enc.formula, vm, "strict")
-    ts = tseitin_cnf(b.and_([low] + structural), vm.num_reserved)
-    res = solve_internal(ts.cnf)
+    res = solve_internal(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
     assert res.status == SAT
     decoded = decode_model(res.model, vm)
     assert decoded.strict_pairs
@@ -467,7 +499,7 @@ def test_division_component_model_verifies():
         if i in decoded.strict_pairs:
             assert lpo_af_gt(decoded.precedence, decoded.filtering, "strict",
                              p.lhs, p.rhs)
-    for rule in enc.usable:
+    for rule in usable_rules(problem.pairs, problem.rules):
         assert lpo_af_ge(decoded.precedence, decoded.filtering, "strict",
                          rule.lhs, rule.rhs)
 

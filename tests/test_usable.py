@@ -15,7 +15,7 @@ from termfilter.usable import (defined_usable_symbols, omega, usable_rules,
                                usable_rules_mod_pi)
 
 from util import (all_filterings, all_precedences, concrete_atom_value, ex13,
-                  ex2, filter_options, random_trs, symbol_map,
+                  ex2, filter_options, lowered_cnf, random_trs, symbol_map,
                   usable_rules_mod_pi_reference)
 
 
@@ -251,8 +251,7 @@ def _enumeration_problem(cyclic):
 def test_omega_model_enumeration_soundness(cyclic):
     """Every model of the filtered-usable encoding flags at least the rules
     that are usable under its own decoded filtering."""
-    from termfilter.cnf import tseitin_cnf
-    from termfilter.lowering import VarMap, decode_model, lower_atoms
+    from termfilter.lowering import VarMap, decode_model
     from termfilter.solver import solve_internal
 
     problem, signature = _enumeration_problem(cyclic)
@@ -260,8 +259,7 @@ def test_omega_model_enumeration_soundness(cyclic):
     enc = encode_rp_formula(problem, "thm12", "strict")
     symbols = sorted(signature, key=lambda f: (f.name, f.is_tuple))
     vm = VarMap(symbols, 1, enc.usable_symbols)
-    low, structural, b = lower_atoms(enc.formula, vm, "strict")
-    base = tseitin_cnf(b.and_([low] + structural), vm.num_reserved)
+    base = lowered_cnf(enc.formula, enc.context.builder, vm, "strict")
 
     from termfilter.cnf import Cnf
     clauses = list(base.cnf.clauses)
@@ -273,10 +271,11 @@ def test_omega_model_enumeration_soundness(cyclic):
         models += 1
         decoded = decode_model(res.model, vm)
         filtered = set(usable_rules_mod_pi(problem.pairs, rules, decoded.filtering))
+        flagged_symbols = [f for f in enc.usable_symbols if res.model[vm.usable_var(f)]]
         flagged = set()
-        for f in decoded.usable_symbols:
+        for f in flagged_symbols:
             flagged |= set(rules.rules_for(f))
-        assert filtered <= flagged, (decoded.filtering, decoded.usable_symbols)
+        assert filtered <= flagged, (decoded.filtering, flagged_symbols)
         # block this projection onto the reserved variables
         clauses.append(tuple(-v if res.model[v] else v
                              for v in range(1, vm.num_reserved + 1)))

@@ -8,7 +8,8 @@ import random
 import time
 
 from termfilter import atoms as A
-from termfilter.cnf import Cnf
+from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
+from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
 from termfilter.terms import App, Rule, Symbol, Term, Trs, Var
@@ -81,6 +82,22 @@ def symbol_map(*systems: Trs) -> dict[str, Symbol]:
         for f in trs.signature:
             out[f.display] = f
     return out
+
+
+# ----------------------------------------------------------------------
+# the prover's lowering step
+
+def lowered_cnf(formula, builder, vm, mode: str) -> TseitinResult:
+    """``formula`` and the structural constraints of ``vm``, built with
+    ``builder``, through Tseitin with each atom lowered when first reached,
+    as ``reduction_pair_processor`` does it."""
+    return tseitin_cnf(builder.and_([formula] + structural_constraints(vm, builder)),
+                       vm.num_reserved, lower_atoms(vm, mode, builder))
+
+
+def no_atoms(payload):
+    """The ``lower`` of a formula over integer variables only."""
+    raise AssertionError(f"atom {payload!r} in a formula over variables")
 
 
 # ----------------------------------------------------------------------
