@@ -12,18 +12,21 @@ Construction works on atom numbers, not atom objects.  Each
 (``_meet``), and numbers it; per-symbol and per-pair tables then give the
 number of each atom a comparison needs, and a literal is a pair ``(k,
 positive)``.  The branch context is one int, ``Ctx``: atom ``k`` owns a
-"known true" and a "known false" bit.  Looking an atom up tests a bit, and
-assuming one ORs in the bits of its consequences, computed once per literal
-from the tables.  The formula node of an atom is made from its object when
-first needed, and kept per number when the builder shares nodes.
+"known true" and a "known false" bit.  Looking an atom up tests a bit.  What
+each literal implies in every actual precedence and filtering is fixed, as a
+bit mask, when ``_meet`` numbers its atoms, so assuming a literal is one OR.
+The formula node of an atom is made from its object when first needed, and
+kept per number when the builder shares nodes.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
-produces.  A key holding the whole branch context would miss almost always,
-because every path to a comparison fixes different literals elsewhere in the
-problem.  So each memoized comparison is keyed on the context cut down, by
-one AND with a cached mask, to the atoms it can read, and built under that
-cut-down context: every read answers as before, and hash-consing returns the
-same node the full context would have given.
+produces, in one cell per memoized comparison.  A key holding the whole
+branch context would miss almost always, because every path to a comparison
+fixes different literals elsewhere in the problem.  So the cell keeps a mask
+of the atoms the comparison can read, made the first time a non-empty
+context reaches it, and its results keyed on the relation and the context
+cut down by that mask.  Each result is built under the cut-down context:
+every read answers as before, and hash-consing returns the same node the
+full context would have given.
 - ``_tau(s, t)`` reads and assumes only atoms over the function symbols of
   ``s`` and ``t``.
 - The quasi-mode comparison of two argument tuples, ``_lex_two`` at cell
@@ -96,17 +99,11 @@ class EncodingContext:
         self.mode = mode
         self.builder = FormulaBuilder(simplify=simplify, share=share)
         self.propagate = propagate
-        self._memo: dict = {}
-        self._lex_memo: dict = {}
-        # per atom number k: the atom, its "known true" bit (the "known
-        # false" bit is the next one), and its formula node once made
+        # per atom number k: the atom and its formula node once made
         self._atoms: list = []
-        self._bits: list[int] = []
         self._nodes: list[Formula | None] = []
-        # the one lookup from an atom object to its number
-        self._numbers: dict = {}
         # literal 2k + (not positive) -> the bits that assuming it sets
-        self._implied: list[int | None] = []
+        self._implied: list[int] = []
         self._own: dict[Symbol, SymbolAtoms] = {}
         # (f, g) -> numbers of PoGt(f, g) and of the PoEq atom of f and g
         self._precedence: dict[tuple[Symbol, Symbol], tuple[int, int]] = {}
@@ -118,27 +115,28 @@ class EncodingContext:
         # symbols occurring from that position on
         self._term_symbols: dict[Term, frozenset[Symbol]] = {}
         self._suffix_symbols: dict[tuple[tuple[Term, ...], int], frozenset[Symbol]] = {}
-        # cells -> the bits ``_tau`` and ``_lex_two`` can read there
-        self._tau_masks: dict[tuple[Term, Term], int] = {}
-        self._lex_masks: dict = {}
+        # one cell per memoized comparison: [the bits it can read, or None
+        # until a non-empty context reaches it; {(rel, cut context): formula}]
+        self._tau_cells: dict[tuple[Term, Term], list] = {}
+        self._lex_cells: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     # atom tables
 
     def _number(self, atom) -> int:
+        """Number ``atom``; each of its literals implies at least itself."""
         k = len(self._atoms)
         self._atoms.append(atom)
-        self._bits.append(1 << 2 * k)
         self._nodes.append(None)
-        self._implied += (None, None)
-        self._numbers[atom] = k
+        self._implied += (1 << 2 * k, 2 << 2 * k)
         return k
 
     def _meet(self, f: Symbol) -> SymbolAtoms:
         """The atom numbers over ``f``, numbering them when ``f`` is first
         met, together with the precedence atoms between ``f`` and every
         symbol met before.  A mask taken over met symbols then already holds
-        every atom over them that can ever get a bit."""
+        every atom over them that can ever get a bit.  Numbering fixes what
+        each literal implies in every actual precedence and filtering."""
         own = self._own.get(f)
         if own is not None:
             return own
@@ -153,6 +151,16 @@ class EncodingContext:
         mask = (1 << 2 * len(self._atoms)) - (1 << 2 * first)
         own = self._own[f] = SymbolAtoms(list_p, usable, tuple(arg_in),
                                          tuple(collapses_to), mask)
+        implied = self._implied
+        # f kept collapses nowhere; an argument filtered away is not the
+        # one f collapses to; f collapsed onto i keeps i and nothing else
+        for i, (a, c) in enumerate(zip(arg_in, collapses_to)):
+            implied[2 * list_p] |= 2 << 2 * c
+            implied[2 * a + 1] |= 2 << 2 * c
+            implied[2 * c] |= 2 << 2 * list_p | 1 << 2 * a
+            for j, (a2, c2) in enumerate(zip(arg_in, collapses_to)):
+                if j != i:
+                    implied[2 * c] |= 2 << 2 * c2 | 2 << 2 * a2
         for g in others:
             first = len(self._atoms)
             fg = self._number(A.PoGt(f, g))
@@ -162,6 +170,10 @@ class EncodingContext:
             self._precedence[g, f] = (gf, eq)
             self._between[f, g] = self._between[g, f] = \
                 (1 << 2 * len(self._atoms)) - (1 << 2 * first)
+            # at most one of f > g, g > f and f ~ g holds
+            implied[2 * fg] |= 2 << 2 * gf | 2 << 2 * eq
+            implied[2 * gf] |= 2 << 2 * fg | 2 << 2 * eq
+            implied[2 * eq] |= 2 << 2 * fg | 2 << 2 * gf
         return own
 
     def _prec(self, f: Symbol, g: Symbol) -> tuple[int, int]:
@@ -174,18 +186,6 @@ class EncodingContext:
             pair = self._precedence[f, g]
         return pair
 
-    def _atom_number(self, atom) -> int:
-        """The number of ``atom`` in this context, for callers that hold the
-        atom object rather than its number."""
-        k = self._numbers.get(atom)
-        if k is None:
-            if isinstance(atom, (A.PoGt, A.PoEq)):
-                self._prec(atom.left, atom.right)
-            else:
-                self._meet(atom.fun)
-            k = self._numbers[atom]
-        return k
-
     def _node(self, k: int) -> Formula:
         """The formula node of atom ``k``: kept per number when nodes are
         shared, made afresh on every request when not."""
@@ -195,35 +195,6 @@ class EncodingContext:
             if self.builder.share:
                 self._nodes[k] = node
         return node
-
-    def _consequences(self, k: int, positive: bool) -> int:
-        """Bits of the facts entailed by the literal ``(k, positive)``, for
-        assignments that describe an actual precedence and filtering."""
-        bits = self._bits
-        atom = self._atoms[k]
-        if not positive:
-            mask = bits[k] << 1
-            if isinstance(atom, A.ArgIn):
-                mask |= bits[self._own[atom.fun].collapses_to[atom.pos - 1]] << 1
-            return mask
-        mask = bits[k]
-        if isinstance(atom, A.CollapsesTo):
-            own = self._own[atom.fun]
-            i = atom.pos - 1
-            mask |= bits[own.list_p] << 1 | bits[own.arg_in[i]]
-            for j in range(len(own.arg_in)):
-                if j != i:
-                    mask |= bits[own.collapses_to[j]] << 1 | bits[own.arg_in[j]] << 1
-        elif isinstance(atom, A.ListP):
-            for c in self._own[atom.fun].collapses_to:
-                mask |= bits[c] << 1
-        elif isinstance(atom, A.PoGt):
-            gt, eq = self._precedence[atom.right, atom.left]
-            mask |= bits[gt] << 1 | bits[eq] << 1
-        elif isinstance(atom, A.PoEq):
-            mask |= bits[self._precedence[atom.left, atom.right][0]] << 1
-            mask |= bits[self._precedence[atom.right, atom.left][0]] << 1
-        return mask
 
     # ------------------------------------------------------------------
     # context plumbing
@@ -241,21 +212,17 @@ class EncodingContext:
         return mask
 
     def _known(self, ctx: Ctx, k: int) -> bool | None:
-        bit = self._bits[k]
-        if ctx & bit:
+        bits = ctx >> 2 * k
+        if bits & 1:
             return True
-        if ctx & bit << 1:
+        if bits & 2:
             return False
         return None
 
     def _assume(self, ctx: Ctx, k: int, positive: bool) -> Ctx:
         if not self.propagate:
             return ctx
-        lit = 2 * k + (not positive)
-        implied = self._implied[lit]
-        if implied is None:
-            implied = self._implied[lit] = self._consequences(k, positive)
-        return ctx | implied
+        return ctx | self._implied[2 * k + (not positive)]
 
     def _atom(self, ctx: Ctx, k: int) -> Formula:
         known = self._known(ctx, k)
@@ -307,24 +274,22 @@ class EncodingContext:
         """Memoized on the part of the context the comparison can read."""
         if not self.builder.share:
             return self._build_tau(s, t, rel, ctx)
-        ctx = self._tau_readable(s, t, ctx)
-        key = (s, t, rel, ctx)
-        result = self._memo.get(key)
+        cell = self._tau_cells.get((s, t))
+        if cell is None:
+            cell = self._tau_cells[s, t] = [None, {}]
+        if ctx:
+            if cell[0] is None:
+                cell[0] = self._tau_mask(s, t)
+            ctx &= cell[0]
+        result = cell[1].get((rel, ctx))
         if result is None:
-            result = self._build_tau(s, t, rel, ctx)
-            self._memo[key] = result
+            result = cell[1][rel, ctx] = self._build_tau(s, t, rel, ctx)
         return result
 
-    def _tau_readable(self, s: Term, t: Term, ctx: Ctx) -> Ctx:
-        """``ctx`` cut down to the atoms ``_tau`` on ``s`` and ``t`` can read:
-        those over the function symbols of the two terms."""
-        if not ctx:
-            return ctx
-        mask = self._tau_masks.get((s, t))
-        if mask is None:
-            mask = self._readable(self._symbols_from((s, t), 1))
-            self._tau_masks[s, t] = mask
-        return ctx & mask
+    def _tau_mask(self, s: Term, t: Term) -> int:
+        """The bits ``_tau`` on ``s`` and ``t`` can read: those of the atoms
+        over the function symbols of the two terms."""
+        return self._readable(self._symbols_of(s) | self._symbols_of(t))
 
     def _build_tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
@@ -414,31 +379,29 @@ class EncodingContext:
         context the comparison can read."""
         if not self.builder.share:
             return self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
-        ctx = self._lex_readable(f, g, ss, ts, i, j, ctx)
-        key = (f, g, ss, ts, i, j, rel, ctx)
-        result = self._lex_memo.get(key)
+        key = (f, g, ss, ts, i, j)
+        cell = self._lex_cells.get(key)
+        if cell is None:
+            cell = self._lex_cells[key] = [None, {}]
+        if ctx:
+            if cell[0] is None:
+                cell[0] = self._lex_mask(*key)
+            ctx &= cell[0]
+        result = cell[1].get((rel, ctx))
         if result is None:
-            result = self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
-            self._lex_memo[key] = result
+            result = cell[1][rel, ctx] = self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
         return result
 
-    def _lex_readable(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
-                      ts: tuple[Term, ...], i: int, j: int, ctx: Ctx) -> Ctx:
-        """``ctx`` cut down to the atoms ``_lex_two`` at ``(i, j)`` can read:
-        those over symbols of ``ss[i-1:]`` and ``ts[j-1:]``, and the ``ArgIn``
+    def _lex_mask(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
+                  ts: tuple[Term, ...], i: int, j: int) -> int:
+        """The bits ``_lex_two`` at ``(i, j)`` can read: those of the atoms
+        over symbols of ``ss[i-1:]`` and ``ts[j-1:]``, and of the ``ArgIn``
         atoms of ``f`` from ``i`` and of ``g`` from ``j`` on."""
-        if not ctx:
-            return ctx
-        key = (f, g, ss, ts, i, j)
-        mask = self._lex_masks.get(key)
-        if mask is None:
-            mask = self._readable(self._symbols_from(ss, i) | self._symbols_from(ts, j))
-            bits = self._bits
-            for h, start in ((f, i), (g, j)):
-                for k in self._meet(h).arg_in[start - 1:]:
-                    mask |= 3 * bits[k]
-            self._lex_masks[key] = mask
-        return ctx & mask
+        mask = self._readable(self._symbols_from(ss, i) | self._symbols_from(ts, j))
+        for h, start in ((f, i), (g, j)):
+            for k in self._meet(h).arg_in[start - 1:]:
+                mask |= 3 << 2 * k
+        return mask
 
     def _symbols_from(self, args: tuple[Term, ...], i: int) -> frozenset[Symbol]:
         """Function symbols occurring in ``args[i-1:]``: those of ``args[i-1]``

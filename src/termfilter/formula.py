@@ -2,7 +2,9 @@
 
 Nodes are created through a :class:`FormulaBuilder`.  With sharing enabled,
 structurally equal subformulas are the same object, so equality is identity
-and a formula is a DAG rather than a tree.  With simplification enabled the
+and a formula is a DAG rather than a tree.  Interning, de-duplication and
+the walks below are keyed by the node itself: ids, which two builders share,
+only order children and rendering.  With simplification enabled the
 builder folds constants, flattens nested conjunctions/disjunctions, removes
 duplicate children, and collapses complementary ones.  Both switches can be
 turned off to measure what they buy.
@@ -57,7 +59,7 @@ class FormulaBuilder:
     def _node(self, kind: str, payload: Hashable, children: tuple[Formula, ...]) -> Formula:
         if not self.share:
             return self._fresh(kind, payload, children)
-        key = (kind, payload, tuple(c.id for c in children))
+        key = (kind, payload, children)
         node = self._intern.get(key)
         if node is None:
             node = self._fresh(kind, payload, children)
@@ -99,21 +101,13 @@ class FormulaBuilder:
                 flat.extend(c.children)
             else:
                 flat.append(c)
-        uniq: list[Formula] = []
-        seen: set[int] = set()
-        for c in flat:
-            if c.id not in seen:
-                seen.add(c.id)
-                uniq.append(c)
+        uniq = dict.fromkeys(flat)
         for c in uniq:
-            if c.kind == NOT and c.children[0].id in seen:
+            if c.kind == NOT and c.children[0] in uniq:
                 return absorbing
-        if not uniq:
-            return neutral
-        if len(uniq) == 1:
-            return uniq[0]
-        uniq.sort(key=lambda n: n.id)
-        return self._node(kind, None, tuple(uniq))
+        if len(uniq) > 1:
+            return self._node(kind, None, tuple(sorted(uniq, key=lambda n: n.id)))
+        return next(iter(uniq), neutral)  # the one child, or none
 
     def implies(self, a: Formula, b: Formula) -> Formula:
         if self.simplify:
@@ -149,10 +143,10 @@ class FormulaBuilder:
 def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
     """Evaluate a formula under a total assignment given as a function on
     atom payloads."""
-    memo: dict[int, bool] = {}
+    memo: dict[Formula, bool] = {}
 
     def ev(n: Formula) -> bool:
-        v = memo.get(n.id)
+        v = memo.get(n)
         if v is not None:
             return v
         k = n.kind
@@ -172,7 +166,7 @@ def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
             v = (not ev(n.children[0])) or ev(n.children[1])
         else:
             v = ev(n.children[0]) == ev(n.children[1])
-        memo[n.id] = v
+        memo[n] = v
         return v
 
     return ev(f)
@@ -180,16 +174,16 @@ def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
 
 def iter_nodes(f: Formula) -> Iterator[Formula]:
     """Each reachable node exactly once, children before parents."""
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             yield node
             continue
-        if node.id in seen:
+        if node in seen:
             continue
-        seen.add(node.id)
+        seen.add(node)
         stack.append((node, True))
         for c in node.children:
             stack.append((c, False))
@@ -203,10 +197,10 @@ def dag_size(f: Formula) -> int:
 def tree_size(f: Formula) -> int:
     """Node count of the fully expanded tree (shared nodes counted once per
     occurrence)."""
-    sizes: dict[int, int] = {}
+    sizes: dict[Formula, int] = {}
     for node in iter_nodes(f):
-        sizes[node.id] = 1 + sum(sizes[c.id] for c in node.children)
-    return sizes[f.id]
+        sizes[node] = 1 + sum(sizes[c] for c in node.children)
+    return sizes[f]
 
 
 def atoms_of(f: Formula) -> list:

@@ -92,12 +92,65 @@ def test_tau_gt_identical_terms_unsatisfiable():
 def test_context_pruning_kills_contradictory_branch():
     from termfilter.encoder import EMPTY_CTX
     ctx = EncodingContext("strict")
-    banned = ctx._assume(EMPTY_CTX, ctx._atom_number(A.ListP(MINUS)), False)
+    banned = ctx._assume(EMPTY_CTX, ctx._meet(MINUS).list_p, False)
     got = ctx.tau_gt(mk(MINUS, mk(S1, X), mk(S1, Y)), mk(MINUS, X, Y), banned)
     # with minus collapsed, the same-root branch is gone; what remains must
     # not mention the list flag of minus positively
     for atom in _reachable_atoms(got):
         assert atom != A.ListP(MINUS)
+
+
+def _implied_facts(atom, positive, atoms):
+    """What the literal ``(atom, positive)`` implies in every actual
+    precedence and filtering, besides itself, as ``{atom: value}``."""
+    facts = {atom: positive}
+    if isinstance(atom, (A.PoGt, A.PoEq)):
+        if positive:
+            pair = {atom.left, atom.right}
+            facts.update((a, False) for a in atoms if a != atom and isinstance(
+                a, (A.PoGt, A.PoEq)) and {a.left, a.right} == pair)
+        return facts
+    positions = [a for a in atoms
+                 if isinstance(a, (A.ArgIn, A.CollapsesTo)) and a.fun == atom.fun]
+    if isinstance(atom, A.ListP) and positive:
+        facts.update((a, False) for a in positions if isinstance(a, A.CollapsesTo))
+    elif isinstance(atom, A.ArgIn) and not positive:
+        facts[A.CollapsesTo(atom.fun, atom.pos)] = False
+    elif isinstance(atom, A.CollapsesTo) and positive:
+        facts[A.ListP(atom.fun)] = False
+        facts[A.ArgIn(atom.fun, atom.pos)] = True
+        facts.update((a, False) for a in positions if a.pos != atom.pos)
+    return facts
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_every_literal_implies_exactly_its_facts(mode):
+    c, g, h = Symbol("c", 0), Symbol("g", 1), Symbol("h", 2)
+    symbols = [h, g, c]
+    ctx = EncodingContext(mode)
+    for f in symbols:
+        ctx._meet(f)
+    atoms = list(ctx._atoms)
+    number = {atom: k for k, atom in enumerate(atoms)}
+    usable = [a for a in atoms if isinstance(a, A.Usable)]
+    # every actual precedence and filtering, with usability flags free
+    worlds = []
+    for prec in all_precedences(symbols):
+        for pi in all_filterings(symbols):
+            for flags in itertools.product([False, True], repeat=len(usable)):
+                value = concrete_atom_value(prec, pi, dict(zip(usable, flags)))
+                worlds.append([value(a) for a in atoms])
+    for k, atom in enumerate(atoms):
+        for positive in (True, False):
+            facts = _implied_facts(atom, positive, atoms)
+            expected = 0
+            for a, v in facts.items():
+                expected |= (1 if v else 2) << 2 * number[a]
+            assert ctx._assume(EMPTY_CTX, k, positive) == expected, (atom, positive)
+            for world in worlds:
+                if world[k] == positive:
+                    for a, v in facts.items():
+                        assert world[number[a]] == v, (atom, positive, a)
 
 
 def _reachable_atoms(formula):
@@ -348,7 +401,7 @@ def test_lex_memo_builds_the_same_nodes():
     for s, t, rel, _ in _quasi_cases(6, 8):
         restricted = EncodingContext("quasi")
         whole = EncodingContext("quasi")
-        whole._lex_readable = lambda f, g, ss, ts, i, j, ctx: ctx
+        whole._lex_mask = lambda f, g, ss, ts, i, j: -1
         table = {}
         assert _canonical(restricted._tau(s, t, rel, EMPTY_CTX), table) == \
             _canonical(whole._tau(s, t, rel, EMPTY_CTX), table), (str(s), rel, str(t))
@@ -361,7 +414,7 @@ PAPER_SYSTEMS = [EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT
 
 
 def _whole_context(monkeypatch):
-    monkeypatch.setattr(EncodingContext, "_tau_readable", lambda self, s, t, ctx: ctx)
+    monkeypatch.setattr(EncodingContext, "_tau_mask", lambda self, s, t: -1)
 
 
 @pytest.mark.parametrize("processor", ["thm5", "thm12"])

@@ -134,3 +134,16 @@ def test_atoms_of_and_dump_deterministic():
     assert atoms_of(top) == ["x", "y"]
     assert dump(top) == dump(top)
     assert "root" in dump(top)
+
+
+def test_nodes_of_two_builders_do_not_alias():
+    # both atoms get id 2 in their own builder; keyed by id, the conjunction
+    # would drop ``p`` and return ``a``'s atom
+    a, b = FormulaBuilder(), FormulaBuilder()
+    x, p = a.atom(1), b.atom("p")
+    assert x.id == p.id
+    both = b.and_([x, p])
+    assert both.kind == AND and set(both.children) == {x, p}
+    assert dag_size(both) == 3
+    assert tree_size(both) == 3
+    assert evaluate(both, {1: True, "p": False}.__getitem__) is False
