@@ -1,4 +1,10 @@
-"""CNF conversion and DIMACS reading/writing."""
+"""Clause sets in normal form, CNF conversion and DIMACS reading/writing.
+
+``Cnf`` is the one place where clause normal form is decided: whatever
+builds a clause set (Tseitin, ``parse_dimacs``, a test) hands over clauses
+as they come, and whatever reads one (the internal solver, ``write_dimacs``,
+an external solver) takes them as they are.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +16,27 @@ from .formula import ATOM, AND, FALSE, IFF, IMPLIES, NOT, OR, TRUE, Formula
 
 @dataclass(frozen=True)
 class Cnf:
+    """A clause set in normal form: no clause repeats a literal or holds a
+    literal and its complement.
+
+    The constructor drops repeated literals, keeping first occurrences in
+    order, and then drops every clause that is still tautological; a clause
+    over distinct variables is kept as the same object.  Every consumer
+    relies on this and checks no clause again.
+    """
+
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        normal = []
         for clause in self.clauses:
-            lits = set(clause)
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
-                if -lit in lits:
-                    raise ValueError(f"clause {clause} contains {lit} and {-lit}")
+            if len(set(map(abs, clause))) != len(clause):
+                clause = tuple(dict.fromkeys(clause))
+                if len(set(map(abs, clause))) != len(clause):
+                    continue  # tautological clause
+            normal.append(clause)
+        object.__setattr__(self, "clauses", tuple(normal))
 
 
 @dataclass
@@ -41,6 +57,7 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     over variables the first time the walk reaches its node, once per node,
     and stands for that formula.  Any model of the result restricted to the
     original variables satisfies the input with its atoms so translated.
+    Clauses are kept as built; ``Cnf`` puts them in normal form.
     """
     clauses: list[tuple[int, ...]] = []
     defs: dict[int, str] = {}
@@ -61,17 +78,6 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
             clauses.append((v,))
         return const_lit[0]
 
-    def emit(cl: tuple[int, ...]) -> None:
-        seen = set()
-        out = []
-        for lit in cl:
-            if -lit in seen:
-                return  # tautological clause
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        clauses.append(tuple(out))
-
     def lit(n: Formula) -> int:
         hit = lits.get(n)
         if hit is not None:
@@ -91,23 +97,23 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
             v = fresh(f"def({k})")
             if k == AND:
                 for c in cs:
-                    emit((-v, c))
-                emit(tuple([v] + [-c for c in cs]))
+                    clauses.append((-v, c))
+                clauses.append(tuple([v] + [-c for c in cs]))
             elif k == OR:
                 for c in cs:
-                    emit((v, -c))
-                emit(tuple([-v] + cs))
+                    clauses.append((v, -c))
+                clauses.append(tuple([-v] + cs))
             elif k == IMPLIES:
                 a, b = cs
-                emit((v, a))
-                emit((v, -b))
-                emit((-v, -a, b))
+                clauses.append((v, a))
+                clauses.append((v, -b))
+                clauses.append((-v, -a, b))
             elif k == IFF:
                 a, b = cs
-                emit((-v, -a, b))
-                emit((-v, a, -b))
-                emit((v, a, b))
-                emit((v, -a, -b))
+                clauses.append((-v, -a, b))
+                clauses.append((-v, a, -b))
+                clauses.append((v, a, b))
+                clauses.append((v, -a, -b))
             else:
                 raise ValueError(f"unknown node kind {k!r}")
             out = v
@@ -128,9 +134,9 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
                 assert_node(c)
             return
         if n.kind == OR and all(is_literal(c) for c in n.children):
-            emit(tuple(lit(c) for c in n.children))
+            clauses.append(tuple(lit(c) for c in n.children))
             return
-        emit((lit(n),))
+        clauses.append((lit(n),))
 
     assert_node(phi)
     return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)

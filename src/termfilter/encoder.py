@@ -471,25 +471,6 @@ class EncodingContext:
             ])])
         return b.or_([skip_left, skip_right, compare])
 
-    def tau_lex(self, f: Symbol, sargs: Sequence[Term], targs: Sequence[Term],
-                start: int = 1, relation: str = GT) -> Formula:
-        """Public entry point for the single-symbol lexicographic encoding."""
-        if len(sargs) != len(targs):
-            raise ValueError("argument tuples of one symbol must have equal length")
-        return self._lex_same(f, tuple(sargs), tuple(targs), start, relation, EMPTY_CTX)
-
-    # ------------------------------------------------------------------
-
-    def identity_filtering_constraint(self, symbols: Sequence[Symbol]) -> Formula:
-        """Force the filtering to keep every argument of every symbol."""
-        b = self.builder
-        parts = []
-        for f in symbols:
-            parts.append(b.atom(A.ListP(f)))
-            for i in range(1, f.arity + 1):
-                parts.append(b.atom(A.ArgIn(f, i)))
-        return b.and_(parts)
-
 
 @dataclass(frozen=True)
 class RpEncoding:

@@ -14,6 +14,10 @@ variable goes back on the heap when it is unassigned with a changed
 activity.  Every decision, conflict, learnt clause and model is the same as
 those of the plain variable-indexed solver that the tests keep as their
 reference.
+
+Clauses come in normal form from ``cnf.Cnf``; intake copies each into a
+list, watches its first two literals or enqueues it as a unit, and checks
+nothing.
 """
 
 from __future__ import annotations
@@ -75,24 +79,15 @@ class _Cdcl:
         self.decisions = 0
         self.propagations = 0
         self.ok = True
+        watches = self.watches
         for clause in cnf.clauses:
-            self._add_clause(clause)
-            if not self.ok:
-                return
-
-    def _add_clause(self, lits: tuple[int, ...]) -> None:
-        out = list(dict.fromkeys(lits))     # drop repeats, keep the order
-        if len(set(map(abs, out))) < len(out):
-            return  # tautology
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
+            if len(clause) > 1:
+                out = list(clause)      # propagation swaps its literals
+                watches[out[0]].append(out)
+                watches[out[1]].append(out)
+            elif not clause or not self._enqueue(clause[0], None):
                 self.ok = False
-            return
-        self.watches[out[0]].append(out)
-        self.watches[out[1]].append(out)
+                return
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         """Make lit true; False if it is already false."""

@@ -21,8 +21,9 @@ from termfilter.solver import SAT, UNSAT, solve_internal
 from termfilter.terms import App, Symbol, Var
 from termfilter.usable import omega
 
-from util import (all_filterings, all_precedences, ex13, ex2, lowered_cnf,
-                  no_atoms, random_signature, random_term, random_trs, symbol_map)
+from util import (all_filterings, all_precedences, check_cnf, ex13, ex2,
+                  identity_filtering, lowered_cnf, no_atoms, random_signature,
+                  random_term, random_trs, symbol_map)
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -127,7 +128,7 @@ def test_criterion_3_negative_control():
 
         ctx = EncodingContext("strict")
         parts = [ctx.tau_gt(r.lhs, r.rhs) for r in trs.rules]
-        parts.append(ctx.identity_filtering_constraint(symbols))
+        parts.append(identity_filtering(ctx.builder, symbols))
         formula = ctx.builder.and_(parts)
         vm = VarMap(symbols)
         res = solve_formula(formula, ctx.builder, vm, "strict")
@@ -319,7 +320,7 @@ def test_criterion_7_bits_and_tseitin():
                     pool.append(b.iff(rng.choice(pool), rng.choice(pool)))
             phi = pool[-1]
             res = tseitin_cnf(phi, n_vars, no_atoms)
-            res.cnf.validate()
+            check_cnf(res.cnf)
             got = solve_internal(res.cnf)
             expected = any(
                 evaluate(phi, dict(zip(range(1, n_vars + 1), bits)).__getitem__)

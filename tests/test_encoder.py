@@ -4,16 +4,19 @@ import random
 import pytest
 
 from termfilter import atoms as A
+from termfilter.cnf import write_dimacs
 from termfilter.encoder import EMPTY_CTX, GE, GT, EncodingContext, encode_rp_formula
 from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.formula import dag_size, dump, evaluate, tree_size
+from termfilter.lowering import VarMap
 from termfilter.orders import lpo_af_ge, lpo_af_gt
+from termfilter.prover import _problem_signature
 from termfilter.terms import App, Rule, Symbol, Trs, Var
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, concrete_atom_value, ex13, ex2,
-                  lowered_cnf, random_signature, random_term)
+                  identity_filtering, lowered_cnf, random_signature, random_term)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -74,13 +77,13 @@ def test_tau_ge_variable_cases():
 
 def test_tau_lex_base_cases():
     strict = EncodingContext("strict")
-    assert strict.tau_lex(MINUS, [], [], 3, GT) is strict.builder.FALSE
-    assert strict.tau_lex(MINUS, [], [], 3, GE) is strict.builder.TRUE
+    assert strict._lex_same(MINUS, (), (), 3, GT, EMPTY_CTX) is strict.builder.FALSE
+    assert strict._lex_same(MINUS, (), (), 3, GE, EMPTY_CTX) is strict.builder.TRUE
 
 
 def test_tau_lex_identical_unary_false():
     ctx = EncodingContext("strict")
-    assert ctx.tau_lex(S1, [X], [X], 1, GT) is ctx.builder.FALSE
+    assert ctx._lex_same(S1, (X,), (X,), 1, GT, EMPTY_CTX) is ctx.builder.FALSE
 
 
 def test_tau_gt_identical_terms_unsatisfiable():
@@ -242,7 +245,7 @@ def test_encode_rp_formula_structure():
 
 def test_identity_filtering_constraint():
     ctx = EncodingContext("strict")
-    f = ctx.identity_filtering_constraint([S1, MINUS])
+    f = identity_filtering(ctx.builder, [S1, MINUS])
     atoms = set(_reachable_atoms(f))
     assert atoms == {A.ListP(S1), A.ArgIn(S1, 1), A.ListP(MINUS),
                      A.ArgIn(MINUS, 1), A.ArgIn(MINUS, 2)}
@@ -290,7 +293,7 @@ def test_tau_lex_binary_satisfied_by_known_assignment():
     minus_t = Symbol("minus", 2, True)
     sx, sy = mk(S1, X), mk(S1, Y)
     ctx = EncodingContext("strict")
-    lex = ctx.tau_lex(minus_t, [sx, sy], [X, Y], 1, GT)
+    lex = ctx._lex_same(minus_t, (sx, sy), (X, Y), 1, GT, EMPTY_CTX)
     from termfilter.orders import ArgumentFiltering, Keep, Precedence
     from util import concrete_atom_value
     pi = ArgumentFiltering({minus_t: Keep((1,)), S1: Keep((1,))})
@@ -525,6 +528,18 @@ ABLATION_DIGESTS = {
 }
 
 
+# digests of the DIMACS text of the same encodings, lowered as the prover
+# lowers them; under some settings Tseitin's raw clauses hold repeated
+# literals and tautologies, so these also pin what ``Cnf`` drops
+CNF_DIGESTS = {
+    "EX2": "efd68d56bc4ae44fbdde632d8f98d5989d96278b29f0584c85137a4738240798",
+    "EX13": "2ae4f0e30eff70454e8723e4aef4d729f8f19f72185c53b63ab1d4ca23b5c1fe",
+    "ACKERMANN": "44315c56087bc30bccc3c6e0944056463f2201f9cb50b9b6c6b250c6761c4435",
+    "REVERSE": "fae4555b6a7e9140682a038d45887930db131dba568360963de8de611a6f020c",
+    "SHUFFLE": "89846ad17ecd87744078b3211879fe47a8f8a6f0af45bf7352236d58773f5555",
+}
+
+
 @pytest.mark.parametrize("name,text", zip(ABLATION_DIGESTS, PAPER_SYSTEMS),
                          ids=list(ABLATION_DIGESTS))
 def test_encoder_output_pinned_under_every_ablation(name, text):
@@ -534,10 +549,16 @@ def test_encoder_output_pinned_under_every_ablation(name, text):
     trs = parse_trs(text)
     problem = DpProblem(dependency_pairs(trs), trs)
     digest = hashlib.sha256()
+    cnf_digest = hashlib.sha256()
     for mode in ("strict", "quasi"):
         for processor in ("thm5", "thm12"):
             for simplify, share, propagate in itertools.product((True, False), repeat=3):
                 enc = encode_rp_formula(problem, processor, mode, simplify=simplify,
                                         share=share, propagate=propagate)
                 digest.update(dump(enc.formula).encode() + b"\n")
+                vm = VarMap(_problem_signature(problem), len(problem.pairs.rules),
+                            enc.usable_symbols)
+                cnf = lowered_cnf(enc.formula, enc.context.builder, vm, mode).cnf
+                cnf_digest.update(write_dimacs(cnf).encode())
     assert digest.hexdigest() == ABLATION_DIGESTS[name]
+    assert cnf_digest.hexdigest() == CNF_DIGESTS[name]

@@ -23,7 +23,7 @@ from termfilter.terms import Symbol
 from termfilter.usable import usable_rules
 from termfilter.prover import ProverConfig, _problem_signature, prove
 
-from util import EX2_TEXT, ReferenceCdcl, ex13, ex2, lowered_cnf, no_atoms
+from util import EX2_TEXT, ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_tseitin_equisatisfiable_and_projecting():
 def _check_projecting(res, value, n_vars, where):
     """``res`` is satisfiable exactly when ``value`` is, and its models,
     cut down to the variables ``1..n_vars``, satisfy ``value``."""
-    res.cnf.validate()
+    check_cnf(res.cnf)
     got = solve_internal(res.cnf)
     assert (got.status == SAT) == _brute_force_sat(value, n_vars), where
     if got.status == SAT:
@@ -241,6 +241,16 @@ def test_tseitin_shares_definitions():
     res = tseitin_cnf(phi, 4, no_atoms)
     # one definition for the shared disjunction, two implications, one iff
     assert len(res.definitions) == 4
+
+
+def test_cnf_normal_form():
+    # a repeated literal goes, the first occurrence stays in place; a
+    # tautology goes; a unit and the empty clause stay
+    cnf = Cnf(3, ((1, 1, -2), (2, -2, 3), (-3,), ()))
+    assert cnf.clauses == ((1, -2), (-3,), ())
+    assert write_dimacs(cnf).splitlines()[0] == "p cnf 3 3"
+    distinct = (3, -1, 2)
+    assert Cnf(3, (distinct,)).clauses[0] is distinct
 
 
 # ----------------------------------------------------------------------

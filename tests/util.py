@@ -95,6 +95,29 @@ def lowered_cnf(formula, builder, vm, mode: str) -> TseitinResult:
                        vm.num_reserved, lower_atoms(vm, mode, builder))
 
 
+def identity_filtering(b, symbols):
+    """The conjunction, built with ``b``, that makes the filtering keep every
+    argument of every symbol of ``symbols``."""
+    parts = []
+    for f in symbols:
+        parts.append(b.atom(A.ListP(f)))
+        for i in range(1, f.arity + 1):
+            parts.append(b.atom(A.ArgIn(f, i)))
+    return b.and_(parts)
+
+
+def check_cnf(cnf: Cnf) -> None:
+    """Every literal of ``cnf`` names a variable in range, and no clause
+    holds a literal and its complement."""
+    for clause in cnf.clauses:
+        lits = set(clause)
+        for lit in clause:
+            if lit == 0 or abs(lit) > cnf.num_vars:
+                raise ValueError(f"literal {lit} out of range")
+            if -lit in lits:
+                raise ValueError(f"clause {clause} contains {lit} and {-lit}")
+
+
 def no_atoms(payload):
     """The ``lower`` of a formula over integer variables only."""
     raise AssertionError(f"atom {payload!r} in a formula over variables")
