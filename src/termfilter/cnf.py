@@ -31,7 +31,15 @@ class Cnf:
     def __post_init__(self) -> None:
         normal = []
         for clause in self.clauses:
-            if len(set(map(abs, clause))) != len(clause):
+            n = len(clause)
+            if n == 2:
+                # most clauses are binary: two comparisons decide them
+                a, b = clause
+                if a == b:
+                    clause = (a,)
+                elif a == -b:
+                    continue  # tautological clause
+            elif n > 2 and len(set(map(abs, clause))) != n:
                 clause = tuple(dict.fromkeys(clause))
                 if len(set(map(abs, clause))) != len(clause):
                     continue  # tautological clause

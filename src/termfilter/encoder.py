@@ -18,6 +18,14 @@ bit mask, when ``_meet`` numbers its atoms, so assuming a literal is one OR.
 The formula node of an atom is made from its object when first needed, and
 kept per number when the builder shares nodes.
 
+Branches are built inline.  ``_enter`` gives the nodes of a branch's
+literals not yet known and the context extended by them, ``_open`` the
+guard of an implication and the context with the guard assumed; the caller
+builds the body under that context and conjoins or guards it.  No helper
+takes a body to call back, so descending one level of a term costs two
+frames, ``_tau`` and ``_build_tau``.  The order in which nodes are made
+fixes their ids, so a branch makes its literal nodes before its body.
+
 With sharing on, construction is memoized so that its cost tracks the DAG it
 produces, in one cell per memoized comparison.  A key holding the whole
 branch context would miss almost always, because every path to a comparison
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import atoms as A
 from .dp import DpProblem
@@ -232,32 +240,34 @@ class EncodingContext:
             return self.builder.FALSE
         return self._node(k)
 
-    def _with_literals(self, ctx: Ctx, literals: Sequence[tuple[int, bool]],
-                       body: Callable[[Ctx], Sequence[Formula]]) -> Formula:
-        """Conjunction of the given literals ``(k, positive)`` with formulas
-        built under a context extended by them."""
+    def _enter(self, ctx: Ctx, literals: Sequence[tuple[int, bool]]
+               ) -> tuple[list[Formula], Ctx] | None:
+        """Entering a branch on the literals ``(k, positive)``: the nodes of
+        those not yet known, and the context extended by them; ``None`` when
+        one is known false.  The caller conjoins its body, built under the
+        returned context, to the nodes."""
         b = self.builder
         parts: list[Formula] = []
-        inner = ctx
         for k, positive in literals:
-            known = self._known(inner, k)
+            known = self._known(ctx, k)
             if known is None:
                 node = self._node(k)
                 parts.append(node if positive else b.not_(node))
-                inner = self._assume(inner, k, positive)
+                ctx = self._assume(ctx, k, positive)
             elif known != positive:
-                return b.FALSE
-        return b.and_(parts + list(body(inner)))
+                return None
+        return parts, ctx
 
-    def _guarded(self, ctx: Ctx, k: int, body: Callable[[Ctx], Formula]) -> Formula:
-        """``atom k -> body``, with the guard assumed inside the body."""
-        b = self.builder
+    def _open(self, ctx: Ctx, k: int) -> tuple[Formula | None, Ctx] | None:
+        """Opening ``atom k -> body``: the guard node (``None`` when the
+        guard is known true) and the context with the guard assumed;
+        ``None`` when the guard is known false and the implication holds."""
         known = self._known(ctx, k)
-        if known is True:
-            return body(ctx)
-        if known is False:
-            return b.TRUE
-        return b.implies(self._node(k), body(self._assume(ctx, k, True)))
+        if known is None:
+            return self._node(k), self._assume(ctx, k, True)
+        if known:
+            return None, ctx
+        return None
 
     # ------------------------------------------------------------------
     # inequality encodings
@@ -292,70 +302,103 @@ class EncodingContext:
         return self._readable(self._symbols_of(s) | self._symbols_of(t))
 
     def _build_tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
+        # Each branch is built inline, not through a helper that takes its
+        # body, so that descending one level of a term costs two frames.
         b = self.builder
+        branches: list[Formula] = []
         if isinstance(s, Var):
             if rel == GT:
                 return b.FALSE
             if isinstance(t, Var):
                 return b.TRUE if s == t else b.FALSE
             # a variable only weakly exceeds a collapsed application
-            return b.or_([
-                self._with_literals(ctx, [(k, True)],
-                                    lambda c, a=a: [self._tau(s, a, GE, c)])
-                for k, a in zip(self._meet(t.fun).collapses_to, t.args)
-            ])
+            for k, a in zip(self._meet(t.fun).collapses_to, t.args):
+                entered = self._enter(ctx, ((k, True),))
+                if entered is None:
+                    branches.append(b.FALSE)
+                    continue
+                parts, c = entered
+                parts.append(self._tau(s, a, GE, c))
+                branches.append(b.and_(parts))
+            return b.or_(branches)
 
         f = self._meet(s.fun)
-        branches: list[Formula] = []
-
         if isinstance(t, App):
             # target root collapsed away
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                branches.append(self._with_literals(
-                    ctx, [(k, True)], lambda c, a=a: [self._tau(s, a, rel, c)]))
+                entered = self._enter(ctx, ((k, True),))
+                if entered is None:
+                    branches.append(b.FALSE)
+                    continue
+                parts, c = entered
+                parts.append(self._tau(s, a, rel, c))
+                branches.append(b.and_(parts))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
-            branches.append(self._with_literals(
-                ctx, [(k, True)], lambda c, a=a: [self._tau(a, t, rel, c)]))
+            entered = self._enter(ctx, ((k, True),))
+            if entered is None:
+                branches.append(b.FALSE)
+                continue
+            parts, c = entered
+            parts.append(self._tau(a, t, rel, c))
+            branches.append(b.and_(parts))
         # source kept: some kept argument already weakly exceeds t
-        branches.append(self._with_literals(
-            ctx, [(f.list_p, True)],
-            lambda c: [b.or_([
-                self._with_literals(c, [(k, True)],
-                                    lambda c2, a=a: [self._tau(a, t, GE, c2)])
-                for k, a in zip(f.arg_in, s.args)
-            ])]))
+        entered = self._enter(ctx, ((f.list_p, True),))
+        if entered is None:
+            branches.append(b.FALSE)
+            return b.or_(branches)
+        kept_parts, kept_ctx = entered
+        kept: list[Formula] = []
+        for k, a in zip(f.arg_in, s.args):
+            entered = self._enter(kept_ctx, ((k, True),))
+            if entered is None:
+                kept.append(b.FALSE)
+                continue
+            parts, c = entered
+            parts.append(self._tau(a, t, GE, c))
+            kept.append(b.and_(parts))
+        kept_parts.append(b.or_(kept))
+        branches.append(b.and_(kept_parts))
         return b.or_(branches)
 
     def _roots_branch(self, s: App, t: App, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
         f, g = s.fun, t.fun
         g_atoms = self._meet(g)
-
-        def body(c: Ctx) -> list[Formula]:
-            parts: list[Formula] = []
-            if f == g:
-                parts.append(self._lex_same(f, s.args, t.args, 1, rel, c))
-            elif self.mode == "quasi":
-                gt, eq = self._prec(f, g)
-                lex = self._with_literals(
-                    c, [(eq, True)],
-                    lambda c2: [self._lex_two(f, g, s.args, t.args, 1, 1, rel, c2)])
-                parts.append(b.or_([self._atom(c, gt), lex]))
-            for k, a in zip(g_atoms.arg_in, t.args):
-                parts.append(self._guarded(
-                    c, k, lambda c2, a=a: self._tau(s, a, GT, c2)))
-            return parts
-
         literals = [(self._meet(f).list_p, True)]
         if f != g:
             literals.append((g_atoms.list_p, True))
             if self.mode == "strict":
                 literals.append((self._prec(f, g)[0], True))
-        return self._with_literals(ctx, literals, body)
+        entered = self._enter(ctx, literals)
+        if entered is None:
+            return b.FALSE
+        parts, ctx = entered
+        if f == g:
+            parts.append(self._lex_same(f, s.args, t.args, 1, rel, ctx))
+        elif self.mode == "quasi":
+            gt, eq = self._prec(f, g)
+            entered = self._enter(ctx, ((eq, True),))
+            if entered is None:
+                lex = b.FALSE
+            else:
+                lex_parts, c = entered
+                lex_parts.append(self._lex_two(f, g, s.args, t.args, 1, 1, rel, c))
+                lex = b.and_(lex_parts)
+            # the lex branch is built before the precedence atom's node
+            parts.append(b.or_([self._atom(ctx, gt), lex]))
+        for k, a in zip(g_atoms.arg_in, t.args):
+            opened = self._open(ctx, k)
+            if opened is None:
+                parts.append(b.TRUE)
+                continue
+            guard, c = opened
+            below = self._tau(s, a, GT, c)
+            parts.append(below if guard is None else b.implies(guard, below))
+        return b.and_(parts)
 
     def _lex_same(self, f: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
                   i: int, rel: str, ctx: Ctx) -> Formula:
@@ -365,10 +408,22 @@ class EncodingContext:
         if i > len(ss):
             return b.FALSE if rel == GT else b.TRUE
         k = self._meet(f).arg_in[i - 1]
-        first = self._with_literals(
-            ctx, [(k, True)], lambda c: [self._tau(ss[i - 1], ts[i - 1], GT, c)])
-        hold = self._guarded(
-            ctx, k, lambda c: self._tau(ss[i - 1], ts[i - 1], GE, c))
+        s_i, t_i = ss[i - 1], ts[i - 1]
+        entered = self._enter(ctx, ((k, True),))
+        if entered is None:
+            first = b.FALSE
+        else:
+            parts, c = entered
+            parts.append(self._tau(s_i, t_i, GT, c))
+            first = b.and_(parts)
+        opened = self._open(ctx, k)
+        if opened is None:
+            hold = b.TRUE
+        else:
+            guard, c = opened
+            hold = self._tau(s_i, t_i, GE, c)
+            if guard is not None:
+                hold = b.implies(guard, hold)
         rest = self._lex_same(f, ss, ts, i + 1, rel, ctx)
         return b.or_([first, b.and_([hold, rest])])
 
@@ -449,27 +504,43 @@ class EncodingContext:
             if rel == GT:
                 return b.FALSE
             # weak: nothing may remain on the right either
-            return self._with_literals(
-                ctx, [(k, False) for k in g_in[j - 1:len(ts)]], lambda _c: [])
+            entered = self._enter(ctx, [(k, False) for k in g_in[j - 1:len(ts)]])
+            return b.FALSE if entered is None else b.and_(entered[0])
         if j > len(ts):
             if rel == GE:
                 return b.TRUE
             # strict: something must remain on the left
             return b.or_([self._atom(ctx, k) for k in f_in[i - 1:len(ss)]])
-        skip_left = self._with_literals(
-            ctx, [(f_in[i - 1], False)],
-            lambda c: [self._lex_two(f, g, ss, ts, i + 1, j, rel, c)])
-        skip_right = self._with_literals(
-            ctx, [(f_in[i - 1], True), (g_in[j - 1], False)],
-            lambda c: [self._lex_two(f, g, ss, ts, i, j + 1, rel, c)])
-        compare = self._with_literals(
-            ctx, [(f_in[i - 1], True), (g_in[j - 1], True)],
-            lambda c: [b.or_([
-                self._tau(ss[i - 1], ts[j - 1], GT, c),
-                b.and_([self._tau(ss[i - 1], ts[j - 1], GE, c),
+        left, right = f_in[i - 1], g_in[j - 1]
+        branches: list[Formula] = []
+        # skip the left argument, skip the right one, or compare the two
+        entered = self._enter(ctx, ((left, False),))
+        if entered is None:
+            branches.append(b.FALSE)
+        else:
+            parts, c = entered
+            parts.append(self._lex_two(f, g, ss, ts, i + 1, j, rel, c))
+            branches.append(b.and_(parts))
+        entered = self._enter(ctx, ((left, True), (right, False)))
+        if entered is None:
+            branches.append(b.FALSE)
+        else:
+            parts, c = entered
+            parts.append(self._lex_two(f, g, ss, ts, i, j + 1, rel, c))
+            branches.append(b.and_(parts))
+        entered = self._enter(ctx, ((left, True), (right, True)))
+        if entered is None:
+            branches.append(b.FALSE)
+        else:
+            parts, c = entered
+            s_i, t_j = ss[i - 1], ts[j - 1]
+            parts.append(b.or_([
+                self._tau(s_i, t_j, GT, c),
+                b.and_([self._tau(s_i, t_j, GE, c),
                         self._lex_two(f, g, ss, ts, i + 1, j + 1, rel, c)]),
-            ])])
-        return b.or_([skip_left, skip_right, compare])
+            ]))
+            branches.append(b.and_(parts))
+        return b.or_(branches)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ turned off to measure what they buy.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 TRUE = "true"
@@ -22,6 +23,8 @@ AND = "and"
 OR = "or"
 IMPLIES = "implies"
 IFF = "iff"
+
+_BY_ID = attrgetter("id")
 
 
 class Formula:
@@ -86,9 +89,8 @@ class FormulaBuilder:
         return self._nary(OR, children)
 
     def _nary(self, kind: str, children: Iterable[Formula]) -> Formula:
-        children = tuple(children)
         if not self.simplify:
-            return self._node(kind, None, children)
+            return self._node(kind, None, tuple(children))
         absorbing = self.FALSE if kind == AND else self.TRUE
         neutral = self.TRUE if kind == AND else self.FALSE
         flat: list[Formula] = []
@@ -98,16 +100,18 @@ class FormulaBuilder:
             if c is neutral:
                 continue
             if c.kind == kind:
-                flat.extend(c.children)
+                flat += c.children
             else:
                 flat.append(c)
+        if len(flat) < 2:
+            return flat[0] if flat else neutral
         uniq = dict.fromkeys(flat)
+        if len(uniq) < 2:
+            return flat[0]
         for c in uniq:
             if c.kind == NOT and c.children[0] in uniq:
                 return absorbing
-        if len(uniq) > 1:
-            return self._node(kind, None, tuple(sorted(uniq, key=lambda n: n.id)))
-        return next(iter(uniq), neutral)  # the one child, or none
+        return self._node(kind, None, tuple(sorted(uniq, key=_BY_ID)))
 
     def implies(self, a: Formula, b: Formula) -> Formula:
         if self.simplify:
@@ -206,13 +210,13 @@ def tree_size(f: Formula) -> int:
 def atoms_of(f: Formula) -> list:
     """Atom payloads reachable from ``f``, in node-id order."""
     found = [n for n in iter_nodes(f) if n.kind == ATOM]
-    found.sort(key=lambda n: n.id)
+    found.sort(key=_BY_ID)
     return [n.payload for n in found]
 
 
 def dump(f: Formula, atom_str: Callable[[Any], str] = repr) -> str:
     """Deterministic one-node-per-line rendering of the DAG."""
-    nodes = sorted(iter_nodes(f), key=lambda n: n.id)
+    nodes = sorted(iter_nodes(f), key=_BY_ID)
     lines = []
     for n in nodes:
         if n.kind == ATOM:

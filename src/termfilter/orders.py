@@ -159,35 +159,39 @@ def lpo_gt(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
     _check_mode(mode)
     memo: dict[tuple[Term, Term], bool] = {}
 
-    def ge(a: Term, b: Term) -> bool:
-        return gt(a, b) or terms_equivalent(prec, mode, a, b)
-
-    def lex_gt(ss: tuple[Term, ...], ts: tuple[Term, ...]) -> bool:
-        if not ss:
-            return False
-        if not ts:
-            return True
-        return gt(ss[0], ts[0]) or (ge(ss[0], ts[0]) and lex_gt(ss[1:], ts[1:]))
-
+    # One frame per level of term depth: the weak and the lexicographic
+    # comparisons are loops inside the one memoized strict comparison.
     def gt(a: Term, b: Term) -> bool:
         key = (a, b)
-        if key not in memo:
-            memo[key] = _gt(a, b)
-        return memo[key]
-
-    def _gt(a: Term, b: Term) -> bool:
-        if isinstance(a, Var):
-            return False
-        if any(ge(ai, b) for ai in a.args):
-            return True
-        if isinstance(b, Var):
-            return False
-        if all(gt(a, bj) for bj in b.args):
-            if prec.gt(a.fun, b.fun):
-                return True
-            if prec.equivalent(a.fun, b.fun, mode) and lex_gt(a.args, b.args):
-                return True
-        return False
+        result = memo.get(key)
+        if result is not None:
+            return result
+        result = False
+        if isinstance(a, App):
+            for ai in a.args:
+                if gt(ai, b) or terms_equivalent(prec, mode, ai, b):
+                    result = True
+                    break
+            else:
+                if isinstance(b, App):
+                    for bj in b.args:
+                        if not gt(a, bj):
+                            break
+                    else:
+                        if prec.gt(a.fun, b.fun):
+                            result = True
+                        elif prec.equivalent(a.fun, b.fun, mode):
+                            # the first argument pair that is not equivalent decides
+                            for ai, bi in zip(a.args, b.args):
+                                if gt(ai, bi):
+                                    result = True
+                                    break
+                                if not terms_equivalent(prec, mode, ai, bi):
+                                    break
+                            else:
+                                result = len(a.args) > len(b.args)
+        memo[key] = result
+        return result
 
     return gt(s, t)
 

@@ -73,9 +73,11 @@ def omega(pairs: Trs, rules: Trs, ctx: EncodingContext,
     parts = [_omega_term(p.rhs, defined, ctx, EMPTY_CTX) for p in pairs.rules]
     for f in usable_symbols:
         own = rules.rules_for(f)
-        parts.append(ctx._guarded(EMPTY_CTX, ctx._meet(f).usable, lambda c, own=own: b.and_(
-            [ctx.tau_ge(r.lhs, r.rhs) for r in own]
-            + [_omega_term(r.rhs, defined, ctx, c) for r in own])))
+        # nothing is known in the empty context, so the guard stays open
+        guard, c = ctx._open(EMPTY_CTX, ctx._meet(f).usable)
+        body = b.and_([ctx.tau_ge(r.lhs, r.rhs) for r in own]
+                      + [_omega_term(r.rhs, defined, ctx, c) for r in own])
+        parts.append(b.implies(guard, body))
     return b.and_(parts)
 
 
@@ -83,10 +85,21 @@ def _omega_term(t: Term, defined: frozenset[Symbol], ctx: EncodingContext,
                 ectx: Ctx) -> Formula:
     """Flags of the defined symbols of ``t``, descending only into kept
     argument positions."""
+    b = ctx.builder
     if isinstance(t, Var):
-        return ctx.builder.TRUE
+        return b.TRUE
     f = ctx._meet(t.fun)
-    flag = [(f.usable, True)] if t.fun in defined else []
-    return ctx._with_literals(ectx, flag, lambda c: [
-        ctx._guarded(c, k, lambda c2, a=a: _omega_term(a, defined, ctx, c2))
-        for k, a in zip(f.arg_in, t.args)])
+    flag = ((f.usable, True),) if t.fun in defined else ()
+    entered = ctx._enter(ectx, flag)
+    if entered is None:
+        return b.FALSE
+    parts, c = entered
+    for k, a in zip(f.arg_in, t.args):
+        opened = ctx._open(c, k)
+        if opened is None:
+            parts.append(b.TRUE)
+            continue
+        guard, inner = opened
+        below = _omega_term(a, defined, ctx, inner)
+        parts.append(below if guard is None else b.implies(guard, below))
+    return b.and_(parts)

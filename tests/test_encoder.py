@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -517,6 +518,27 @@ def test_each_atom_built_once_per_context(monkeypatch, system, mode):
     enc = encode_rp_formula(problem, "thm12", mode)
     numbered = len(enc.context._atoms)
     assert 0 < built <= numbered + len(problem.pairs.rules)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_encoder_descends_at_most_three_frames_per_level(mode):
+    # f(s^200(x)) -> f(x) with 3 frames per level of term depth to spare,
+    # plus 100.  The encoder takes 2; a branch helper that calls back into
+    # its body costs several more per level and fails here.
+    problem = _depth_problem(200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 3 * 200 + 100)
+    try:
+        encode_rp_formula(problem, "thm12", mode)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 ABLATION_DIGESTS = {

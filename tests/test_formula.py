@@ -1,8 +1,11 @@
 import itertools
 import random
 
-from termfilter.formula import (AND, FormulaBuilder, atoms_of, dag_size, dump,
+import pytest
+
+from termfilter.formula import (AND, OR, FormulaBuilder, atoms_of, dag_size, dump,
                                 evaluate, iter_nodes, tree_size)
+from util import reference_nary
 
 
 def test_constant_folding():
@@ -16,6 +19,28 @@ def test_constant_folding():
     assert b.or_([]) is b.FALSE
     assert b.not_(b.TRUE) is b.FALSE
     assert b.not_(b.not_(x)) is x
+
+
+@pytest.mark.parametrize("simplify", [True, False])
+def test_nary_matches_the_reference(simplify):
+    # child lists drawn from the constants, atoms, their negations and
+    # nested conjunctions and disjunctions, with repeats; the builder must
+    # return the very node the copying reference returns
+    rng = random.Random(12)
+    b = FormulaBuilder(simplify=simplify)
+    atoms = [b.atom(name) for name in "pqrs"]
+    pool = [b.TRUE, b.FALSE] + atoms + [b.not_(a) for a in atoms]
+    for _ in range(3000):
+        children = [rng.choice(pool) for _ in range(rng.randrange(6))]
+        if children and rng.random() < 0.3:
+            children.append(rng.choice(children))
+        kind = rng.choice((AND, OR))
+        expected = reference_nary(b, kind, children)
+        got = b.and_(children) if kind == AND else b.or_(children)
+        assert got is expected, (kind, children)
+        if len(pool) < 60 and got.kind in (AND, OR):
+            pool.append(got)
+            pool.append(b.not_(got))
 
 
 def test_flattening_and_dedup():

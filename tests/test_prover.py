@@ -465,3 +465,23 @@ def test_deep_tower_terminates(mode):
     # f(s^120(x)) -> f(x), the deepest tower the benchmark times
     trs = parse_trs("(VAR x)(RULES f(" + "s(" * 120 + "x" + ")" * 120 + ") -> f(x))")
     assert isinstance(prove(trs, ProverConfig(mode=mode)), Terminating)
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tower_of_depth_200_terminates(mode):
+    # f(s^200(x)) -> f(x) under the default recursion limit: the encoder
+    # descends two frames per level of term depth and the order check one
+    trs = parse_trs("(VAR x)(RULES f(" + "s(" * 200 + "x" + ")" * 200 + ") -> f(x))")
+    verdict = prove(trs, ProverConfig(mode=mode))
+    assert isinstance(verdict, Terminating)
+    steps = [s for s in verdict.steps if s.processor == "reduction_pair"]
+    assert steps
+    for step in steps:
+        w = step.witness
+        assert w.removed
+        for p in step.problem.pairs.rules:
+            assert lpo_af_ge(w.precedence, w.filtering, mode, p.lhs, p.rhs)
+        for p in w.removed:
+            assert lpo_af_gt(w.precedence, w.filtering, mode, p.lhs, p.rhs)
+        for r in w.usable:
+            assert lpo_af_ge(w.precedence, w.filtering, mode, r.lhs, r.rhs)

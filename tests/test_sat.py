@@ -251,6 +251,10 @@ def test_cnf_normal_form():
     assert write_dimacs(cnf).splitlines()[0] == "p cnf 3 3"
     distinct = (3, -1, 2)
     assert Cnf(3, (distinct,)).clauses[0] is distinct
+    # binary clauses: a repeat leaves a unit, a complementary pair goes
+    pair = (2, -3)
+    assert Cnf(3, ((-2, -2), (3, -3), pair, (1, 1))).clauses == ((-2,), (2, -3), (1,))
+    assert Cnf(3, (pair,)).clauses[0] is pair
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import time
 
 from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
+from termfilter.formula import AND, NOT
 from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
@@ -279,6 +280,38 @@ def usable_rules_mod_pi_reference(pairs: Trs, rules: Trs,
     for p in pairs.rules:
         found |= go(p.rhs, frozenset(all_rules))
     return tuple(r for r in all_rules if r in found)
+
+
+# ----------------------------------------------------------------------
+# reference n-ary builder step
+
+def reference_nary(b, kind: str, children):
+    """``FormulaBuilder._nary`` in its plain, copying form: a tuple, a
+    flattened list and a de-duplicating dict on every call.
+    tests/test_formula.py checks that the builder returns the same node for
+    the same children."""
+    children = tuple(children)
+    if not b.simplify:
+        return b._node(kind, None, children)
+    absorbing = b.FALSE if kind == AND else b.TRUE
+    neutral = b.TRUE if kind == AND else b.FALSE
+    flat = []
+    for c in children:
+        if c is absorbing:
+            return absorbing
+        if c is neutral:
+            continue
+        if c.kind == kind:
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    uniq = dict.fromkeys(flat)
+    for c in uniq:
+        if c.kind == NOT and c.children[0] in uniq:
+            return absorbing
+    if len(uniq) > 1:
+        return b._node(kind, None, tuple(sorted(uniq, key=lambda n: n.id)))
+    return next(iter(uniq), neutral)  # the one child, or none
 
 
 # ----------------------------------------------------------------------
