@@ -45,16 +45,26 @@ def dependency_pairs(trs: Trs) -> Trs:
 
 
 def _cap_ren(t: Term, defined: frozenset[Symbol], fresh: list[int]) -> Term:
-    """Abstract defined-rooted subterms and rename every variable occurrence."""
-    def next_var() -> Var:
-        fresh[0] += 1
-        return Var(f"_c{fresh[0]}")
-
-    if isinstance(t, Var):
-        return next_var()
-    if t.fun in defined:
-        return next_var()
-    return App(t.fun, tuple(_cap_ren(a, defined, fresh) for a in t.args))
+    """Abstract defined-rooted subterms and rename every variable occurrence,
+    numbering the fresh variables left to right.  An explicit post-order
+    walk: ``built`` holds the results of the finished subterms, and an
+    application is rebuilt from the last ``arity`` of them."""
+    built: list[Term] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        u, ready = stack.pop()
+        if ready:
+            n = u.fun.arity
+            args = tuple(built[len(built) - n:])
+            del built[len(built) - n:]
+            built.append(App(u.fun, args))
+        elif isinstance(u, Var) or u.fun in defined:
+            fresh[0] += 1
+            built.append(Var(f"_c{fresh[0]}"))
+        else:
+            stack.append((u, True))
+            stack.extend((a, False) for a in reversed(u.args))
+    return built[0]
 
 
 def _rename(t: Term, prefix: str) -> Term:

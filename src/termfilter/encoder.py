@@ -27,7 +27,11 @@ frames, ``_tau`` and ``_build_tau``.  The order in which nodes are made
 fixes their ids, so a branch makes its literal nodes before its body.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
-produces, in one cell per memoized comparison.  A key holding the whole
+produces, in one cell per memoized comparison.  Terms and symbols are
+hash-consed (see ``terms``), so a cell is keyed on the compared terms
+themselves and hashing its key runs no Python code: ``(s, t)`` for ``_tau``,
+and ``(s, t, i, j)`` for ``_lex_two``, which compares the arguments of ``s``
+and ``t`` from positions ``i`` and ``j`` on.  A key holding the whole
 branch context would miss almost always, because every path to a comparison
 fixes different literals elsewhere in the problem.  So the cell keeps a mask
 of the atoms the comparison can read, made the first time a non-empty
@@ -38,9 +42,9 @@ full context would have given.
 - ``_tau(s, t)`` reads and assumes only atoms over the function symbols of
   ``s`` and ``t``.
 - The quasi-mode comparison of two argument tuples, ``_lex_two`` at cell
-  ``(i, j)``, reads the atoms over the symbols of the argument suffixes from
-  ``i`` and ``j`` on, plus the filtering atoms of the two heads at those
-  positions and later.
+  ``(s, t, i, j)``, reads the atoms over the symbols of the argument
+  suffixes from ``i`` and ``j`` on, plus the filtering atoms of the two
+  heads at those positions and later.
 
 For a mask to stay complete, meeting a symbol numbers at once every atom
 over it alone and every precedence atom between it and the symbols met
@@ -119,14 +123,14 @@ class EncodingContext:
         self._between: dict[tuple[Symbol, Symbol], int] = {}
         # symbol set -> both bits of each atom over those symbols
         self._masks: dict[frozenset[Symbol], int] = {}
-        # term -> its function symbols; (argument tuple, position) -> the
-        # symbols occurring from that position on
+        # term -> its function symbols; (application, position) -> the
+        # symbols of its arguments from that position on
         self._term_symbols: dict[Term, frozenset[Symbol]] = {}
-        self._suffix_symbols: dict[tuple[tuple[Term, ...], int], frozenset[Symbol]] = {}
+        self._suffix_symbols: dict[tuple[App, int], frozenset[Symbol]] = {}
         # one cell per memoized comparison: [the bits it can read, or None
         # until a non-empty context reaches it; {(rel, cut context): formula}]
         self._tau_cells: dict[tuple[Term, Term], list] = {}
-        self._lex_cells: dict[tuple, list] = {}
+        self._lex_cells: dict[tuple[App, App, int, int], list] = {}
 
     # ------------------------------------------------------------------
     # atom tables
@@ -386,7 +390,7 @@ class EncodingContext:
                 lex = b.FALSE
             else:
                 lex_parts, c = entered
-                lex_parts.append(self._lex_two(f, g, s.args, t.args, 1, 1, rel, c))
+                lex_parts.append(self._lex_two(s, t, 1, 1, rel, c))
                 lex = b.and_(lex_parts)
             # the lex branch is built before the precedence atom's node
             parts.append(b.or_([self._atom(ctx, gt), lex]))
@@ -427,48 +431,50 @@ class EncodingContext:
         rest = self._lex_same(f, ss, ts, i + 1, rel, ctx)
         return b.or_([first, b.and_([hold, rest])])
 
-    def _lex_two(self, f: Symbol, g: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
-                 i: int, j: int, rel: str, ctx: Ctx) -> Formula:
-        """Lexicographic comparison across two equivalent symbols with
+    def _lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx) -> Formula:
+        """Lexicographic comparison of the arguments of ``s`` from ``i`` on
+        and of ``t`` from ``j`` on, across two equivalent symbols with
         independent filterings (quasi mode), memoized on the part of the
         context the comparison can read."""
         if not self.builder.share:
-            return self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
-        key = (f, g, ss, ts, i, j)
+            return self._build_lex_two(s, t, i, j, rel, ctx)
+        key = (s, t, i, j)
         cell = self._lex_cells.get(key)
         if cell is None:
             cell = self._lex_cells[key] = [None, {}]
         if ctx:
             if cell[0] is None:
-                cell[0] = self._lex_mask(*key)
+                cell[0] = self._lex_mask(s, t, i, j)
             ctx &= cell[0]
         result = cell[1].get((rel, ctx))
         if result is None:
-            result = cell[1][rel, ctx] = self._build_lex_two(f, g, ss, ts, i, j, rel, ctx)
+            result = cell[1][rel, ctx] = self._build_lex_two(s, t, i, j, rel, ctx)
         return result
 
-    def _lex_mask(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
-                  ts: tuple[Term, ...], i: int, j: int) -> int:
+    def _lex_mask(self, s: App, t: App, i: int, j: int) -> int:
         """The bits ``_lex_two`` at ``(i, j)`` can read: those of the atoms
-        over symbols of ``ss[i-1:]`` and ``ts[j-1:]``, and of the ``ArgIn``
-        atoms of ``f`` from ``i`` and of ``g`` from ``j`` on."""
-        mask = self._readable(self._symbols_from(ss, i) | self._symbols_from(ts, j))
-        for h, start in ((f, i), (g, j)):
+        over symbols of the arguments of ``s`` from ``i`` and of ``t`` from
+        ``j`` on, and of the ``ArgIn`` atoms of the two heads at those
+        positions and later."""
+        mask = self._readable(self._symbols_from(s, i) | self._symbols_from(t, j))
+        for h, start in ((s.fun, i), (t.fun, j)):
             for k in self._meet(h).arg_in[start - 1:]:
                 mask |= 3 << 2 * k
         return mask
 
-    def _symbols_from(self, args: tuple[Term, ...], i: int) -> frozenset[Symbol]:
-        """Function symbols occurring in ``args[i-1:]``: those of ``args[i-1]``
-        joined with ``_symbols_from(args, i + 1)``, filled from the end."""
+    def _symbols_from(self, t: App, i: int) -> frozenset[Symbol]:
+        """Function symbols occurring in the arguments of ``t`` from ``i``
+        on: those of argument ``i`` joined with ``_symbols_from(t, i + 1)``,
+        filled from the end."""
         memo = self._suffix_symbols
-        syms = memo.get((args, i))
+        syms = memo.get((t, i))
         if syms is None:
+            args = t.args
             syms = _NO_SYMBOLS
             for k in range(len(args), i - 1, -1):
-                known = memo.get((args, k))
+                known = memo.get((t, k))
                 if known is None:
-                    known = memo[args, k] = self._symbols_of(args[k - 1]) | syms
+                    known = memo[t, k] = self._symbols_of(args[k - 1]) | syms
                 syms = known
         return syms
 
@@ -496,10 +502,10 @@ class EncodingContext:
                     stack.pop()
         return memo[t]
 
-    def _build_lex_two(self, f: Symbol, g: Symbol, ss: tuple[Term, ...],
-                       ts: tuple[Term, ...], i: int, j: int, rel: str, ctx: Ctx) -> Formula:
+    def _build_lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx) -> Formula:
         b = self.builder
-        f_in, g_in = self._meet(f).arg_in, self._meet(g).arg_in
+        ss, ts = s.args, t.args
+        f_in, g_in = self._meet(s.fun).arg_in, self._meet(t.fun).arg_in
         if i > len(ss):
             if rel == GT:
                 return b.FALSE
@@ -519,14 +525,14 @@ class EncodingContext:
             branches.append(b.FALSE)
         else:
             parts, c = entered
-            parts.append(self._lex_two(f, g, ss, ts, i + 1, j, rel, c))
+            parts.append(self._lex_two(s, t, i + 1, j, rel, c))
             branches.append(b.and_(parts))
         entered = self._enter(ctx, ((left, True), (right, False)))
         if entered is None:
             branches.append(b.FALSE)
         else:
             parts, c = entered
-            parts.append(self._lex_two(f, g, ss, ts, i, j + 1, rel, c))
+            parts.append(self._lex_two(s, t, i, j + 1, rel, c))
             branches.append(b.and_(parts))
         entered = self._enter(ctx, ((left, True), (right, True)))
         if entered is None:
@@ -537,7 +543,7 @@ class EncodingContext:
             parts.append(b.or_([
                 self._tau(s_i, t_j, GT, c),
                 b.and_([self._tau(s_i, t_j, GE, c),
-                        self._lex_two(f, g, ss, ts, i + 1, j + 1, rel, c)]),
+                        self._lex_two(s, t, i + 1, j + 1, rel, c)]),
             ]))
             branches.append(b.and_(parts))
         return b.or_(branches)

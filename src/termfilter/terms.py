@@ -1,36 +1,86 @@
-"""First-order terms, rules, and term rewrite systems."""
+"""First-order terms, rules, and term rewrite systems.
+
+Symbols, variables and applications are hash-consed (Filliâtre and Conchon,
+"Type-safe modular hash-consing", 2006).  Each class keeps a table of its
+live instances, held weakly, and building a value that is already in the
+table returns that object, so structurally equal terms are the same object.
+The classes define no ``__eq__`` or ``__hash__``: equality is identity and
+hashing is CPython's identity hash, so a lookup keyed on terms runs no
+Python code and comparing two terms never walks them.  The order of a set
+of terms follows memory addresses, so no output may depend on it.
+
+Every walk over a term uses an explicit stack, so term depth is bounded by
+memory, not by the recursion limit.
+"""
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+# Taken only when a table misses, so that two threads building the same
+# value get one object.
+_INTERN_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class Symbol:
+
+class _Interned:
+    """Base of the hash-consed classes: immutable, weakly referenceable,
+    with ``object``'s identity equality and hash.  A subclass keeps its
+    canonical instances in its own ``_table``."""
+
+    __slots__ = ("__weakref__",)
+    _table: weakref.WeakValueDictionary
+
+    @classmethod
+    def _intern(cls, key, fields: dict):
+        """The instance for ``key`` after a lookup without the lock missed:
+        looked up again under the lock, and made from ``fields`` when still
+        missing."""
+        with _INTERN_LOCK:
+            self = cls._table.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                for name, value in fields.items():
+                    object.__setattr__(self, name, value)
+                cls._table[key] = self
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Symbol(_Interned):
     """Function symbol with a fixed arity.
 
     Tuple symbols are the marked copies of defined symbols used by dependency
     pairs.  The marker lives in ``is_tuple`` so that a tuple symbol can never
     collide with a user symbol; the trailing ``#`` is display only.
-
-    The hash is ``hash((name, arity, is_tuple))``, the value the generated
-    one would have, computed once when the symbol is built.
     """
 
+    __slots__ = ("name", "arity", "is_tuple")
+    _table = weakref.WeakValueDictionary()
     name: str
     arity: int
-    is_tuple: bool = False
+    is_tuple: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.is_tuple)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str, arity: int, is_tuple: bool = False) -> Symbol:
+        key = (name, arity, is_tuple)
+        self = cls._table.get(key)
+        if self is None:
+            self = cls._intern(key, {"name": name, "arity": arity, "is_tuple": is_tuple})
+        return self
 
     def __reduce__(self):
-        # as for ``App``: rebuild the cached hash in the unpickling process
+        # unpickling builds through the table of the loading process
         return (Symbol, (self.name, self.arity, self.is_tuple))
+
+    def __repr__(self) -> str:
+        return f"Symbol(name={self.name!r}, arity={self.arity!r}, is_tuple={self.is_tuple!r})"
 
     @property
     def display(self) -> str:
@@ -46,52 +96,77 @@ def symbol_key(f: Symbol) -> tuple[str, bool]:
     return (f.name, f.is_tuple)
 
 
-class Term:
+class Term(_Interned):
     """A first-order term; concrete instances are ``Var`` or ``App``."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
+    __slots__ = ("name",)
+    _table = weakref.WeakValueDictionary()
     name: str
+
+    def __new__(cls, name: str) -> Var:
+        self = cls._table.get(name)
+        if self is None:
+            self = cls._intern(name, {"name": name})
+        return self
+
+    def __reduce__(self):
+        return (Var, (self.name,))
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class App(Term):
-    """Application of ``fun`` to ``args``.
+    """Application of ``fun`` to ``args``.  The arity is checked when the
+    application is first built; a later build finds it in the table."""
 
-    The hash is computed once, from ``(fun, args)``, when the term is built.
-    The arguments' hashes are already cached, so this is constant work per
-    node, and hashing a term never walks it.
-    """
-
+    __slots__ = ("fun", "args")
+    _table = weakref.WeakValueDictionary()
     fun: Symbol
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.fun.arity:
-            raise ValueError(
-                f"symbol {self.fun.display}/{self.fun.arity} applied to "
-                f"{len(self.args)} arguments"
-            )
-        object.__setattr__(self, "_hash", hash((self.fun, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, fun: Symbol, args: tuple[Term, ...] = ()) -> App:
+        key = (fun, args)
+        self = cls._table.get(key)
+        if self is None:
+            if len(args) != fun.arity:
+                raise ValueError(
+                    f"symbol {fun.display}/{fun.arity} applied to {len(args)} arguments")
+            self = cls._intern(key, {"fun": fun, "args": args})
+        return self
 
     def __reduce__(self):
-        # String hashes differ between processes, so rebuild the cached hash
-        # on unpickling instead of carrying it.
         return (App, (self.fun, self.args))
 
+    def __repr__(self) -> str:
+        return f"App(fun={self.fun!r}, args={self.args!r})"
+
     def __str__(self) -> str:
-        if not self.args:
-            return self.fun.display
-        return f"{self.fun.display}({','.join(str(a) for a in self.args)})"
+        # the stack holds terms still to print and the punctuation between them
+        out: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, str):
+                out.append(u)
+            elif isinstance(u, Var):
+                out.append(u.name)
+            elif not u.args:
+                out.append(u.fun.display)
+            else:
+                out.append(u.fun.display + "(")
+                stack.append(")")
+                for k in range(len(u.args) - 1, 0, -1):
+                    stack += (u.args[k], ",")
+                stack.append(u.args[0])
+        return "".join(out)
 
 
 def variables(t: Term) -> tuple[Var, ...]:
@@ -120,17 +195,52 @@ def functions(t: Term) -> tuple[Symbol, ...]:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of ``t`` in preorder (outermost first, left to right)."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+    """All subterms of ``t`` in preorder (outermost first, left to right),
+    one per occurrence."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack.extend(reversed(u.args))
 
 
 def substitute(t: Term, mapping: Mapping[Var, Term]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t, t)
-    return App(t.fun, tuple(substitute(a, mapping) for a in t.args))
+    """``t`` with every variable ``v`` in ``mapping`` replaced by
+    ``mapping[v]``, all at once."""
+    return _instantiate(t, mapping, {}, False)
+
+
+def _instantiate(t: Term, mapping: Mapping[Var, Term], done: dict[Term, Term],
+                 chase: bool) -> Term:
+    """``t`` with each variable replaced by its image under ``mapping``, by
+    an explicit post-order walk that rebuilds each distinct subterm once;
+    ``done`` maps the subterms rebuilt so far to their results.  With
+    ``chase`` an image is rebuilt in turn, which resolves an acyclic
+    triangular substitution."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in done:
+            stack.pop()
+        elif isinstance(u, Var):
+            image = mapping.get(u, u)
+            if image is u or not chase:
+                done[u] = image
+                stack.pop()
+            elif image in done:
+                done[u] = done[image]
+                stack.pop()
+            else:
+                stack.append(image)
+        else:
+            missing = [a for a in u.args if a not in done]
+            if missing:
+                stack += missing
+            else:
+                done[u] = App(u.fun, tuple([done[a] for a in u.args]))
+                stack.pop()
+    return done[t]
 
 
 @dataclass(frozen=True)
@@ -143,7 +253,8 @@ class Rule:
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise ValueError("left-hand side of a rule must not be a variable")
-        missing = [v for v in variables(self.rhs) if v not in set(variables(self.lhs))]
+        bound = set(variables(self.lhs))
+        missing = [v for v in variables(self.rhs) if v not in bound]
         if missing:
             names = ", ".join(v.name for v in missing)
             raise ValueError(f"right-hand side variables not bound on the left: {names}")
@@ -161,7 +272,8 @@ class Rule:
 class Trs:
     """An ordered list of rules together with its signature.
 
-    All values are immutable; sharing between threads is safe.
+    All values are immutable, and the intern tables take a lock before they
+    add a term, so sharing between threads is safe.
     """
 
     rules: tuple[Rule, ...]
@@ -175,7 +287,7 @@ class Trs:
             for t in (rule.lhs, rule.rhs):
                 for f in functions(t):
                     prev = sig.setdefault(symbol_key(f), f)
-                    if prev != f:
+                    if prev is not f:
                         raise ValueError(
                             f"symbol {f.display} used with arities "
                             f"{prev.arity} and {f.arity}"
@@ -183,7 +295,7 @@ class Trs:
         return Trs(rules, frozenset(sig.values()))
 
     def rules_for(self, f: Symbol) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.root == f)
+        return tuple(r for r in self.rules if r.root is f)
 
     def __str__(self) -> str:
         return format_trs(self)
@@ -224,16 +336,24 @@ def unify(s: Term, t: Term) -> dict[Var, Term] | None:
         return u
 
     def occurs(v: Var, u: Term) -> bool:
-        u = walk(u)
-        if u == v:
-            return True
-        return isinstance(u, App) and any(occurs(v, a) for a in u.args)
+        # each distinct subterm once, so bindings shared along many paths
+        # are not walked again
+        stack = [u]
+        seen: set[Term] = set()
+        while stack:
+            w = walk(stack.pop())
+            if w is v:
+                return True
+            if isinstance(w, App) and w not in seen:
+                seen.add(w)
+                stack += w.args
+        return False
 
     stack: list[tuple[Term, Term]] = [(s, t)]
     while stack:
         a, b = stack.pop()
         a, b = walk(a), walk(b)
-        if a == b:
+        if a is b:
             continue
         if isinstance(a, Var):
             if occurs(a, b):
@@ -244,14 +364,9 @@ def unify(s: Term, t: Term) -> dict[Var, Term] | None:
                 return None
             subst[b] = a
         else:
-            if a.fun != b.fun:
+            if a.fun is not b.fun:
                 return None
             stack.extend(zip(a.args, b.args))
 
-    def resolve(u: Term) -> Term:
-        u = walk(u)
-        if isinstance(u, Var):
-            return u
-        return App(u.fun, tuple(resolve(a) for a in u.args))
-
-    return {v: resolve(u) for v, u in subst.items()}
+    done: dict[Term, Term] = {}
+    return {v: _instantiate(v, subst, done, True) for v in subst}

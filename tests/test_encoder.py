@@ -17,7 +17,8 @@ from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, concrete_atom_value, ex13, ex2,
-                  identity_filtering, lowered_cnf, random_signature, random_term)
+                  identity_filtering, lowered_cnf, random_signature, random_term,
+                  stack_depth)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -405,7 +406,7 @@ def test_lex_memo_builds_the_same_nodes():
     for s, t, rel, _ in _quasi_cases(6, 8):
         restricted = EncodingContext("quasi")
         whole = EncodingContext("quasi")
-        whole._lex_mask = lambda f, g, ss, ts, i, j: -1
+        whole._lex_mask = lambda s, t, i, j: -1
         table = {}
         assert _canonical(restricted._tau(s, t, rel, EMPTY_CTX), table) == \
             _canonical(whole._tau(s, t, rel, EMPTY_CTX), table), (str(s), rel, str(t))
@@ -520,13 +521,6 @@ def test_each_atom_built_once_per_context(monkeypatch, system, mode):
     assert 0 < built <= numbered + len(problem.pairs.rules)
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 def test_encoder_descends_at_most_three_frames_per_level(mode):
     # f(s^200(x)) -> f(x) with 3 frames per level of term depth to spare,
@@ -534,7 +528,7 @@ def test_encoder_descends_at_most_three_frames_per_level(mode):
     # its body costs several more per level and fails here.
     problem = _depth_problem(200)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 3 * 200 + 100)
+    sys.setrecursionlimit(stack_depth() + 3 * 200 + 100)
     try:
         encode_rp_formula(problem, "thm12", mode)
     finally:

@@ -471,7 +471,18 @@ def test_deep_tower_terminates(mode):
 def test_tower_of_depth_200_terminates(mode):
     # f(s^200(x)) -> f(x) under the default recursion limit: the encoder
     # descends two frames per level of term depth and the order check one
-    trs = parse_trs("(VAR x)(RULES f(" + "s(" * 200 + "x" + ")" * 200 + ") -> f(x))")
+    _assert_tower_terminates(200, mode)
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tower_of_depth_400_terminates(mode):
+    # deeper than the encoder alone allows with recursive term walks: the
+    # graph estimation's unification and renaming walk with explicit stacks
+    _assert_tower_terminates(400, mode)
+
+
+def _assert_tower_terminates(depth, mode):
+    trs = parse_trs("(VAR x)(RULES f(" + "s(" * depth + "x" + ")" * depth + ") -> f(x))")
     verdict = prove(trs, ProverConfig(mode=mode))
     assert isinstance(verdict, Terminating)
     steps = [s for s in verdict.steps if s.processor == "reduction_pair"]

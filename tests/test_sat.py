@@ -23,7 +23,8 @@ from termfilter.terms import Symbol
 from termfilter.usable import usable_rules
 from termfilter.prover import ProverConfig, _problem_signature, prove
 
-from util import EX2_TEXT, ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms
+from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
+                  ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms)
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +437,9 @@ def test_dimacs_roundtrip():
 
 
 def test_dimacs_deterministic_across_hash_seeds(tmp_path):
-    """``termfilter --emit-dimacs`` writes the same files whatever order
-    string hashing gives the prover's sets."""
+    """``termfilter --emit-dimacs`` writes the same files, and the proofs
+    read the same, whatever order string hashing or memory addresses give
+    the prover's sets."""
     import termfilter
     src = str(Path(termfilter.__file__).resolve().parent.parent)
     path = tmp_path / "division.trs"
@@ -455,6 +457,41 @@ def test_dimacs_deterministic_across_hash_seeds(tmp_path):
     assert names == ["problem001.cnf", "problem001.vars.json",
                      "problem002.cnf", "problem002.vars.json"]
     assert all(emitted[0][n].startswith(b"p cnf ") for n in names if n.endswith(".cnf"))
+
+    # Terms hash by identity, so sets of terms iterate in address order.
+    # Proofs and emitted files must not follow it: the second run builds
+    # and drops unrelated terms first, which moves every later address.
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from termfilter import App, ProverConfig, Symbol, Var, parse_trs, prove, render_proof
+        if sys.argv[3] == "shift":
+            kept = [App(Symbol(f"u{i % 97}", 2), (Var(f"v{i}"), App(Symbol(f"w{i}", 0))))
+                    for i in range(20000)][::3]
+        for path in sorted(Path(sys.argv[1]).glob("*.trs")):
+            for mode in ("strict", "quasi"):
+                out = Path(sys.argv[2]) / f"{path.stem}-{mode}"
+                verdict = prove(parse_trs(path.read_text()),
+                                ProverConfig(mode=mode, emit_dimacs=str(out)))
+                print(f"== {path.stem} {mode}")
+                print(render_proof(verdict))
+    """)
+    systems = tmp_path / "systems"
+    systems.mkdir()
+    for i, text in enumerate([EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT]):
+        (systems / f"paper{i}.trs").write_text(text)
+    runs = []
+    for seed, shift in (("0", "none"), ("31337", "shift")):
+        outdir = tmp_path / f"proofs{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, str(systems), str(outdir), shift],
+                              capture_output=True, text=True, env=env, check=True)
+        files = {str(p.relative_to(outdir)): p.read_bytes()
+                 for p in sorted(outdir.rglob("*")) if p.is_file()}
+        runs.append((proc.stdout, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count("TERMINATING") >= 5
+    assert len(runs[0][1]) >= 20
 
 
 FAKE_SOLVER = textwrap.dedent("""

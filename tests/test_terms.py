@@ -1,16 +1,18 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
 from termfilter.terms import (App, Rule, Symbol, Trs, Var, defined_symbols,
-                              format_trs, functions, substitute, unify, variables)
+                              format_trs, functions, substitute, subterms, unify, variables)
 from termfilter.tpdb import ParseError, UnsupportedBlockError, parse_trs
 
-from util import EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term
+from util import EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term, stack_depth
 
 
 def test_parse_division_system():
@@ -179,12 +181,23 @@ def test_variables_first_occurrence_order():
     assert [v.name for v in variables(t)] == ["y", "x"]
 
 
-def test_app_hash_of_deep_tower():
-    s = Symbol("s", 1)
-    t = Var("x")
-    for _ in range(10_000):
-        t = App(s, (t,))
-    assert hash(t) == hash((t.fun, t.args))
+def test_deep_towers_built_apart_are_one_object():
+    def tower(leaf):
+        t = Var(leaf)
+        for _ in range(10_000):
+            t = App(Symbol("s", 1), (t,))
+        return t
+
+    t, u, other = tower("x"), tower("x"), tower("y")
+    # no comparison or hash may walk a term: all of these run within a few
+    # frames of the current depth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 20)
+    try:
+        assert t is u and t == u and hash(t) == hash(u)
+        assert t != other and {t: 1}.get(other) is None and {t: 1}[u] == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_functions_and_variables_of_deep_tower():
@@ -204,37 +217,133 @@ def test_functions_first_occurrence_order():
     assert variables(t) == (Var("x"), Var("y"))
 
 
-def test_equal_terms_hash_equal():
-    f, c = Symbol("f", 2), Symbol("c", 0)
-    u = App(f, (App(c), Var("x")))
-    v = App(f, (App(c), Var("x")))
-    assert u is not v and u == v
-    assert hash(u) == hash(v)
+def test_equal_constructions_are_one_object():
+    u = App(Symbol("f", 2), (App(Symbol("c", 0)), Var("x")))
+    v = App(Symbol("f", 2), (App(Symbol("c", 0)), Var("x")))
+    assert u is v
+    assert Symbol("f", 2) is Symbol(name="f", arity=2, is_tuple=False)
+    assert Var("x") is Var(name="x")
+    assert App(Symbol("c", 0)) is App(fun=Symbol("c", 0), args=())
+    # the marker and the arity tell symbols apart
+    assert Symbol("f", 2) is not Symbol("f", 2, True)
+    assert Symbol("f", 2) is not Symbol("f", 1)
+    assert App(Symbol("f", 2), (Var("x"), Var("y"))) is not u
 
 
-def test_unpickled_app_rehashes_in_new_process(tmp_path):
-    # a symbol's cached hash is the value the generated one would have, so
-    # set orders cannot move
-    assert hash(Symbol("f", 2, True)) == hash(("f", 2, True))
-    # the cached hashes depend on the process's string hashing, so a pickle
-    # made under one PYTHONHASHSEED must not carry them into another
+def test_unpickled_terms_are_canonical_in_new_process(tmp_path):
+    # a pickle made under one PYTHONHASHSEED, loaded under another, yields
+    # the loading process's own objects: those built before the load, and
+    # the ones later builds find
     path = tmp_path / "term.pickle"
     dump = textwrap.dedent(f"""
         import pickle
         from termfilter.terms import App, Symbol, Var
         f, c = Symbol("f", 2), Symbol("c", 0)
         t = App(f, (App(c), App(f, (Var("x"), App(c)))))
-        open({str(path)!r}, "wb").write(pickle.dumps((t, Symbol("g", 1, True))))
+        open({str(path)!r}, "wb").write(pickle.dumps((t, Symbol("g", 1, True), Var("y"))))
     """)
     load = textwrap.dedent(f"""
         import pickle
-        from termfilter.terms import Symbol
-        t, g = pickle.loads(open({str(path)!r}, "rb").read())
-        assert hash(t) == hash((t.fun, t.args))
-        assert hash(t.args[1]) == hash((t.args[1].fun, t.args[1].args))
-        assert hash(t.fun) == hash(("f", 2, False))
-        assert hash(g) == hash(("g", 1, True)) and g == Symbol("g", 1, True)
+        from termfilter.terms import App, Symbol, Var
+        f, c = Symbol("f", 2), Symbol("c", 0)
+        inner = App(f, (Var("x"), App(c)))
+        t, g, y = pickle.loads(open({str(path)!r}, "rb").read())
+        assert t.fun is f and t.args[0] is App(c) and t.args[1] is inner
+        assert t is App(f, (App(c), inner))
+        assert g is Symbol("g", 1, True) and y is Var("y")
     """)
     for seed, script in (("1", dump), ("2", load)):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_term_classes_keep_identity_equality_and_hash():
+    # a decorator such as @dataclass would bring back Python-level __eq__
+    # and __hash__, which every memo lookup keyed on terms would then call
+    for obj in (Symbol("f", 0), Var("x"), App(Symbol("f", 0))):
+        cls = type(obj)
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert not hasattr(obj, "__dict__")
+    t = App(Symbol("f", 1), (Var("x"),))
+    for obj, field in ((t, "args"), (t.fun, "arity"), (Var("x"), "name")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+
+
+def test_intern_tables_release_dropped_terms():
+    tables = (Symbol._table, Var._table, App._table)
+    gc.collect()
+    gc.disable()  # so that no collection of earlier garbage shrinks a table
+    try:
+        before = [len(table) for table in tables]
+        terms = [App(Symbol(f"leak_f{i}", 2), (Var(f"leak_x{i}"), App(Symbol(f"leak_c{i}", 0))))
+                 for i in range(1000)]
+        # two symbols, one variable and two applications per term
+        assert [len(table) for table in tables] == [before[0] + 2000, before[1] + 1000,
+                                                    before[2] + 2000]
+        del terms
+        assert [len(table) for table in tables] == before
+    finally:
+        gc.enable()
+
+
+def test_threads_building_the_same_terms_get_one_object_each():
+    def build(out):
+        barrier.wait(timeout=10)
+        out.extend(App(Symbol(f"race_f{i % 50}", 2),
+                       (Var(f"race_x{i}"), App(Symbol(f"race_c{i}", 0))))
+                   for i in range(2000))
+
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(out) == 2000 for out in results)
+    for built in zip(*results):
+        assert all(t is built[0] for t in built)
+        assert built[0].args[1] is App(Symbol(built[0].args[1].fun.name, 0))
+
+
+def test_walks_of_deep_terms_need_no_recursion():
+    s, f = Symbol("s", 1), Symbol("f", 2)
+    x, y = Var("x"), Var("y")
+    left, right = x, App(f, (y, y))
+    for _ in range(5000):
+        left, right = App(s, (left,)), App(s, (right,))
+    subst = unify(left, right)
+    assert subst == {x: App(f, (y, y))}
+    assert substitute(left, subst) is right
+    assert substitute(right, {y: x}) is substitute(left, {x: App(f, (x, x))})
+    assert unify(App(s, (left,)), App(s, (App(s, (x,)),))) is None  # occurs check
+    assert sum(1 for _ in subterms(left)) == 5001
+    assert str(left) == "s(" * 5000 + "x" + ")" * 5000
+
+
+def test_unify_walks_shared_bindings_once():
+    # x_k = g(x_{k-1}, x_{k-1}): the binding of x_20 has 2**20 paths to x_0,
+    # which a walk that follows every path would take one by one
+    g = Symbol("g", 2)
+    n = 20
+    xs = [Var(f"x{k}") for k in range(n + 1)]
+    h = Symbol("h", n + 1)
+    left = App(h, tuple(reversed(xs[1:])) + (xs[0],))
+    right = App(h, tuple(App(g, (xs[k - 1], xs[k - 1])) for k in range(n, 0, -1)) + (Var("z"),))
+    subst = unify(left, right)
+    assert subst is not None
+    t = subst[xs[n]]
+    for _ in range(n):
+        assert t.fun is g and t.args[0] is t.args[1]
+        t = t.args[0]
+    assert t is xs[0] or t is Var("z")
+    assert unify(left, App(h, right.args[:-1] + (App(g, (xs[n], xs[n])),))) is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import sys
 import time
 
 from termfilter import atoms as A
@@ -66,6 +67,14 @@ SHUFFLE_TEXT = REVERSE_TEXT + """
   shuffle(cons(x,l)) -> cons(x,shuffle(rev(l)))
 )
 """
+
+
+def stack_depth() -> int:
+    """Number of frames on the caller's stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def ex2() -> Trs:
