@@ -60,7 +60,7 @@ from typing import Sequence
 from . import atoms as A
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
-from .terms import App, Symbol, Term, Var
+from .terms import App, Symbol, Term, Var, symbol_key
 
 GT = "gt"
 GE = "ge"
@@ -551,12 +551,15 @@ class EncodingContext:
 
 @dataclass(frozen=True)
 class RpEncoding:
-    """A reduction-pair search problem as a single formula."""
+    """A reduction-pair search problem as a single formula.  ``symbols``
+    are the symbols the encoder met, in ``symbol_key`` order: every atom of
+    the formula is over them alone."""
 
     formula: Formula
     context: EncodingContext
     problem: DpProblem
     processor: str
+    symbols: tuple[Symbol, ...]
     usable_symbols: tuple[Symbol, ...]
 
 
@@ -601,4 +604,5 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
         strict_atoms.append(marker)
     parts.append(b.or_(strict_atoms))
 
-    return RpEncoding(b.and_(parts), ctx, problem, processor, usable_syms)
+    return RpEncoding(b.and_(parts), ctx, problem, processor,
+                      tuple(sorted(ctx._own, key=symbol_key)), usable_syms)

@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping, Sequence
 from . import atoms as A
 from .formula import Formula, FormulaBuilder
 from .orders import ArgumentFiltering, Collapse, Keep, Precedence
-from .terms import Symbol, symbol_key
+from .terms import Symbol
 
 
 class EncodingError(RuntimeError):
@@ -25,58 +25,51 @@ class EncodingError(RuntimeError):
 class VarMap:
     """Deterministic numbering of the propositional variables.
 
-    Order: rank bits per symbol (signature order, least significant first),
-    then list/argument flags per symbol, then per-pair strictness markers,
-    then usability flags; definition variables introduced by the CNF
-    transformation come after ``num_reserved``.
+    Order: rank bits per symbol (in the order given, least significant first),
+    then list/argument flags per symbol, then per-pair strictness markers
+    (``strict``), then usability flags; definition variables introduced by
+    the CNF transformation come after ``num_reserved``.
     """
 
     def __init__(self, symbols: Sequence[Symbol], pair_count: int = 0,
                  usable_symbols: Sequence[Symbol] = ()):
         self.symbols = tuple(symbols)
-        if len({symbol_key(f) for f in self.symbols}) != len(self.symbols):
+        if len({(f.name, f.is_tuple) for f in self.symbols}) != len(self.symbols):
             raise ValueError("duplicate symbols in signature")
         self.k = max(1, (len(self.symbols) - 1).bit_length()) if self.symbols else 1
-        self._bits: dict[tuple[str, bool], tuple[int, ...]] = {}
-        self._list: dict[tuple[str, bool], int] = {}
-        self._arg: dict[tuple[str, bool], tuple[int, ...]] = {}
-        self._usable: dict[tuple[str, bool], int] = {}
         self.descriptions: dict[int, str] = {}
-        v = 0
 
         def alloc(desc: str) -> int:
-            nonlocal v
-            v += 1
+            v = len(self.descriptions) + 1
             self.descriptions[v] = desc
             return v
 
+        self._bits = {f: tuple(alloc(f"rank({f.display})[{i}]") for i in range(1, self.k + 1))
+                      for f in self.symbols}
+        self._list: dict[Symbol, int] = {}
+        self._arg: dict[Symbol, tuple[int, ...]] = {}
         for f in self.symbols:
-            self._bits[symbol_key(f)] = tuple(
-                alloc(f"rank({f.display})[{i + 1}]") for i in range(self.k))
-        for f in self.symbols:
-            self._list[symbol_key(f)] = alloc(f"list({f.display})")
-            self._arg[symbol_key(f)] = tuple(
-                alloc(f"keeps({f.display},{i})") for i in range(1, f.arity + 1))
-        self._strict = tuple(alloc(f"strict({i})") for i in range(pair_count))
-        for f in usable_symbols:
-            self._usable[symbol_key(f)] = alloc(f"usable({f.display})")
-        self.num_reserved = v
+            self._list[f] = alloc(f"list({f.display})")
+            self._arg[f] = tuple(alloc(f"keeps({f.display},{i})") for i in range(1, f.arity + 1))
+        self.strict = tuple(alloc(f"strict({i})") for i in range(pair_count))
+        self._usable = {f: alloc(f"usable({f.display})") for f in usable_symbols}
+        self.num_reserved = len(self.descriptions)
 
     def bits(self, f: Symbol) -> tuple[int, ...]:
-        return self._bits[symbol_key(f)]
+        return self._bits[f]
 
     def list_var(self, f: Symbol) -> int:
-        return self._list[symbol_key(f)]
+        return self._list[f]
 
     def arg_var(self, f: Symbol, i: int) -> int:
-        return self._arg[symbol_key(f)][i - 1]
+        return self._arg[f][i - 1]
 
     def strict_var(self, index: int) -> int:
-        return self._strict[index]
+        return self.strict[index]
 
     def usable_var(self, f: Symbol) -> int:
         try:
-            return self._usable[symbol_key(f)]
+            return self._usable[f]
         except KeyError:
             raise EncodingError(f"no usability variable for {f.display}") from None
 
@@ -166,5 +159,5 @@ def decode_model(model: Mapping[int, bool], vm: VarMap) -> DecodedModel:
                     f"model collapses {f.display} onto {len(kept)} positions")
             pi[f] = Collapse(kept[0])
 
-    stricts = tuple(i for i in range(len(vm._strict)) if val(vm.strict_var(i)))
+    stricts = tuple(i for i, v in enumerate(vm.strict) if val(v))
     return DecodedModel(prec, ArgumentFiltering(pi), stricts)

@@ -10,8 +10,9 @@ encoder's case split (collapse / kept / lexicographic).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .terms import App, Symbol, Term, Var, symbol_key
 
@@ -139,14 +140,25 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+def _equivalence(prec: Precedence, mode: str) -> Callable[[Term, Term], bool]:
+    """Equality of terms up to equivalence of symbols, the mode checked once.
+    Terms are interned and a strict precedence makes no two distinct symbols
+    equivalent, so strict equivalence is identity."""
+    _check_mode(mode)
+
+    def quasi(s: Term, t: Term) -> bool:
+        if s is t:
+            return True
+        if isinstance(s, Var) or isinstance(t, Var) or s.fun.arity != t.fun.arity:
+            return False
+        return prec.equivalent(s.fun, t.fun, QUASI) and all(map(quasi, s.args, t.args))
+
+    return operator.is_ if mode == STRICT else quasi
+
+
 def terms_equivalent(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
     """Equality of terms up to equivalence of symbols (identity when strict)."""
-    _check_mode(mode)
-    if isinstance(s, Var) or isinstance(t, Var):
-        return s == t
-    if s.fun.arity != t.fun.arity or not prec.equivalent(s.fun, t.fun, mode):
-        return False
-    return all(terms_equivalent(prec, mode, a, b) for a, b in zip(s.args, t.args))
+    return _equivalence(prec, mode)(s, t)
 
 
 def lpo_gt(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
@@ -156,7 +168,7 @@ def lpo_gt(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
     with every ``tj`` strictly below ``s`` and ``f`` above ``g`` (or
     equivalent to it with the argument tuples lexicographically decreasing).
     """
-    _check_mode(mode)
+    equivalent = _equivalence(prec, mode)
     memo: dict[tuple[Term, Term], bool] = {}
 
     # One frame per level of term depth: the weak and the lexicographic
@@ -169,7 +181,7 @@ def lpo_gt(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
         result = False
         if isinstance(a, App):
             for ai in a.args:
-                if gt(ai, b) or terms_equivalent(prec, mode, ai, b):
+                if gt(ai, b) or equivalent(ai, b):
                     result = True
                     break
             else:
@@ -186,7 +198,7 @@ def lpo_gt(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
                                 if gt(ai, bi):
                                     result = True
                                     break
-                                if not terms_equivalent(prec, mode, ai, bi):
+                                if not equivalent(ai, bi):
                                     break
                             else:
                                 result = len(a.args) > len(b.args)

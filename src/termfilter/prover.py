@@ -23,7 +23,7 @@ from .lowering import (DecodedModel, VarMap, decode_model, lower_atoms,
                        structural_constraints)
 from .orders import ArgumentFiltering, Collapse, Precedence, lpo_af_ge, lpo_af_gt
 from .solver import UNKNOWN, UNSAT, solve
-from .terms import Rule, Symbol, Trs, symbol_key
+from .terms import Rule, Symbol, Trs
 from .tpdb import parse_trs
 from .usable import usable_rules, usable_rules_mod_pi
 from . import atoms as A
@@ -41,9 +41,6 @@ class ProverConfig:
     timeout: float | None = None
     emit_dimacs: str | None = None
     dump_formula: bool = False
-    simplify: bool = True
-    share: bool = True
-    propagate: bool = True
 
 
 @dataclass(frozen=True)
@@ -90,19 +87,16 @@ class RpOutcome:
     witness: ReductionWitness | None = None
 
 
-@dataclass
 class _Session:
-    config: ProverConfig
-    deadline: float | None = None
-    calls: int = 0
+    """One proof search: its configuration, deadline and solver calls."""
+
+    def __init__(self, config: ProverConfig):
+        self.config = config
+        self.deadline = None if config.timeout is None else time.monotonic() + config.timeout
+        self.calls = 0
 
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
-
-
-def _problem_signature(problem: DpProblem) -> tuple[Symbol, ...]:
-    sig = set(problem.pairs.signature) | set(problem.rules.signature)
-    return tuple(sorted(sig, key=symbol_key))
 
 
 def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
@@ -111,18 +105,14 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     decreasing pairs.  ``unsat`` and ``timeout`` outcomes leave the problem
     untouched; an encoding that ends past the deadline is neither lowered
     nor solved."""
-    session = session or _Session(config,
-                                  None if config.timeout is None
-                                  else time.monotonic() + config.timeout)
+    session = session or _Session(config)
     if not problem.pairs.rules:
         return RpOutcome("empty")
 
-    enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode,
-                            simplify=config.simplify, share=config.share,
-                            propagate=config.propagate)
+    enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode)
     if session.out_of_time():
         return RpOutcome("timeout")
-    vm = VarMap(_problem_signature(problem), len(problem.pairs.rules), enc.usable_symbols)
+    vm = VarMap(enc.symbols, len(problem.pairs.rules), enc.usable_symbols)
     b = enc.context.builder
     ts = tseitin_cnf(b.and_([enc.formula] + structural_constraints(vm, b)),
                      vm.num_reserved, lower_atoms(vm, config.mode, b))
@@ -196,8 +186,7 @@ def prove(trs: Trs, config: ProverConfig | None = None) -> Verdict:
     """Full proof search; Terminating only when every leaf problem has no
     pairs left."""
     config = config or ProverConfig()
-    session = _Session(config, None if config.timeout is None
-                       else time.monotonic() + config.timeout)
+    session = _Session(config)
     steps: list[ProofStep] = []
     queue: list[DpProblem] = [DpProblem(dependency_pairs(trs), trs)]
     while queue:
@@ -242,10 +231,9 @@ def _format_precedence(prec: Precedence, symbols: tuple[Symbol, ...], mode: str)
     return " > ".join(chains)
 
 
-def _format_filtering(pi: ArgumentFiltering, symbols: tuple[Symbol, ...]) -> str:
+def _format_filtering(pi: ArgumentFiltering) -> str:
     parts = []
-    for f in symbols:
-        spec = pi.get(f)
+    for f, spec in pi.items():
         if isinstance(spec, Collapse):
             parts.append(f"pi({f.display}) = {spec.position}")
         else:
@@ -267,12 +255,12 @@ def render_proof(verdict: Verdict) -> str:
         else:
             w = step.witness
             assert w is not None
-            symbols = _problem_signature(step.problem)
+            symbols = tuple(f for f, _ in w.filtering.items())  # those the round met
             lines.append(f"reduction pair ({w.processor}, "
                          f"{'qlpo' if w.mode == 'quasi' else 'lpo'}): removed "
                          f"{len(w.removed)} of {len(step.problem.pairs.rules)} pair(s)")
             lines.append(f"  precedence: {_format_precedence(w.precedence, symbols, w.mode)}")
-            lines.append(f"  filtering:  {_format_filtering(w.filtering, symbols)}")
+            lines.append(f"  filtering:  {_format_filtering(w.filtering)}")
             for p in w.removed:
                 lines.append(f"  removed: {p}")
             if w.usable:

@@ -11,14 +11,13 @@ from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.formula import dag_size, dump, evaluate, tree_size
 from termfilter.lowering import VarMap
 from termfilter.orders import lpo_af_ge, lpo_af_gt
-from termfilter.prover import _problem_signature
 from termfilter.terms import App, Rule, Symbol, Trs, Var
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, concrete_atom_value, ex13, ex2,
-                  identity_filtering, lowered_cnf, random_signature, random_term,
-                  stack_depth)
+                  identity_filtering, lowered_cnf, problem_signature, random_signature,
+                  random_term, stack_depth)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -572,7 +571,7 @@ def test_encoder_output_pinned_under_every_ablation(name, text):
                 enc = encode_rp_formula(problem, processor, mode, simplify=simplify,
                                         share=share, propagate=propagate)
                 digest.update(dump(enc.formula).encode() + b"\n")
-                vm = VarMap(_problem_signature(problem), len(problem.pairs.rules),
+                vm = VarMap(problem_signature(problem), len(problem.pairs.rules),
                             enc.usable_symbols)
                 cnf = lowered_cnf(enc.formula, enc.context.builder, vm, mode).cnf
                 cnf_digest.update(write_dimacs(cnf).encode())

@@ -6,18 +6,19 @@ import time
 
 import pytest
 
+from termfilter import prover
 from termfilter.cli import main as cli_main
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.orders import lpo_af_ge, lpo_af_gt
 from termfilter.prover import (Maybe, ProverConfig, Terminating, Timeout,
-                               _problem_signature, reduction_pair_processor, prove,
-                               render_proof)
+                               reduction_pair_processor, prove, render_proof)
 from termfilter.terms import Trs
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules, usable_rules_mod_pi
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
-                  all_filterings, all_precedences, ex13, ex2, random_trs)
+                  all_filterings, all_precedences, ex13, ex2, problem_signature,
+                  random_trs)
 
 
 CONFIGS = [(proc, mode) for proc in ("thm5", "thm12") for mode in ("strict", "quasi")]
@@ -293,6 +294,31 @@ def test_cli_emit_dimacs_and_dump(tmp_path, capsys):
     assert "(atom" in out  # formula dump made it to stdout
 
 
+def test_emit_dimacs_numbers_only_the_symbols_of_the_round(tmp_path, capsys):
+    # three independent components; the f# round mentions only f# and s
+    path = tmp_path / "three.trs"
+    path.write_text("(VAR x)(RULES f(s(x)) -> f(x)  g(c(x)) -> g(x)  h(a) -> b)")
+    outdir = tmp_path / "cnf"
+    assert cli_main([str(path), "--emit-dimacs", str(outdir)]) == 0
+    import json
+    import re
+    rounds = 0
+    for manifest_path in sorted(outdir.glob("*.vars.json")):
+        manifest = json.loads(manifest_path.read_text())
+        if manifest["pairs"] != ["f#(s(x)) -> f#(x)"]:
+            continue
+        rounds += 1
+        named = {m.group(2) for desc in manifest["variables"].values()
+                 if (m := re.match(r"(rank|list|keeps)\(([^,)]+)", desc))}
+        assert named == {"f#", "s"}, manifest["variables"]
+        num_vars = int(manifest_path.with_name(manifest_path.name.replace(
+            ".vars.json", ".cnf")).read_text().split()[2])
+        numbered = set(manifest["variables"]) | set(manifest["definitions"])
+        assert numbered == {str(v) for v in range(1, num_vars + 1)}
+    assert rounds == 1
+    assert "TERMINATING" in capsys.readouterr().out
+
+
 def test_cli_bad_solver_value(tmp_path, capsys):
     path = tmp_path / "division.trs"
     path.write_text(EX2_TEXT)
@@ -421,7 +447,7 @@ def _orientable(problem, processor, mode):
     """Exhaustive search: does some precedence and filtering make every pair
     weakly decreasing, some pair strictly decreasing, and every usable rule
     weakly decreasing?"""
-    symbols = list(_problem_signature(problem))
+    symbols = list(problem_signature(problem))
     pairs = problem.pairs.rules
     classical = usable_rules(problem.pairs, problem.rules)
     for pi in all_filterings(symbols):
@@ -444,7 +470,7 @@ def test_processor_answers_match_exhaustive_search():
     while runs < 40:
         trs = random_trs(rng, 3, 3, 2, 2)
         for sub in scc_decompose(DpProblem(dependency_pairs(trs), trs)):
-            if len(_problem_signature(sub)) > 4:
+            if len(problem_signature(sub)) > 4:
                 continue
             for mode in ("strict", "quasi"):
                 for processor in ("thm5", "thm12"):
@@ -458,6 +484,48 @@ def test_processor_answers_match_exhaustive_search():
                         (str(sub.pairs), str(sub.rules), mode, processor)
                     answers[sat] += 1
     assert answers[True] >= 4 and answers[False] >= 4, answers
+
+
+def test_each_round_numbers_every_symbol_its_checks_read(monkeypatch):
+    """A round numbers only the symbols the encoder met.  The model replay
+    and the proof read the symbols of the round's pairs and classically
+    usable rules, so each of them must be met, and the witness must cover
+    exactly the met symbols."""
+    encodings = []
+    real = prover.encode_rp_formula
+
+    def record(problem, *args, **kwargs):
+        enc = real(problem, *args, **kwargs)
+        encodings.append(enc)
+        return enc
+
+    monkeypatch.setattr(prover, "encode_rp_formula", record)
+    rng = random.Random(14)
+    texts = [EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT]
+    systems = [parse_trs(text) for text in texts] + [random_trs(rng) for _ in range(500)]
+    rounds = witnessed = smaller = 0
+    for trs in systems:
+        for mode in ("strict", "quasi"):
+            for processor in ("thm5", "thm12"):
+                encodings.clear()
+                verdict = prove(trs, ProverConfig(mode=mode, processor=processor,
+                                                  timeout=10))
+                witnesses = {id(step.problem): step.witness for step in verdict.steps
+                             if step.witness is not None}
+                for enc in encodings:
+                    pairs, rules = enc.problem.pairs, enc.problem.rules
+                    read = pairs.signature | Trs.of(usable_rules(pairs, rules)).signature
+                    assert read <= set(enc.symbols), (str(pairs), str(rules), mode)
+                    rounds += 1
+                    smaller += len(enc.symbols) < len(problem_signature(enc.problem))
+                    w = witnesses.get(id(enc.problem))
+                    if w is not None:
+                        assert tuple(f for f, _ in w.filtering.items()) == enc.symbols
+                        assert all(w.precedence.rank(f) for f in enc.symbols)
+                        witnessed += 1
+    # about half the rounds number fewer symbols than their problem holds
+    assert rounds >= 1000 and witnessed >= 400 and smaller >= 500, \
+        (rounds, witnessed, smaller)
 
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])

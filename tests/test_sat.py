@@ -20,11 +20,13 @@ from termfilter.orders import Collapse, Keep, lpo_af_ge, lpo_af_gt
 from termfilter.solver import (SAT, UNKNOWN, UNSAT, ExternalSolverError, _Cdcl,
                                solve_external, solve_internal)
 from termfilter.terms import Symbol
+from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
-from termfilter.prover import ProverConfig, _problem_signature, prove
+from termfilter.prover import ProverConfig, prove
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
-                  ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms)
+                  ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms,
+                  problem_signature)
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +409,47 @@ def test_solver_replays_reference_on_acceptance_cnfs(monkeypatch):
     assert len(cnfs) >= 8 and SAT in statuses
 
 
+# per round of ``prove``: (reserved variables, clauses).  A round numbers
+# only the symbols its constraint mentions; numbering the whole problem
+# signature again would raise the first figure of most rounds
+ROUND_SIZES = {
+    ("EX2", "strict"): [(8, 111), (19, 314)],
+    ("EX2", "quasi"): [(8, 129), (19, 449)],
+    ("EX13", "strict"): [(8, 111), (8, 111), (46, 1321)],
+    ("EX13", "quasi"): [(8, 129), (8, 129), (46, 2269)],
+    ("ACKERMANN", "strict"): [(21, 800), (8, 102)],
+    ("ACKERMANN", "quasi"): [(21, 1052), (8, 116)],
+    ("REVERSE", "strict"): [(9, 72), (8, 66)],
+    ("REVERSE", "quasi"): [(9, 84), (8, 77)],
+    ("SHUFFLE", "strict"): [(9, 72), (8, 66), (29, 658)],
+    ("SHUFFLE", "quasi"): [(9, 84), (8, 77), (29, 971)],
+}
+
+
+@pytest.mark.parametrize("name,mode", list(ROUND_SIZES),
+                         ids=[f"{name}-{mode}" for name, mode in ROUND_SIZES])
+def test_round_sizes_pinned(monkeypatch, name, mode):
+    sizes = []
+    real_varmap, real_tseitin = prover.VarMap, prover.tseitin_cnf
+
+    def varmap(*args, **kwargs):
+        vm = real_varmap(*args, **kwargs)
+        sizes.append(vm.num_reserved)
+        return vm
+
+    def tseitin(*args, **kwargs):
+        ts = real_tseitin(*args, **kwargs)
+        sizes[-1] = (sizes[-1], len(ts.cnf.clauses))
+        return ts
+
+    monkeypatch.setattr(prover, "VarMap", varmap)
+    monkeypatch.setattr(prover, "tseitin_cnf", tseitin)
+    text = dict(zip(["EX2", "EX13", "ACKERMANN", "REVERSE", "SHUFFLE"],
+                    [EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT]))[name]
+    prove(parse_trs(text), ProverConfig(mode=mode))
+    assert sizes == ROUND_SIZES[name, mode]
+
+
 def test_solver_rescale_refreshes_heap():
     s = _Cdcl(Cnf(3, ()), None)
     # variable 1 goes back on the heap with activity 5e99
@@ -539,7 +582,7 @@ def test_division_component_model_verifies():
     trs = ex2()
     problem = scc_decompose(DpProblem(dependency_pairs(trs), trs))[1]
     enc = encode_rp_formula(problem, "thm5", "strict")
-    vm = VarMap(_problem_signature(problem), len(problem.pairs.rules),
+    vm = VarMap(problem_signature(problem), len(problem.pairs.rules),
                 enc.usable_symbols)
     res = solve_internal(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
     assert res.status == SAT

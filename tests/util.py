@@ -14,7 +14,7 @@ from termfilter.formula import AND, NOT
 from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
-from termfilter.terms import App, Rule, Symbol, Term, Trs, Var
+from termfilter.terms import App, Rule, Symbol, Term, Trs, Var, symbol_key
 from termfilter.tpdb import parse_trs
 
 EX2_TEXT = """
@@ -96,6 +96,12 @@ def symbol_map(*systems: Trs) -> dict[str, Symbol]:
 
 # ----------------------------------------------------------------------
 # the prover's lowering step
+
+def problem_signature(problem) -> tuple[Symbol, ...]:
+    """Every symbol of a pair problem's pairs and rules, in name order."""
+    sig = set(problem.pairs.signature) | set(problem.rules.signature)
+    return tuple(sorted(sig, key=symbol_key))
+
 
 def lowered_cnf(formula, builder, vm, mode: str) -> TseitinResult:
     """``formula`` and the structural constraints of ``vm``, built with
