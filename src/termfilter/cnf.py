@@ -150,9 +150,8 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)
 
 
-def write_dimacs(cnf: Cnf, comments: tuple[str, ...] = ()) -> str:
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
+def write_dimacs(cnf: Cnf) -> str:
+    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
     for clause in cnf.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"

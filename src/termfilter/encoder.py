@@ -18,10 +18,12 @@ bit mask, when ``_meet`` numbers its atoms, so assuming a literal is one OR.
 The formula node of an atom is made from its object when first needed, and
 kept per number when the builder shares nodes.
 
-Branches are built inline.  ``_enter`` gives the nodes of a branch's
-literals not yet known and the context extended by them, ``_open`` the
-guard of an implication and the context with the guard assumed; the caller
-builds the body under that context and conjoins or guards it.  No helper
+A branch whose body is one memoized comparison hands its guard literals
+to that comparison: ``_tau`` and ``_lex_two`` take them, ``_enter`` them
+(``FALSE`` when one is known false), build or look up the body under the
+extended context and conjoin it to the nodes of the literals not yet known.
+Other branches call ``_enter`` themselves, and an implication calls
+``_open`` for its guard and the context with the guard assumed.  No helper
 takes a body to call back, so descending one level of a term costs two
 frames, ``_tau`` and ``_build_tau``.  The order in which nodes are made
 fixes their ids, so a branch makes its literal nodes before its body.
@@ -284,21 +286,34 @@ class EncodingContext:
         """Constraints under which ``s`` weakly exceeds ``t``."""
         return self._tau(s, t, GE, ctx)
 
-    def _tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
-        """Memoized on the part of the context the comparison can read."""
-        if not self.builder.share:
-            return self._build_tau(s, t, rel, ctx)
-        cell = self._tau_cells.get((s, t))
-        if cell is None:
-            cell = self._tau_cells[s, t] = [None, {}]
-        if ctx:
-            if cell[0] is None:
-                cell[0] = self._tau_mask(s, t)
-            ctx &= cell[0]
-        result = cell[1].get((rel, ctx))
-        if result is None:
-            result = cell[1][rel, ctx] = self._build_tau(s, t, rel, ctx)
-        return result
+    def _tau(self, s: Term, t: Term, rel: str, ctx: Ctx,
+             literals: Sequence[tuple[int, bool]] = ()) -> Formula:
+        """Memoized on the part of the context the comparison can read.
+        Given ``literals``, the branch on them: the comparison under the
+        context they extend, conjoined to the nodes of those not yet known."""
+        b = self.builder
+        if literals:
+            entered = self._enter(ctx, literals)
+            if entered is None:
+                return b.FALSE
+            parts, ctx = entered
+        if b.share:
+            cell = self._tau_cells.get((s, t))
+            if cell is None:
+                cell = self._tau_cells[s, t] = [None, {}]
+            if ctx:
+                if cell[0] is None:
+                    cell[0] = self._tau_mask(s, t)
+                ctx &= cell[0]
+            result = cell[1].get((rel, ctx))
+            if result is None:
+                result = cell[1][rel, ctx] = self._build_tau(s, t, rel, ctx)
+        else:
+            result = self._build_tau(s, t, rel, ctx)
+        if not literals:
+            return result
+        parts.append(result)
+        return b.and_(parts)
 
     def _tau_mask(self, s: Term, t: Term) -> int:
         """The bits ``_tau`` on ``s`` and ``t`` can read: those of the atoms
@@ -306,8 +321,10 @@ class EncodingContext:
         return self._readable(self._symbols_of(s) | self._symbols_of(t))
 
     def _build_tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
-        # Each branch is built inline, not through a helper that takes its
-        # body, so that descending one level of a term costs two frames.
+        # A branch below one comparison hands its guard literals to ``_tau``,
+        # which enters them itself, so that descending one level of a term
+        # costs two frames.  Plain loops, not comprehensions, make the calls:
+        # a comprehension is one more frame per level.
         b = self.builder
         branches: list[Formula] = []
         if isinstance(s, Var):
@@ -317,38 +334,20 @@ class EncodingContext:
                 return b.TRUE if s == t else b.FALSE
             # a variable only weakly exceeds a collapsed application
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                entered = self._enter(ctx, ((k, True),))
-                if entered is None:
-                    branches.append(b.FALSE)
-                    continue
-                parts, c = entered
-                parts.append(self._tau(s, a, GE, c))
-                branches.append(b.and_(parts))
+                branches.append(self._tau(s, a, GE, ctx, ((k, True),)))
             return b.or_(branches)
 
         f = self._meet(s.fun)
         if isinstance(t, App):
             # target root collapsed away
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                entered = self._enter(ctx, ((k, True),))
-                if entered is None:
-                    branches.append(b.FALSE)
-                    continue
-                parts, c = entered
-                parts.append(self._tau(s, a, rel, c))
-                branches.append(b.and_(parts))
+                branches.append(self._tau(s, a, rel, ctx, ((k, True),)))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
-            entered = self._enter(ctx, ((k, True),))
-            if entered is None:
-                branches.append(b.FALSE)
-                continue
-            parts, c = entered
-            parts.append(self._tau(a, t, rel, c))
-            branches.append(b.and_(parts))
+            branches.append(self._tau(a, t, rel, ctx, ((k, True),)))
         # source kept: some kept argument already weakly exceeds t
         entered = self._enter(ctx, ((f.list_p, True),))
         if entered is None:
@@ -357,13 +356,7 @@ class EncodingContext:
         kept_parts, kept_ctx = entered
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
-            entered = self._enter(kept_ctx, ((k, True),))
-            if entered is None:
-                kept.append(b.FALSE)
-                continue
-            parts, c = entered
-            parts.append(self._tau(a, t, GE, c))
-            kept.append(b.and_(parts))
+            kept.append(self._tau(a, t, GE, kept_ctx, ((k, True),)))
         kept_parts.append(b.or_(kept))
         branches.append(b.and_(kept_parts))
         return b.or_(branches)
@@ -385,13 +378,7 @@ class EncodingContext:
             parts.append(self._lex_same(f, s.args, t.args, 1, rel, ctx))
         elif self.mode == "quasi":
             gt, eq = self._prec(f, g)
-            entered = self._enter(ctx, ((eq, True),))
-            if entered is None:
-                lex = b.FALSE
-            else:
-                lex_parts, c = entered
-                lex_parts.append(self._lex_two(s, t, 1, 1, rel, c))
-                lex = b.and_(lex_parts)
+            lex = self._lex_two(s, t, 1, 1, rel, ctx, ((eq, True),))
             # the lex branch is built before the precedence atom's node
             parts.append(b.or_([self._atom(ctx, gt), lex]))
         for k, a in zip(g_atoms.arg_in, t.args):
@@ -413,13 +400,7 @@ class EncodingContext:
             return b.FALSE if rel == GT else b.TRUE
         k = self._meet(f).arg_in[i - 1]
         s_i, t_i = ss[i - 1], ts[i - 1]
-        entered = self._enter(ctx, ((k, True),))
-        if entered is None:
-            first = b.FALSE
-        else:
-            parts, c = entered
-            parts.append(self._tau(s_i, t_i, GT, c))
-            first = b.and_(parts)
+        first = self._tau(s_i, t_i, GT, ctx, ((k, True),))
         opened = self._open(ctx, k)
         if opened is None:
             hold = b.TRUE
@@ -431,25 +412,37 @@ class EncodingContext:
         rest = self._lex_same(f, ss, ts, i + 1, rel, ctx)
         return b.or_([first, b.and_([hold, rest])])
 
-    def _lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx) -> Formula:
+    def _lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx,
+                 literals: Sequence[tuple[int, bool]] = ()) -> Formula:
         """Lexicographic comparison of the arguments of ``s`` from ``i`` on
         and of ``t`` from ``j`` on, across two equivalent symbols with
         independent filterings (quasi mode), memoized on the part of the
-        context the comparison can read."""
-        if not self.builder.share:
-            return self._build_lex_two(s, t, i, j, rel, ctx)
-        key = (s, t, i, j)
-        cell = self._lex_cells.get(key)
-        if cell is None:
-            cell = self._lex_cells[key] = [None, {}]
-        if ctx:
-            if cell[0] is None:
-                cell[0] = self._lex_mask(s, t, i, j)
-            ctx &= cell[0]
-        result = cell[1].get((rel, ctx))
-        if result is None:
-            result = cell[1][rel, ctx] = self._build_lex_two(s, t, i, j, rel, ctx)
-        return result
+        context the comparison can read.  ``literals`` enter a branch as
+        they do for ``_tau``."""
+        b = self.builder
+        if literals:
+            entered = self._enter(ctx, literals)
+            if entered is None:
+                return b.FALSE
+            parts, ctx = entered
+        if b.share:
+            key = (s, t, i, j)
+            cell = self._lex_cells.get(key)
+            if cell is None:
+                cell = self._lex_cells[key] = [None, {}]
+            if ctx:
+                if cell[0] is None:
+                    cell[0] = self._lex_mask(s, t, i, j)
+                ctx &= cell[0]
+            result = cell[1].get((rel, ctx))
+            if result is None:
+                result = cell[1][rel, ctx] = self._build_lex_two(s, t, i, j, rel, ctx)
+        else:
+            result = self._build_lex_two(s, t, i, j, rel, ctx)
+        if not literals:
+            return result
+        parts.append(result)
+        return b.and_(parts)
 
     def _lex_mask(self, s: App, t: App, i: int, j: int) -> int:
         """The bits ``_lex_two`` at ``(i, j)`` can read: those of the atoms
@@ -520,20 +513,9 @@ class EncodingContext:
         left, right = f_in[i - 1], g_in[j - 1]
         branches: list[Formula] = []
         # skip the left argument, skip the right one, or compare the two
-        entered = self._enter(ctx, ((left, False),))
-        if entered is None:
-            branches.append(b.FALSE)
-        else:
-            parts, c = entered
-            parts.append(self._lex_two(s, t, i + 1, j, rel, c))
-            branches.append(b.and_(parts))
-        entered = self._enter(ctx, ((left, True), (right, False)))
-        if entered is None:
-            branches.append(b.FALSE)
-        else:
-            parts, c = entered
-            parts.append(self._lex_two(s, t, i, j + 1, rel, c))
-            branches.append(b.and_(parts))
+        branches.append(self._lex_two(s, t, i + 1, j, rel, ctx, ((left, False),)))
+        branches.append(self._lex_two(s, t, i, j + 1, rel, ctx,
+                                      ((left, True), (right, False))))
         entered = self._enter(ctx, ((left, True), (right, True)))
         if entered is None:
             branches.append(b.FALSE)

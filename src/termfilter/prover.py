@@ -24,7 +24,6 @@ from .lowering import (DecodedModel, VarMap, decode_model, lower_atoms,
 from .orders import ArgumentFiltering, Collapse, Precedence, lpo_af_ge, lpo_af_gt
 from .solver import UNKNOWN, UNSAT, solve
 from .terms import Rule, Symbol, Trs
-from .tpdb import parse_trs
 from .usable import usable_rules, usable_rules_mod_pi
 from . import atoms as A
 
@@ -212,10 +211,6 @@ def prove(trs: Trs, config: ProverConfig | None = None) -> Verdict:
                                    outcome.witness))
             queue.append(outcome.problem)
     return Terminating(tuple(steps))
-
-
-def prove_file(path: str, config: ProverConfig | None = None) -> Verdict:
-    return prove(parse_trs(Path(path).read_text()), config)
 
 
 def _format_precedence(prec: Precedence, symbols: tuple[Symbol, ...], mode: str) -> str:

@@ -38,11 +38,6 @@ def usable_rules(pairs: Trs, rules: Trs) -> tuple[Rule, ...]:
     return _reachable(pairs, rules, None)
 
 
-def defined_usable_symbols(pairs: Trs, rules: Trs) -> tuple[Symbol, ...]:
-    """Root symbols of the usable rules, in rule order."""
-    return roots(usable_rules(pairs, rules))
-
-
 def roots(rules: tuple[Rule, ...]) -> tuple[Symbol, ...]:
     """Root symbols of ``rules``, in rule order."""
     return tuple(dict.fromkeys(rule.root for rule in rules))
@@ -55,21 +50,19 @@ def usable_rules_mod_pi(pairs: Trs, rules: Trs, pi: ArgumentFiltering) -> tuple[
 
 
 def omega(pairs: Trs, rules: Trs, ctx: EncodingContext,
-          usable_symbols: tuple[Symbol, ...] | None = None) -> Formula:
+          usable_symbols: tuple[Symbol, ...]) -> Formula:
     """Propositional usable-rules tracking, one implication per defined symbol.
 
     Every pair's right-hand side asserts the flag ``u_f`` of each defined
     symbol ``f`` reached through kept argument positions.  Each flag of a
     classically usable symbol implies the weak orientation of that symbol's
     rules, and the flags their right-hand sides reach in the same way.  A
-    flag reached again inside its own implication folds to true.  A caller
-    that has already walked the classical closure passes its
-    ``defined_usable_symbols`` instead of having it walked again.
+    flag reached again inside its own implication folds to true.
+    ``usable_symbols`` are the classically usable symbols, the ``roots`` of
+    ``usable_rules(pairs, rules)``, which the caller has already walked.
     """
     b = ctx.builder
     defined = defined_symbols(rules)
-    if usable_symbols is None:
-        usable_symbols = defined_usable_symbols(pairs, rules)
     parts = [_omega_term(p.rhs, defined, ctx, EMPTY_CTX) for p in pairs.rules]
     for f in usable_symbols:
         own = rules.rules_for(f)

@@ -19,7 +19,7 @@ from termfilter.orders import (ArgumentFiltering, Collapse, Keep, Precedence,
 from termfilter.prover import ProverConfig, Terminating, prove
 from termfilter.solver import SAT, UNSAT, solve_internal
 from termfilter.terms import App, Symbol, Var
-from termfilter.usable import omega
+from termfilter.usable import omega, roots, usable_rules
 
 from util import (all_filterings, all_precedences, check_cnf, ex13, ex2,
                   identity_filtering, lowered_cnf, no_atoms, random_signature,
@@ -257,7 +257,7 @@ def test_criterion_6_omega_golden():
         names = symbol_map(trs, pairs)
         ctx = EncodingContext("strict")
         b = ctx.builder
-        w = omega(pairs, trs, ctx)
+        w = omega(pairs, trs, ctx, roots(usable_rules(pairs, trs)))
         assert w.kind == "and" and len(w.children) == 4
         children = set(w.children)
         expected = {

@@ -472,10 +472,24 @@ def test_tau_memo_hits_across_contexts(monkeypatch):
     assert 0 < builds <= 300
 
 
-@pytest.mark.parametrize("k,size", [(3, 184), (4, 252), (5, 332), (6, 424), (7, 528)])
-def test_rot_quasi_dag_sizes(k, size):
+ROT_QUASI = [
+    (3, 184, "fcd6fa35d2c0c6adfb6eec5952164047c0b61146e4fc7e50d3437cb580d09c45"),
+    (4, 252, "5ad34128e7c7b1d4543b586231411fa0bd324f15bd4c6b52812dfe1378ef92c6"),
+    (5, 332, "3926acc7e0c63d5eebacba1b81c8ccc23e967485aa6a3d4e749377ac86720292"),
+    (6, 424, "adf50256285ef9c646273e97e4d5e80c7ce25083c071ecb748173cba80123354"),
+    (7, 528, "b3ec01c37023f7b8e875a38f7e8743f4bd8826e096c4e75d713aaa13a82ef061"),
+]
+
+
+@pytest.mark.parametrize("k,size,digest", ROT_QUASI,
+                         ids=[f"{k}-{size}" for k, size, _ in ROT_QUASI])
+def test_rot_quasi_dag_sizes(k, size, digest):
+    # the sizes, and sha256 digests of the dumped formulas, which these
+    # _lex_two-heavy encodings pin byte for byte
+    import hashlib
     enc = encode_rp_formula(_rot_problem(k), "thm12", "quasi")
     assert dag_size(enc.formula) == size
+    assert hashlib.sha256(dump(enc.formula).encode()).hexdigest() == digest
 
 
 def test_lex_two_calls_grow_polynomially(monkeypatch):
@@ -521,13 +535,14 @@ def test_each_atom_built_once_per_context(monkeypatch, system, mode):
 
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
-def test_encoder_descends_at_most_three_frames_per_level(mode):
-    # f(s^200(x)) -> f(x) with 3 frames per level of term depth to spare,
-    # plus 100.  The encoder takes 2; a branch helper that calls back into
-    # its body costs several more per level and fails here.
+def test_encoder_descends_at_most_two_frames_per_level(mode):
+    # f(s^200(x)) -> f(x) with 2 frames per level of term depth to spare,
+    # plus 50; the encoder needs 2 per level plus 10 or 11.  A third frame
+    # per level (a branch helper that calls back into its body, or a
+    # comprehension around a recursive call) fails here.
     problem = _depth_problem(200)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(stack_depth() + 3 * 200 + 100)
+    sys.setrecursionlimit(stack_depth() + 2 * 200 + 50)
     try:
         encode_rp_formula(problem, "thm12", mode)
     finally:

@@ -474,8 +474,8 @@ def test_solver_rescale_refreshes_heap():
 
 def test_dimacs_roundtrip():
     cnf = Cnf(3, ((1, -2), (2, 3), (-3,)))
-    text = write_dimacs(cnf, comments=("hello",))
-    assert text.startswith("c hello\np cnf 3 3\n")
+    text = write_dimacs(cnf)
+    assert text.startswith("p cnf 3 3\n")
     assert parse_dimacs(text) == cnf
 
 

@@ -11,8 +11,7 @@ from termfilter.orders import (ArgumentFiltering, Collapse, Keep, lpo_af_ge,
                                lpo_af_gt)
 from termfilter.terms import Trs
 from termfilter.tpdb import parse_trs
-from termfilter.usable import (defined_usable_symbols, omega, usable_rules,
-                               usable_rules_mod_pi)
+from termfilter.usable import omega, roots, usable_rules, usable_rules_mod_pi
 
 from util import (all_filterings, all_precedences, concrete_atom_value, ex13,
                   ex2, filter_options, lowered_cnf, random_trs, symbol_map,
@@ -152,7 +151,7 @@ def test_omega_golden_div_if():
     names = symbol_map(trs, pairs)
     ctx = EncodingContext("strict")
     b = ctx.builder
-    w = omega(pairs, trs, ctx)
+    w = omega(pairs, trs, ctx, roots(usable_rules(pairs, trs)))
     assert w.kind == "and" and len(w.children) == 4
     children = set(w.children)
     assert b.implies(b.atom(A.ArgIn(names["div#"], 1)),
@@ -172,7 +171,8 @@ def test_omega_variable_rhs_only():
     pairs = dependency_pairs(trs)
     g_pairs = Trs.of([p for p in pairs.rules])
     ctx = EncodingContext("strict")
-    w = omega(Trs.of([p for p in g_pairs.rules if "g#" in str(p.rhs)]), trs, ctx)
+    g_only = Trs.of([p for p in g_pairs.rules if "g#" in str(p.rhs)])
+    w = omega(g_only, trs, ctx, roots(usable_rules(g_only, trs)))
     # satisfiable with every usability flag off
     env = {a: False for a in atoms_of(w) if isinstance(a, A.Usable)}
 
@@ -189,7 +189,7 @@ def test_omega_variable_rhs_only():
 def test_defined_usable_symbols_order():
     trs = ex13()
     pairs = dependency_pairs(trs)
-    assert [f.display for f in defined_usable_symbols(pairs, trs)] == ["minus", "ge"]
+    assert [f.display for f in roots(usable_rules(pairs, trs))] == ["minus", "ge"]
 
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
