@@ -4,6 +4,12 @@
 builds a clause set (Tseitin, ``parse_dimacs``, a test) hands over clauses
 as they come, and whatever reads one (the internal solver, ``write_dimacs``,
 an external solver) takes them as they are.
+
+``tseitin_cnf`` is polarity-aware: it defines each node only in the
+directions the formula uses it in, so a node that occurs only positively
+(or only negatively) costs about half the clauses of a full equivalence.
+Its definition variables therefore bound their nodes rather than equal
+them, and only the original variables of a model carry meaning.
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ class Cnf:
         object.__setattr__(self, "clauses", tuple(normal))
 
 
+# a polarity mask with its two directions exchanged
+_SWAP = (0, 2, 1, 3)
+
+
 @dataclass
 class TseitinResult:
     cnf: Cnf
@@ -55,16 +65,28 @@ class TseitinResult:
 
 def tseitin_cnf(phi: Formula, num_reserved: int,
                 lower: Callable[[Any], Formula]) -> TseitinResult:
-    """Equisatisfiable clause form.
+    """Equisatisfiable clause form with one-sided definitions.
 
-    Every connective node of the DAG gets one definition variable and is
-    encoded once regardless of how often it is referenced; negations reuse
+    Every connective node of the DAG gets one definition variable ``v`` and
+    is encoded once regardless of how often it is referenced; negations reuse
     the child's literal; a conjunctive root is asserted child by child
     instead of through a definition.  An atom whose payload is an ``int`` is
     that variable.  Any other atom is translated by ``lower`` into a formula
     over variables the first time the walk reaches its node, once per node,
-    and stands for that formula.  Any model of the result restricted to the
-    original variables satisfies the input with its atoms so translated.
+    and stands for that formula.
+
+    A definition is emitted only in the directions its node is used in
+    (Plaisted & Greenbaum 1986): direction 1 is ``v -> node``, needed where
+    the node occurs positively, and direction 2 is ``node -> v``, needed
+    where it occurs negatively.  The walk carries this polarity mask down:
+    ``and`` and ``or`` pass it to their children, ``not`` and the antecedent
+    of ``implies`` swap it, the children of ``iff`` get both directions, and
+    a translated atom passes its own mask to its translation.  A node reached
+    again under a direction not yet emitted gets just that direction, so
+    each direction of each definition is emitted at most once.  The result
+    is satisfiable exactly when the input is, and any model of it restricted
+    to the original variables satisfies the input with its atoms so
+    translated; a definition variable need not equal its node's value.
     Clauses are kept as built; ``Cnf`` puts them in normal form.
     """
     clauses: list[tuple[int, ...]] = []
@@ -72,6 +94,8 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     counter = [num_reserved]
     # keyed by node, so a translation cannot alias a node of ``phi``
     lits: dict[Formula, int] = {}
+    emitted: dict[Formula, int] = {}    # the directions done, as a mask
+    lowered: dict[Formula, Formula] = {}
     const_lit: list[int] = []
 
     def fresh(desc: str) -> int:
@@ -86,46 +110,66 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
             clauses.append((v,))
         return const_lit[0]
 
-    def lit(n: Formula) -> int:
-        hit = lits.get(n)
-        if hit is not None:
-            return hit
+    def lit(n: Formula, pol: int) -> int:
+        done = emitted.get(n, 0)
+        new = pol & ~done
+        if not new:
+            return lits[n]
         k = n.kind
         if k == TRUE:
-            out = true_lit()
+            out, new = true_lit(), 3
         elif k == FALSE:
-            out = -true_lit()
+            out, new = -true_lit(), 3
         elif k == ATOM:
             payload = n.payload
-            out = payload if isinstance(payload, int) else lit(lower(payload))
+            if isinstance(payload, int):
+                out, new = payload, 3
+            else:
+                low = lowered.get(n)
+                if low is None:
+                    low = lowered[n] = lower(payload)
+                out = lit(low, new)
         elif k == NOT:
-            out = -lit(n.children[0])
-        else:
-            cs = [lit(c) for c in n.children]
-            v = fresh(f"def({k})")
-            if k == AND:
-                for c in cs:
-                    clauses.append((-v, c))
-                clauses.append(tuple([v] + [-c for c in cs]))
-            elif k == OR:
-                for c in cs:
-                    clauses.append((v, -c))
-                clauses.append(tuple([-v] + cs))
-            elif k == IMPLIES:
-                a, b = cs
+            out = -lit(n.children[0], _SWAP[new])
+        elif k == IMPLIES:
+            a = lit(n.children[0], _SWAP[new])
+            b = lit(n.children[1], new)
+            v = lits.get(n) or fresh(f"def({k})")
+            if new & 2:
                 clauses.append((v, a))
                 clauses.append((v, -b))
+            if new & 1:
                 clauses.append((-v, -a, b))
+            out = v
+        else:
+            sub = 3 if k == IFF else new
+            cs = [lit(c, sub) for c in n.children]
+            v = lits.get(n) or fresh(f"def({k})")
+            if k == AND:
+                if new & 1:
+                    for c in cs:
+                        clauses.append((-v, c))
+                if new & 2:
+                    clauses.append(tuple([v] + [-c for c in cs]))
+            elif k == OR:
+                if new & 2:
+                    for c in cs:
+                        clauses.append((v, -c))
+                if new & 1:
+                    clauses.append(tuple([-v] + cs))
             elif k == IFF:
                 a, b = cs
-                clauses.append((-v, -a, b))
-                clauses.append((-v, a, -b))
-                clauses.append((v, a, b))
-                clauses.append((v, -a, -b))
+                if new & 1:
+                    clauses.append((-v, -a, b))
+                    clauses.append((-v, a, -b))
+                if new & 2:
+                    clauses.append((v, a, b))
+                    clauses.append((v, -a, -b))
             else:
                 raise ValueError(f"unknown node kind {k!r}")
             out = v
         lits[n] = out
+        emitted[n] = done | new
         return out
 
     def is_literal(n: Formula) -> bool:
@@ -142,9 +186,9 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
                 assert_node(c)
             return
         if n.kind == OR and all(is_literal(c) for c in n.children):
-            clauses.append(tuple(lit(c) for c in n.children))
+            clauses.append(tuple(lit(c, 1) for c in n.children))
             return
-        clauses.append((lit(n),))
+        clauses.append((lit(n, 1),))
 
     assert_node(phi)
     return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)

@@ -552,6 +552,13 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     processor: every pair weakly decreasing, at least one strictly, and the
     usable rules weakly decreasing.
 
+    Pair ``i``'s marker ``StrictPair(i)`` only implies that the pair is
+    strictly decreasing, and the markers are asked to be true for at least
+    one pair.  So τ> occurs in positive polarity only, and a model may leave
+    the marker of a strictly decreasing pair false: the pairs a model
+    removes are the ones the prover finds strictly oriented when it replays
+    the model, a superset of the marked ones.
+
     With ``processor="thm5"`` the usable rules are the classical closure and
     their orientation is required outright.  With ``processor="thm12"`` rule
     orientation is conditional on per-symbol usability flags that track which
@@ -582,7 +589,7 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     strict_atoms = []
     for i, p in enumerate(pairs):
         marker = b.atom(A.StrictPair(i))
-        parts.append(b.iff(marker, ctx.tau_gt(p.lhs, p.rhs)))
+        parts.append(b.implies(marker, ctx.tau_gt(p.lhs, p.rhs)))
         strict_atoms.append(marker)
     parts.append(b.or_(strict_atoms))
 

@@ -133,12 +133,16 @@ def structural_constraints(vm: VarMap, b: FormulaBuilder) -> list[Formula]:
 class DecodedModel:
     precedence: Precedence
     filtering: ArgumentFiltering
+    # the pairs whose strict marker is true; the encoding makes each of them
+    # strictly decreasing, but the prover removes every pair that is
     strict_pairs: tuple[int, ...]
 
 
 def decode_model(model: Mapping[int, bool], vm: VarMap) -> DecodedModel:
-    """Read a precedence, filtering and strict-pair set off a satisfying
-    assignment.  Ranks are compressed to 1..d preserving order."""
+    """Read a precedence, filtering and strict-pair markers off a satisfying
+    assignment.  Ranks are compressed to 1..d preserving order.  The marked
+    pairs are a subset of those the model orients strictly, which the
+    prover's replay works out and removes."""
     def val(v: int) -> bool:
         return bool(model.get(v, False))
 

@@ -132,17 +132,21 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
             return RpOutcome("timeout")
         return RpOutcome("unsat")
 
-    decoded = decode_model(result.model, vm)
-    witness = _verify(problem, config, decoded)
-    strict = set(decoded.strict_pairs)
-    keep = [p for i, p in enumerate(problem.pairs.rules) if i not in strict]
+    witness = _verify(problem, config, decode_model(result.model, vm))
+    removed = set(witness.removed)
+    keep = [p for p in problem.pairs.rules if p not in removed]
     return RpOutcome("progress", DpProblem(Trs.of(keep), problem.rules), witness)
 
 
 def _verify(problem: DpProblem, config: ProverConfig,
             decoded: DecodedModel) -> ReductionWitness:
     """Replay the model through the filtered order, with the usable rules
-    worked out from the problem and the decoded filtering, not the encoder."""
+    worked out from the problem and the decoded filtering, not the encoder.
+
+    The witness removes every pair that the decoded precedence and filtering
+    orient strictly, whether or not its marker is set.  The model is
+    rejected when it marks no pair, when a marked pair is not strictly
+    decreasing, or when a pair or a usable rule is not weakly decreasing."""
     prec, pi = decoded.precedence, decoded.filtering
     mode = config.mode
     if config.processor == "thm5":
@@ -151,20 +155,20 @@ def _verify(problem: DpProblem, config: ProverConfig,
         obligations = usable_rules_mod_pi(problem.pairs, problem.rules, pi)
     if not decoded.strict_pairs:
         raise VerificationError("model removes no pair")
-    strict = set(decoded.strict_pairs)
+    marked = set(decoded.strict_pairs)
+    removed = []
     for i, p in enumerate(problem.pairs.rules):
-        # a strict decrease is also a weak one, so each pair needs one check
-        if i in strict:
-            if not lpo_af_gt(prec, pi, mode, p.lhs, p.rhs):
-                raise VerificationError(f"pair marked strict but not strictly decreasing: {p}")
+        # a strict decrease is also a weak one, so a strict pair needs one check
+        if lpo_af_gt(prec, pi, mode, p.lhs, p.rhs):
+            removed.append(p)
+        elif i in marked:
+            raise VerificationError(f"pair marked strict but not strictly decreasing: {p}")
         elif not lpo_af_ge(prec, pi, mode, p.lhs, p.rhs):
             raise VerificationError(f"pair not weakly decreasing: {p}")
     for rule in obligations:
         if not lpo_af_ge(prec, pi, mode, rule.lhs, rule.rhs):
             raise VerificationError(f"usable rule not weakly decreasing: {rule}")
-    return ReductionWitness(
-        mode, config.processor, prec, pi,
-        tuple(problem.pairs.rules[i] for i in decoded.strict_pairs), obligations)
+    return ReductionWitness(mode, config.processor, prec, pi, tuple(removed), obligations)
 
 
 def _emit(cnf, vm: VarMap, definitions: dict[int, str], enc, session: _Session) -> None:

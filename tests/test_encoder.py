@@ -473,11 +473,11 @@ def test_tau_memo_hits_across_contexts(monkeypatch):
 
 
 ROT_QUASI = [
-    (3, 184, "fcd6fa35d2c0c6adfb6eec5952164047c0b61146e4fc7e50d3437cb580d09c45"),
-    (4, 252, "5ad34128e7c7b1d4543b586231411fa0bd324f15bd4c6b52812dfe1378ef92c6"),
-    (5, 332, "3926acc7e0c63d5eebacba1b81c8ccc23e967485aa6a3d4e749377ac86720292"),
-    (6, 424, "adf50256285ef9c646273e97e4d5e80c7ce25083c071ecb748173cba80123354"),
-    (7, 528, "b3ec01c37023f7b8e875a38f7e8743f4bd8826e096c4e75d713aaa13a82ef061"),
+    (3, 184, "1227c4b35ba11d4a97174ccc405f1146669a0928eeefb6f839d628ee279fa1cd"),
+    (4, 252, "c0eb791ab154e2307229b0f07b2d9f414874197bcdd9834e25b0f39d286ba947"),
+    (5, 332, "67cf4367eeb9e0a34bb9630ae64b9e8eb1b2382e588e3db1654938ffff1a8016"),
+    (6, 424, "54028ac02ddf44cf5a03479c09e33a2ddcc81c87a750fda7ab2ab8ad9420dc68"),
+    (7, 528, "cb5ead0b80ea7123c93d9fd31f635507f94f16742eb36f8727b0bfb1e7c27895"),
 ]
 
 
@@ -550,11 +550,11 @@ def test_encoder_descends_at_most_two_frames_per_level(mode):
 
 
 ABLATION_DIGESTS = {
-    "EX2": "01c7cbb178d1e62fd6a9357612863699ca3b59b29097bde269f487b551d6f401",
-    "EX13": "1c4be01d8407b2027e40333ef6085fe1a8ba5f49bdb9d3db7bc638c724f1519d",
-    "ACKERMANN": "c5b2fa64a4cb9b90271a17c6521be763a8c5088f3879bbcd7645d7bdd0837654",
-    "REVERSE": "d7be1fd99aca1a11313ca63acf72a4037ff27f2e613753004396231f65ac079a",
-    "SHUFFLE": "e44b9dc04b9be115971f0fc7a302f1a529c2873679a2fc3d48ac5a2539ae6c63",
+    "EX2": "01f3c7e1a5b574c356d2d70511ef25f64d0670a781965851b7b0f7976f31c553",
+    "EX13": "4cd304970ea526e9272a1235ef7f5f149ae55040d3f75180128f41dd39d3c3b7",
+    "ACKERMANN": "1fee6cd73843b26e1ccc6128fdd2ecbf6e4ab819b8fb925a298179bbb2f00ea4",
+    "REVERSE": "33f95868000431c1f42ad359f822b402f2d6d6573cbf9cedac2e11a607c5a234",
+    "SHUFFLE": "2f5ae8b47c48cbc97dd587938f4cd243c9d0f77b8a4725e154c1184cfc7c2ec3",
 }
 
 
@@ -562,11 +562,11 @@ ABLATION_DIGESTS = {
 # lowers them; under some settings Tseitin's raw clauses hold repeated
 # literals and tautologies, so these also pin what ``Cnf`` drops
 CNF_DIGESTS = {
-    "EX2": "efd68d56bc4ae44fbdde632d8f98d5989d96278b29f0584c85137a4738240798",
-    "EX13": "2ae4f0e30eff70454e8723e4aef4d729f8f19f72185c53b63ab1d4ca23b5c1fe",
-    "ACKERMANN": "44315c56087bc30bccc3c6e0944056463f2201f9cb50b9b6c6b250c6761c4435",
-    "REVERSE": "fae4555b6a7e9140682a038d45887930db131dba568360963de8de611a6f020c",
-    "SHUFFLE": "89846ad17ecd87744078b3211879fe47a8f8a6f0af45bf7352236d58773f5555",
+    "EX2": "2cb1dc41fc66ff3f2707013008c6432ca51acf64d7b0b18e71e879148388cfc2",
+    "EX13": "4e981edb89a689037851501730b895010c8c03e7c2218f580736163646dfc461",
+    "ACKERMANN": "6bad36bb1cd491cbdb51dde16968d9520c218c486e2ac87470e8d69f33e629a6",
+    "REVERSE": "07f9d26ab1adf975620be0bdbe6d2273e835a514303cc16ec72fc4a36b48576f",
+    "SHUFFLE": "9c7b807caf71fd7e2ca323e3dd7117ad4f802d499a9140429a717e4ccdfc542d",
 }
 
 

@@ -9,7 +9,8 @@ import pytest
 from termfilter import prover
 from termfilter.cli import main as cli_main
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
-from termfilter.orders import lpo_af_ge, lpo_af_gt
+from termfilter.lowering import DecodedModel
+from termfilter.orders import ArgumentFiltering, Keep, Precedence, lpo_af_ge, lpo_af_gt
 from termfilter.prover import (Maybe, ProverConfig, Terminating, Timeout,
                                reduction_pair_processor, prove, render_proof)
 from termfilter.terms import Trs
@@ -100,6 +101,68 @@ def test_full_problem_processor_thm12():
     w = outcome.witness
     for rule in w.usable:
         assert lpo_af_ge(w.precedence, w.filtering, "strict", rule.lhs, rule.rhs)
+
+
+def _hand_model(text, *marked):
+    """The pair problem of ``text`` and a decoded model of it made by hand:
+    every symbol at rank 1, every argument kept, and the pairs printed as
+    ``marked`` marked strict."""
+    trs = parse_trs(text)
+    problem = DpProblem(dependency_pairs(trs), trs)
+    symbols = problem_signature(problem)
+    pi = ArgumentFiltering({f: Keep(tuple(range(1, f.arity + 1))) for f in symbols})
+    printed = [str(p) for p in problem.pairs.rules]
+    decoded = DecodedModel(Precedence({f: 1 for f in symbols}), pi,
+                           tuple(printed.index(p) for p in marked))
+    return problem, decoded
+
+
+TWO_STRICT = "(VAR x)(RULES f(s(x)) -> f(x)  f(s(s(x))) -> f(x)  f(x) -> f(x))"
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_verify_removes_every_strictly_oriented_pair(mode):
+    # one marker, two strict pairs: both go, the weak self-loop stays
+    problem, decoded = _hand_model(TWO_STRICT, "f#(s(x)) -> f#(x)")
+    witness = prover._verify(problem, ProverConfig(mode=mode), decoded)
+    assert sorted(map(str, witness.removed)) == ["f#(s(s(x))) -> f#(x)", "f#(s(x)) -> f#(x)"]
+
+
+def test_verify_rejects_a_marker_on_a_weak_pair():
+    problem, decoded = _hand_model(TWO_STRICT, "f#(x) -> f#(x)")
+    with pytest.raises(prover.VerificationError, match="marked strict but not strictly"):
+        prover._verify(problem, ProverConfig(), decoded)
+
+
+def test_verify_rejects_a_model_without_markers():
+    problem, decoded = _hand_model(TWO_STRICT)
+    with pytest.raises(prover.VerificationError, match="model removes no pair"):
+        prover._verify(problem, ProverConfig(), decoded)
+
+
+def test_verify_rejects_a_pair_that_is_not_weakly_decreasing():
+    problem, decoded = _hand_model("(VAR x)(RULES f(s(x)) -> f(x)  g(x) -> g(s(x)))",
+                                   "f#(s(x)) -> f#(x)")
+    with pytest.raises(prover.VerificationError, match="pair not weakly decreasing"):
+        prover._verify(problem, ProverConfig(), decoded)
+
+
+@pytest.mark.parametrize("processor,mode", CONFIGS)
+def test_processor_keeps_exactly_the_pairs_not_removed(processor, mode):
+    # the witness removes every strictly oriented pair, marked or not, and
+    # the processor keeps the rest
+    for text in (EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, SHUFFLE_TEXT):
+        trs = parse_trs(text)
+        for sub in scc_decompose(DpProblem(dependency_pairs(trs), trs)):
+            outcome = reduction_pair_processor(sub, ProverConfig(mode=mode, processor=processor))
+            if outcome.status != "progress":
+                continue
+            w = outcome.witness
+            kept = outcome.problem.pairs.rules
+            assert set(kept) | set(w.removed) == set(sub.pairs.rules)
+            assert not set(kept) & set(w.removed)
+            for p in kept:
+                assert not lpo_af_gt(w.precedence, w.filtering, mode, p.lhs, p.rhs)
 
 
 def test_timeout_verdict():

@@ -26,7 +26,7 @@ from termfilter.prover import ProverConfig, prove
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms,
-                  problem_signature)
+                  problem_signature, reference_tseitin_cnf)
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +246,102 @@ def test_tseitin_shares_definitions():
     assert len(res.definitions) == 4
 
 
+def test_tseitin_one_sided_agrees_with_two_sided():
+    # the same random formulas, with and without symbolic atoms, through
+    # both forms: satisfiable together, and the one-sided form is smaller
+    rng = random.Random(2024)
+    for round_no in range(300):
+        n_vars = rng.randint(2, 8)
+        b = FormulaBuilder(simplify=rng.random() < 0.7)
+        payloads = [("a", i) for i in range(rng.randint(0, 3))]
+        translation = {p: _random_formula(rng, b, n_vars, rng.randint(0, 4))
+                       for p in payloads}
+        phi = _random_formula(rng, b, n_vars, rng.randint(3, 20), payloads)
+        one = tseitin_cnf(phi, n_vars, translation.__getitem__)
+        two = reference_tseitin_cnf(phi, n_vars, translation.__getitem__)
+        assert one.cnf.num_vars == two.cnf.num_vars, round_no
+        assert len(one.cnf.clauses) <= len(two.cnf.clauses), round_no
+        _check_projecting(one, _lowered_value(phi, translation), n_vars,
+                          f"round {round_no}")
+        assert solve_internal(one.cnf).status == solve_internal(two.cnf).status, round_no
+
+
+@pytest.mark.parametrize("processor", ["thm5", "thm12"])
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tseitin_one_sided_on_every_round(monkeypatch, mode, processor):
+    # every round of the five paper systems: the one-sided CNF is
+    # satisfiable exactly when the two-sided one is, and its model, cut
+    # down to the reserved variables, satisfies the round's formula
+    rounds = []
+    real = prover.tseitin_cnf
+
+    def record(phi, num_reserved, lower):
+        ts = real(phi, num_reserved, lower)
+        rounds.append((phi, num_reserved, lower, ts))
+        return ts
+
+    monkeypatch.setattr(prover, "tseitin_cnf", record)
+    for text in (EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT):
+        prove(parse_trs(text), ProverConfig(mode=mode, processor=processor))
+    assert len(rounds) >= 10
+    for phi, num_reserved, lower, ts in rounds:
+        got = solve_internal(ts.cnf)
+        two = reference_tseitin_cnf(phi, num_reserved, lower)
+        assert got.status == solve_internal(two.cnf).status
+        assert len(ts.cnf.clauses) < len(two.cnf.clauses)
+        if got.status == SAT:
+            env = {v: got.model.get(v, False) for v in range(1, num_reserved + 1)}
+
+            def atom_value(payload):
+                if isinstance(payload, int):
+                    return env[payload]
+                return evaluate(lower(payload), env.__getitem__)
+
+            assert evaluate(phi, atom_value)
+
+
+def test_tseitin_positive_and_is_binary_clauses_only():
+    # the conjunction occurs only under an asserted disjunction, so its
+    # definition is v -> x1 and v -> x2, without (x1 and x2) -> v
+    b = FormulaBuilder()
+    x = [None] + [b.atom(v) for v in range(1, 4)]
+    phi = b.or_([b.and_([x[1], x[2]]), x[3]])
+    res = tseitin_cnf(phi, 3, no_atoms)
+    assert res.definitions == {4: "def(and)", 5: "def(or)"}
+    assert res.cnf.clauses == ((-4, 1), (-4, 2), (-5, 3, 4), (5,))
+
+
+def test_tseitin_antecedent_takes_the_other_direction():
+    b = FormulaBuilder()
+    phi = b.implies(b.and_([b.atom(1), b.atom(2)]), b.atom(3))
+    res = tseitin_cnf(phi, 3, no_atoms)
+    assert res.cnf.clauses == ((4, -1, -2), (-5, -4, 3), (5,))
+
+
+def test_tseitin_each_direction_emitted_once():
+    # the conjunction is reached positively, negatively, and positively
+    # again: each of its three definition clauses comes out exactly once
+    b = FormulaBuilder()
+    x = [None] + [b.atom(v) for v in range(1, 6)]
+    shared = b.and_([x[1], x[2]])
+    phi = b.and_([b.or_([shared, x[3]]), b.or_([b.not_(shared), x[4]]),
+                  b.or_([shared, x[5]])])
+    res = tseitin_cnf(phi, 5, no_atoms)
+    assert res.definitions[6] == "def(and)"
+    mentions = [c for c in res.cnf.clauses if 6 in c or -6 in c]
+    assert sorted(c for c in mentions if c[0] in (6, -6)) == [(-6, 1), (-6, 2), (6, -1, -2)]
+    assert len(mentions) == 3 + 3   # its own three and one per disjunction
+    assert len(set(res.cnf.clauses)) == len(res.cnf.clauses)
+
+
+def test_tseitin_iff_children_get_both_directions():
+    b = FormulaBuilder()
+    phi = b.iff(b.and_([b.atom(1), b.atom(2)]), b.atom(3))
+    res = tseitin_cnf(phi, 3, no_atoms)
+    assert res.cnf.clauses == ((-4, 1), (-4, 2), (4, -1, -2),
+                               (-5, -4, 3), (-5, 4, -3), (5,))
+
+
 def test_cnf_normal_form():
     # a repeated literal goes, the first occurrence stays in place; a
     # tautology goes; a unit and the empty clause stay
@@ -413,16 +509,16 @@ def test_solver_replays_reference_on_acceptance_cnfs(monkeypatch):
 # only the symbols its constraint mentions; numbering the whole problem
 # signature again would raise the first figure of most rounds
 ROUND_SIZES = {
-    ("EX2", "strict"): [(8, 111), (19, 314)],
-    ("EX2", "quasi"): [(8, 129), (19, 449)],
-    ("EX13", "strict"): [(8, 111), (8, 111), (46, 1321)],
-    ("EX13", "quasi"): [(8, 129), (8, 129), (46, 2269)],
-    ("ACKERMANN", "strict"): [(21, 800), (8, 102)],
-    ("ACKERMANN", "quasi"): [(21, 1052), (8, 116)],
-    ("REVERSE", "strict"): [(9, 72), (8, 66)],
-    ("REVERSE", "quasi"): [(9, 84), (8, 77)],
-    ("SHUFFLE", "strict"): [(9, 72), (8, 66), (29, 658)],
-    ("SHUFFLE", "quasi"): [(9, 84), (8, 77), (29, 971)],
+    ("EX2", "strict"): [(8, 68), (19, 180)],
+    ("EX2", "quasi"): [(8, 78), (19, 258)],
+    ("EX13", "strict"): [(8, 68), (8, 68), (46, 754)],
+    ("EX13", "quasi"): [(8, 78), (8, 78), (46, 1328)],
+    ("ACKERMANN", "strict"): [(21, 460), (8, 61)],
+    ("ACKERMANN", "quasi"): [(21, 600), (8, 68)],
+    ("REVERSE", "strict"): [(9, 45), (8, 41)],
+    ("REVERSE", "quasi"): [(9, 52), (8, 47)],
+    ("SHUFFLE", "strict"): [(9, 45), (8, 41), (29, 372)],
+    ("SHUFFLE", "quasi"): [(9, 52), (8, 47), (29, 550)],
 }
 
 

@@ -10,7 +10,7 @@ import time
 
 from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
-from termfilter.formula import AND, NOT
+from termfilter.formula import AND, ATOM, FALSE, IMPLIES, NOT, OR, TRUE
 from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
@@ -327,6 +327,84 @@ def reference_nary(b, kind: str, children):
     if len(uniq) > 1:
         return b._node(kind, None, tuple(sorted(uniq, key=lambda n: n.id)))
     return next(iter(uniq), neutral)  # the one child, or none
+
+
+# ----------------------------------------------------------------------
+# reference two-sided Tseitin
+
+def reference_tseitin_cnf(phi, num_reserved: int, lower) -> TseitinResult:
+    """``cnf.tseitin_cnf`` as it was before it became polarity-aware: every
+    definition in both directions, so each definition variable equals its
+    node's value in every model.  Same variable numbering, same asserted
+    root and the same once-per-node call of ``lower``.  tests/test_sat.py
+    checks that the one-sided form is satisfiable exactly when this is."""
+    clauses = []
+    defs = {}
+    counter = [num_reserved]
+    lits = {}
+    const_lit = []
+
+    def fresh(desc):
+        counter[0] += 1
+        defs[counter[0]] = desc
+        return counter[0]
+
+    def true_lit():
+        if not const_lit:
+            const_lit.append(fresh("constant-true"))
+            clauses.append((const_lit[0],))
+        return const_lit[0]
+
+    def lit(n):
+        hit = lits.get(n)
+        if hit is not None:
+            return hit
+        k = n.kind
+        if k == TRUE:
+            out = true_lit()
+        elif k == FALSE:
+            out = -true_lit()
+        elif k == ATOM:
+            out = n.payload if isinstance(n.payload, int) else lit(lower(n.payload))
+        elif k == NOT:
+            out = -lit(n.children[0])
+        else:
+            cs = [lit(c) for c in n.children]
+            v = fresh(f"def({k})")
+            if k == AND:
+                clauses.extend((-v, c) for c in cs)
+                clauses.append(tuple([v] + [-c for c in cs]))
+            elif k == OR:
+                clauses.extend((v, -c) for c in cs)
+                clauses.append(tuple([-v] + cs))
+            elif k == IMPLIES:
+                a, b = cs
+                clauses.extend([(v, a), (v, -b), (-v, -a, b)])
+            else:
+                a, b = cs
+                clauses.extend([(-v, -a, b), (-v, a, -b), (v, a, b), (v, -a, -b)])
+            out = v
+        lits[n] = out
+        return out
+
+    def is_literal(n):
+        return n.kind == ATOM or (n.kind == NOT and n.children[0].kind == ATOM)
+
+    def assert_node(n):
+        if n.kind == TRUE:
+            return
+        if n.kind == FALSE:
+            clauses.append(())
+        elif n.kind == AND:
+            for c in n.children:
+                assert_node(c)
+        elif n.kind == OR and all(is_literal(c) for c in n.children):
+            clauses.append(tuple(lit(c) for c in n.children))
+        else:
+            clauses.append((lit(n),))
+
+    assert_node(phi)
+    return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)
 
 
 # ----------------------------------------------------------------------
