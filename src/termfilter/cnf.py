@@ -9,7 +9,10 @@ an external solver) takes them as they are.
 directions the formula uses it in, so a node that occurs only positively
 (or only negatively) costs about half the clauses of a full equivalence.
 Its definition variables therefore bound their nodes rather than equal
-them, and only the original variables of a model carry meaning.
+them, and only the original variables of a model carry meaning.  The
+formulas have no implication node (``FormulaBuilder.implies`` builds a
+disjunction), so an asserted implication, like any asserted disjunction,
+is one clause.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .formula import ATOM, AND, FALSE, IFF, IMPLIES, NOT, OR, TRUE, Formula
+from .formula import ATOM, AND, FALSE, IFF, NOT, OR, TRUE, Formula
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,12 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
                 lower: Callable[[Any], Formula]) -> TseitinResult:
     """Equisatisfiable clause form with one-sided definitions.
 
-    Every connective node of the DAG gets one definition variable ``v`` and
-    is encoded once regardless of how often it is referenced; negations reuse
-    the child's literal; a conjunctive root is asserted child by child
-    instead of through a definition.  An atom whose payload is an ``int`` is
+    The root is asserted without a definition: a conjunction child by
+    child, a disjunction as one clause over its children's literals, and
+    any other node as a unit clause of its literal.  Below that, every
+    ``and``, ``or`` and ``iff`` node gets one definition variable ``v`` and
+    is encoded once regardless of how often it is referenced; negations
+    reuse the child's literal.  An atom whose payload is an ``int`` is
     that variable.  Any other atom is translated by ``lower`` into a formula
     over variables the first time the walk reaches its node, once per node,
     and stands for that formula.
@@ -79,15 +84,15 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     (Plaisted & Greenbaum 1986): direction 1 is ``v -> node``, needed where
     the node occurs positively, and direction 2 is ``node -> v``, needed
     where it occurs negatively.  The walk carries this polarity mask down:
-    ``and`` and ``or`` pass it to their children, ``not`` and the antecedent
-    of ``implies`` swap it, the children of ``iff`` get both directions, and
-    a translated atom passes its own mask to its translation.  A node reached
-    again under a direction not yet emitted gets just that direction, so
-    each direction of each definition is emitted at most once.  The result
-    is satisfiable exactly when the input is, and any model of it restricted
-    to the original variables satisfies the input with its atoms so
-    translated; a definition variable need not equal its node's value.
-    Clauses are kept as built; ``Cnf`` puts them in normal form.
+    ``and`` and ``or`` pass it to their children, ``not`` swaps it, the
+    children of ``iff`` get both directions, and a translated atom passes
+    its own mask to its translation.  A node reached again under a direction
+    not yet emitted gets just that direction, so each direction of each
+    definition is emitted at most once.  The result is satisfiable exactly
+    when the input is, and any model of it restricted to the original
+    variables satisfies the input with its atoms so translated; a definition
+    variable need not equal its node's value.  Clauses are kept as built;
+    ``Cnf`` puts them in normal form.
     """
     clauses: list[tuple[int, ...]] = []
     defs: dict[int, str] = {}
@@ -131,16 +136,6 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
                 out = lit(low, new)
         elif k == NOT:
             out = -lit(n.children[0], _SWAP[new])
-        elif k == IMPLIES:
-            a = lit(n.children[0], _SWAP[new])
-            b = lit(n.children[1], new)
-            v = lits.get(n) or fresh(f"def({k})")
-            if new & 2:
-                clauses.append((v, a))
-                clauses.append((v, -b))
-            if new & 1:
-                clauses.append((-v, -a, b))
-            out = v
         else:
             sub = 3 if k == IFF else new
             cs = [lit(c, sub) for c in n.children]
@@ -172,23 +167,18 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
         emitted[n] = done | new
         return out
 
-    def is_literal(n: Formula) -> bool:
-        return n.kind == ATOM or (n.kind == NOT and n.children[0].kind == ATOM)
-
     def assert_node(n: Formula) -> None:
         if n.kind == TRUE:
             return
         if n.kind == FALSE:
             clauses.append(())
-            return
-        if n.kind == AND:
+        elif n.kind == AND:
             for c in n.children:
                 assert_node(c)
-            return
-        if n.kind == OR and all(is_literal(c) for c in n.children):
-            clauses.append(tuple(lit(c, 1) for c in n.children))
-            return
-        clauses.append((lit(n, 1),))
+        elif n.kind == OR:
+            clauses.append(tuple([lit(c, 1) for c in n.children]))
+        else:
+            clauses.append((lit(n, 1),))
 
     assert_node(phi)
     return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)

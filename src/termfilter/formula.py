@@ -21,7 +21,6 @@ ATOM = "atom"
 NOT = "not"
 AND = "and"
 OR = "or"
-IMPLIES = "implies"
 IFF = "iff"
 
 _BY_ID = attrgetter("id")
@@ -114,16 +113,9 @@ class FormulaBuilder:
         return self._node(kind, None, tuple(sorted(uniq, key=_BY_ID)))
 
     def implies(self, a: Formula, b: Formula) -> Formula:
-        if self.simplify:
-            if a is self.TRUE:
-                return b
-            if a is self.FALSE or b is self.TRUE:
-                return self.TRUE
-            if b is self.FALSE:
-                return self.not_(a)
-            if a is b:
-                return self.TRUE
-        return self._node(IMPLIES, None, (a, b))
+        """``a -> b``, built as the disjunction ``not a or b``: there is no
+        implication node, and ``not_`` and ``or_`` do all the folding."""
+        return self.or_([self.not_(a), b])
 
     def iff(self, a: Formula, b: Formula) -> Formula:
         if self.simplify:
@@ -166,8 +158,6 @@ def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
             v = all(ev(c) for c in n.children)
         elif k == OR:
             v = any(ev(c) for c in n.children)
-        elif k == IMPLIES:
-            v = (not ev(n.children[0])) or ev(n.children[1])
         else:
             v = ev(n.children[0]) == ev(n.children[1])
         memo[n] = v

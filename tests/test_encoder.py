@@ -331,7 +331,7 @@ def _equivalent_by_sat(phi, psi, symbols, mode):
 
 def _rebuilt(f, b):
     """``f`` built again, node by node, with the builder ``b``."""
-    from termfilter.formula import AND, ATOM, FALSE, IFF, IMPLIES, NOT, TRUE, iter_nodes
+    from termfilter.formula import AND, ATOM, FALSE, IFF, NOT, TRUE, iter_nodes
     out = {}
     for n in iter_nodes(f):
         cs = [out[c.id] for c in n.children]
@@ -343,8 +343,6 @@ def _rebuilt(f, b):
             out[n.id] = b.atom(n.payload)
         elif n.kind == NOT:
             out[n.id] = b.not_(cs[0])
-        elif n.kind == IMPLIES:
-            out[n.id] = b.implies(*cs)
         elif n.kind == IFF:
             out[n.id] = b.iff(*cs)
         elif n.kind == AND:
@@ -473,11 +471,11 @@ def test_tau_memo_hits_across_contexts(monkeypatch):
 
 
 ROT_QUASI = [
-    (3, 184, "1227c4b35ba11d4a97174ccc405f1146669a0928eeefb6f839d628ee279fa1cd"),
-    (4, 252, "c0eb791ab154e2307229b0f07b2d9f414874197bcdd9834e25b0f39d286ba947"),
-    (5, 332, "67cf4367eeb9e0a34bb9630ae64b9e8eb1b2382e588e3db1654938ffff1a8016"),
-    (6, 424, "54028ac02ddf44cf5a03479c09e33a2ddcc81c87a750fda7ab2ab8ad9420dc68"),
-    (7, 528, "cb5ead0b80ea7123c93d9fd31f635507f94f16742eb36f8727b0bfb1e7c27895"),
+    (3, 184, "eed948cd3cca53dca6300385c211045c5255e74ac400d41dcb60ccaae9b102ec"),
+    (4, 252, "a9c563dfcf59ae487ab82f3d4058ac78d2f74a3f3fcd8c8db6e6252ab148016b"),
+    (5, 332, "db7335c8d2c74b2a93737ed994d73b0e9f77e59dd69e0ef8b38fbbd330db37c5"),
+    (6, 424, "74a89399fedda573ceca9e53924f9142e89d0883f14b8f3d5f4bc10fc2612de9"),
+    (7, 528, "d4384bf431bc94ad51042dd57b10944c053f69f4643168d776abea7c85caa592"),
 ]
 
 
@@ -550,11 +548,11 @@ def test_encoder_descends_at_most_two_frames_per_level(mode):
 
 
 ABLATION_DIGESTS = {
-    "EX2": "01f3c7e1a5b574c356d2d70511ef25f64d0670a781965851b7b0f7976f31c553",
-    "EX13": "4cd304970ea526e9272a1235ef7f5f149ae55040d3f75180128f41dd39d3c3b7",
-    "ACKERMANN": "1fee6cd73843b26e1ccc6128fdd2ecbf6e4ab819b8fb925a298179bbb2f00ea4",
-    "REVERSE": "33f95868000431c1f42ad359f822b402f2d6d6573cbf9cedac2e11a607c5a234",
-    "SHUFFLE": "2f5ae8b47c48cbc97dd587938f4cd243c9d0f77b8a4725e154c1184cfc7c2ec3",
+    "EX2": "aa1c3dceb6e84053026d3ad8fd3acc7b24cb3a36bb388db2ccba0800b326cbc0",
+    "EX13": "7a93add7b5e420e1ffd1e0b2e4dfefaa73c92782578773810c4ad65fc0bf3a81",
+    "ACKERMANN": "75aae5bc13c7caeed987319f70b73d278e14e9cce19c4c94267064d971acd604",
+    "REVERSE": "1d26a9e5a2eefea36a7589b7537e32d7c2de7f7cdcc36395b80b3320a83277b6",
+    "SHUFFLE": "f21809a404b02e65e56c458395dab8e8693476c7165f64f38edd2fb9d858b7b9",
 }
 
 
@@ -562,11 +560,11 @@ ABLATION_DIGESTS = {
 # lowers them; under some settings Tseitin's raw clauses hold repeated
 # literals and tautologies, so these also pin what ``Cnf`` drops
 CNF_DIGESTS = {
-    "EX2": "2cb1dc41fc66ff3f2707013008c6432ca51acf64d7b0b18e71e879148388cfc2",
-    "EX13": "4e981edb89a689037851501730b895010c8c03e7c2218f580736163646dfc461",
-    "ACKERMANN": "6bad36bb1cd491cbdb51dde16968d9520c218c486e2ac87470e8d69f33e629a6",
-    "REVERSE": "07f9d26ab1adf975620be0bdbe6d2273e835a514303cc16ec72fc4a36b48576f",
-    "SHUFFLE": "9c7b807caf71fd7e2ca323e3dd7117ad4f802d499a9140429a717e4ccdfc542d",
+    "EX2": "747883be00379b4482cefcabc2cb2518a5c55d321e66befb70bdc4279df7d4bc",
+    "EX13": "353c1f342aeb5cae2dadd6761a02b99ef05ac835bfe6ca4bc076e07656afeaae",
+    "ACKERMANN": "05842b6e1a4020e9d48b41e981304eee3530388a5854485d48c201ed1251afd8",
+    "REVERSE": "859e15b4eab426e7fb92d2055f1246b991e01ab937e8207cae92930580153b55",
+    "SHUFFLE": "c12d8b9d5e335b0f3dbe301cabce465d20c7676ccf51be2b7e4b4b733e1c50f2",
 }
 
 

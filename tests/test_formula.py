@@ -78,6 +78,13 @@ def test_implies_simplifications():
     assert b.implies(x, x) is b.TRUE
 
 
+@pytest.mark.parametrize("simplify", [True, False])
+def test_implies_is_a_disjunction(simplify):
+    b = FormulaBuilder(simplify=simplify)
+    a, c = b.atom("a"), b.and_([b.atom("p"), b.atom("q")])
+    assert b.implies(a, c) is b.or_([b.not_(a), c])
+
+
 def test_single_child_collapse():
     b = FormulaBuilder()
     x = b.atom("x")
@@ -117,8 +124,6 @@ def test_evaluate_random_against_reference():
             return all(vals)
         if k == "or":
             return any(vals)
-        if k == "implies":
-            return (not vals[0]) or vals[1]
         return vals[0] == vals[1]
 
     for _ in range(60):

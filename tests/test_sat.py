@@ -239,11 +239,14 @@ def _check_projecting(res, value, n_vars, where):
 def test_tseitin_shares_definitions():
     b = FormulaBuilder()
     x, y, p, q = b.atom(1), b.atom(2), b.atom(3), b.atom(4)
-    shared = b.or_([x, y])
+    shared = b.and_([x, y])
     phi = b.iff(b.implies(p, shared), b.implies(q, shared))
     res = tseitin_cnf(phi, 4, no_atoms)
-    # one definition for the shared disjunction, two implications, one iff
-    assert len(res.definitions) == 4
+    # one definition for the shared conjunction, one per implication (each
+    # a disjunction over it) and one for the iff
+    assert sorted(res.definitions.values()) == ["def(and)", "def(iff)", "def(or)", "def(or)"]
+    assert res.definitions[5] == "def(and)"
+    assert [c for c in res.cnf.clauses if c[0] in (5, -5)] == [(-5, 1), (-5, 2), (5, -1, -2)]
 
 
 def test_tseitin_one_sided_agrees_with_two_sided():
@@ -266,12 +269,9 @@ def test_tseitin_one_sided_agrees_with_two_sided():
         assert solve_internal(one.cnf).status == solve_internal(two.cnf).status, round_no
 
 
-@pytest.mark.parametrize("processor", ["thm5", "thm12"])
-@pytest.mark.parametrize("mode", ["strict", "quasi"])
-def test_tseitin_one_sided_on_every_round(monkeypatch, mode, processor):
-    # every round of the five paper systems: the one-sided CNF is
-    # satisfiable exactly when the two-sided one is, and its model, cut
-    # down to the reserved variables, satisfies the round's formula
+def _paper_rounds(monkeypatch, mode, processor):
+    """``(phi, num_reserved, lower, tseitin result)`` of every round of the
+    five paper systems."""
     rounds = []
     real = prover.tseitin_cnf
 
@@ -284,7 +284,16 @@ def test_tseitin_one_sided_on_every_round(monkeypatch, mode, processor):
     for text in (EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT):
         prove(parse_trs(text), ProverConfig(mode=mode, processor=processor))
     assert len(rounds) >= 10
-    for phi, num_reserved, lower, ts in rounds:
+    return rounds
+
+
+@pytest.mark.parametrize("processor", ["thm5", "thm12"])
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tseitin_one_sided_on_every_round(monkeypatch, mode, processor):
+    # every round of the five paper systems: the one-sided CNF is
+    # satisfiable exactly when the two-sided one is, and its model, cut
+    # down to the reserved variables, satisfies the round's formula
+    for phi, num_reserved, lower, ts in _paper_rounds(monkeypatch, mode, processor):
         got = solve_internal(ts.cnf)
         two = reference_tseitin_cnf(phi, num_reserved, lower)
         assert got.status == solve_internal(two.cnf).status
@@ -300,22 +309,37 @@ def test_tseitin_one_sided_on_every_round(monkeypatch, mode, processor):
             assert evaluate(phi, atom_value)
 
 
+@pytest.mark.parametrize("processor", ["thm5", "thm12"])
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_rounds_have_no_implication_and_no_defined_unit(monkeypatch, mode, processor):
+    # an implication is a disjunction, and an asserted disjunction is one
+    # clause: no round formula holds an ``implies`` node, and no unit clause
+    # of a round sits on a definition variable
+    for phi, num_reserved, _, ts in _paper_rounds(monkeypatch, mode, processor):
+        assert all(n.kind != "implies" for n in iter_nodes(phi))
+        assert [c for c in ts.cnf.clauses if len(c) == 1 and abs(c[0]) > num_reserved] == []
+
+
 def test_tseitin_positive_and_is_binary_clauses_only():
-    # the conjunction occurs only under an asserted disjunction, so its
-    # definition is v -> x1 and v -> x2, without (x1 and x2) -> v
+    # the conjunction occurs only under the asserted disjunction, so its
+    # definition is v -> x1 and v -> x2, without (x1 and x2) -> v; the root
+    # disjunction gets no definition and is asserted as one clause
     b = FormulaBuilder()
     x = [None] + [b.atom(v) for v in range(1, 4)]
     phi = b.or_([b.and_([x[1], x[2]]), x[3]])
     res = tseitin_cnf(phi, 3, no_atoms)
-    assert res.definitions == {4: "def(and)", 5: "def(or)"}
-    assert res.cnf.clauses == ((-4, 1), (-4, 2), (-5, 3, 4), (5,))
+    assert res.definitions == {4: "def(and)"}
+    assert res.cnf.clauses == ((-4, 1), (-4, 2), (3, 4))
 
 
 def test_tseitin_antecedent_takes_the_other_direction():
+    # (x1 and x2) -> x3 is the disjunction not(x1 and x2) or x3: the not
+    # swaps the polarity, so the conjunction gets only (x1 and x2) -> v
     b = FormulaBuilder()
     phi = b.implies(b.and_([b.atom(1), b.atom(2)]), b.atom(3))
     res = tseitin_cnf(phi, 3, no_atoms)
-    assert res.cnf.clauses == ((4, -1, -2), (-5, -4, 3), (5,))
+    assert res.definitions == {4: "def(and)"}
+    assert res.cnf.clauses == ((4, -1, -2), (3, -4))
 
 
 def test_tseitin_each_direction_emitted_once():
@@ -509,16 +533,16 @@ def test_solver_replays_reference_on_acceptance_cnfs(monkeypatch):
 # only the symbols its constraint mentions; numbering the whole problem
 # signature again would raise the first figure of most rounds
 ROUND_SIZES = {
-    ("EX2", "strict"): [(8, 68), (19, 180)],
-    ("EX2", "quasi"): [(8, 78), (19, 258)],
-    ("EX13", "strict"): [(8, 68), (8, 68), (46, 754)],
-    ("EX13", "quasi"): [(8, 78), (8, 78), (46, 1328)],
-    ("ACKERMANN", "strict"): [(21, 460), (8, 61)],
-    ("ACKERMANN", "quasi"): [(21, 600), (8, 68)],
-    ("REVERSE", "strict"): [(9, 45), (8, 41)],
-    ("REVERSE", "quasi"): [(9, 52), (8, 47)],
-    ("SHUFFLE", "strict"): [(9, 45), (8, 41), (29, 372)],
-    ("SHUFFLE", "quasi"): [(9, 52), (8, 47), (29, 550)],
+    ("EX2", "strict"): [(8, 65), (19, 173)],
+    ("EX2", "quasi"): [(8, 75), (19, 251)],
+    ("EX13", "strict"): [(8, 65), (8, 65), (46, 739)],
+    ("EX13", "quasi"): [(8, 75), (8, 75), (46, 1313)],
+    ("ACKERMANN", "strict"): [(21, 437), (8, 57)],
+    ("ACKERMANN", "quasi"): [(21, 577), (8, 64)],
+    ("REVERSE", "strict"): [(9, 42), (8, 38)],
+    ("REVERSE", "quasi"): [(9, 49), (8, 44)],
+    ("SHUFFLE", "strict"): [(9, 42), (8, 38), (29, 361)],
+    ("SHUFFLE", "quasi"): [(9, 49), (8, 44), (29, 538)],
 }
 
 

@@ -10,7 +10,7 @@ import time
 
 from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
-from termfilter.formula import AND, ATOM, FALSE, IMPLIES, NOT, OR, TRUE
+from termfilter.formula import AND, ATOM, FALSE, NOT, OR, TRUE
 from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
@@ -333,11 +333,13 @@ def reference_nary(b, kind: str, children):
 # reference two-sided Tseitin
 
 def reference_tseitin_cnf(phi, num_reserved: int, lower) -> TseitinResult:
-    """``cnf.tseitin_cnf`` as it was before it became polarity-aware: every
-    definition in both directions, so each definition variable equals its
-    node's value in every model.  Same variable numbering, same asserted
-    root and the same once-per-node call of ``lower``.  tests/test_sat.py
-    checks that the one-sided form is satisfiable exactly when this is."""
+    """``cnf.tseitin_cnf`` without polarity: every definition in both
+    directions, so each definition variable equals its node's value in
+    every model.  Same variable numbering, the same root assertion (a
+    conjunction child by child, a disjunction as one clause, any other node
+    as a unit clause) and the same once-per-node call of ``lower``.
+    tests/test_sat.py checks that the one-sided form is satisfiable exactly
+    when this is."""
     clauses = []
     defs = {}
     counter = [num_reserved]
@@ -377,18 +379,12 @@ def reference_tseitin_cnf(phi, num_reserved: int, lower) -> TseitinResult:
             elif k == OR:
                 clauses.extend((v, -c) for c in cs)
                 clauses.append(tuple([-v] + cs))
-            elif k == IMPLIES:
-                a, b = cs
-                clauses.extend([(v, a), (v, -b), (-v, -a, b)])
             else:
                 a, b = cs
                 clauses.extend([(-v, -a, b), (-v, a, -b), (v, a, b), (v, -a, -b)])
             out = v
         lits[n] = out
         return out
-
-    def is_literal(n):
-        return n.kind == ATOM or (n.kind == NOT and n.children[0].kind == ATOM)
 
     def assert_node(n):
         if n.kind == TRUE:
@@ -398,7 +394,7 @@ def reference_tseitin_cnf(phi, num_reserved: int, lower) -> TseitinResult:
         elif n.kind == AND:
             for c in n.children:
                 assert_node(c)
-        elif n.kind == OR and all(is_literal(c) for c in n.children):
+        elif n.kind == OR:
             clauses.append(tuple(lit(c) for c in n.children))
         else:
             clauses.append((lit(n),))
