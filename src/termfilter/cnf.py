@@ -6,11 +6,16 @@ as they come, and whatever reads one (the internal solver, ``write_dimacs``,
 an external solver) takes them as they are.
 
 ``tseitin_cnf`` is polarity-aware: it defines each node only in the
-directions the formula uses it in, so a node that occurs only positively
-(or only negatively) costs about half the clauses of a full equivalence.
-Its definition variables therefore bound their nodes rather than equal
-them, and only the original variables of a model carry meaning.  The
-formulas have no implication node (``FormulaBuilder.implies`` builds a
+direction the formula uses it in (Plaisted & Greenbaum 1986).  It also
+gives no variable to two kinds of node, whose variables resolution would
+remove without adding a clause: a node whose definition would be one
+clause (an ``or`` used positively, an ``and`` used negatively) is spliced
+into the clauses that use it, and a conjunction that only one clause uses
+is distributed into that clause.  Definition variables therefore bound
+their nodes rather than equal them, and only the original variables of a
+model carry meaning: a model projects onto them, and each of their
+assignments that satisfies the formula extends to a model.  The formulas
+have no implication node (``FormulaBuilder.implies`` builds a
 disjunction), so an asserted implication, like any asserted disjunction,
 is one clause.
 """
@@ -56,50 +61,79 @@ class Cnf:
         object.__setattr__(self, "clauses", tuple(normal))
 
 
-# a polarity mask with its two directions exchanged
-_SWAP = (0, 2, 1, 3)
-
-
 @dataclass
 class TseitinResult:
     cnf: Cnf
     definitions: dict[int, str] = field(default_factory=dict)
 
 
+def _parent_counts(phi: Formula) -> dict[Formula, int]:
+    """How often each node below ``phi`` is a child in ``phi``'s DAG."""
+    counts: dict[Formula, int] = {}
+    stack = [phi]
+    while stack:
+        for c in stack.pop().children:
+            seen = counts.get(c)
+            if seen is None:
+                counts[c] = 1
+                stack.append(c)
+            else:
+                counts[c] = seen + 1
+    return counts
+
+
 def tseitin_cnf(phi: Formula, num_reserved: int,
                 lower: Callable[[Any], Formula]) -> TseitinResult:
-    """Equisatisfiable clause form with one-sided definitions.
+    """Equisatisfiable clause form with one-sided definitions, and no
+    definition variable for a node that is spliced or distributed.
 
-    The root is asserted without a definition: a conjunction child by
-    child, a disjunction as one clause over its children's literals, and
-    any other node as a unit clause of its literal.  Below that, every
-    ``and``, ``or`` and ``iff`` node gets one definition variable ``v`` and
-    is encoded once regardless of how often it is referenced; negations
-    reuse the child's literal.  An atom whose payload is an ``int`` is
-    that variable.  Any other atom is translated by ``lower`` into a formula
-    over variables the first time the walk reaches its node, once per node,
-    and stands for that formula.
+    In a clause, a node ``n`` used with sign ``s`` (``+1`` where it occurs
+    positively, ``-1`` under a negation) stands for literals whose
+    disjunction implies ``n``, or ``not n`` (Plaisted & Greenbaum 1986).
+    ``not`` swaps the sign.  An atom whose payload is an ``int`` is that
+    variable; any other atom is translated by ``lower`` into a formula over
+    variables the first time the walk reaches its node, once per node, and
+    stands for that formula.  ``and``, ``or`` and ``iff`` go by their
+    kind under the sign:
 
-    A definition is emitted only in the directions its node is used in
-    (Plaisted & Greenbaum 1986): direction 1 is ``v -> node``, needed where
-    the node occurs positively, and direction 2 is ``node -> v``, needed
-    where it occurs negatively.  The walk carries this polarity mask down:
-    ``and`` and ``or`` pass it to their children, ``not`` swaps it, the
-    children of ``iff`` get both directions, and a translated atom passes
-    its own mask to its translation.  A node reached again under a direction
-    not yet emitted gets just that direction, so each direction of each
-    definition is emitted at most once.  The result is satisfiable exactly
-    when the input is, and any model of it restricted to the original
-    variables satisfies the input with its atoms so translated; a definition
-    variable need not equal its node's value.  Clauses are kept as built;
-    ``Cnf`` puts them in normal form.
+    - Disjunction-like (an ``or`` with sign +1, an ``and`` with -1): its
+      definition would be one clause, so it gets no variable and stands
+      for its children's literals, spliced into each clause that uses it.
+      The expansion is memoized per node and sign.
+    - Conjunction-like (an ``and`` with sign +1, an ``or`` with -1): where
+      it is the only reference to the node in ``phi``'s DAG, it is
+      distributed into the one clause that uses it, which is emitted once
+      per child with the child in the node's place.  This repeats through
+      single-parent descendants (through ``not`` too, and from an atom to
+      its translation's root), but only the first such node of a clause is
+      distributed, so no clause is added.  Otherwise the node gets a
+      definition variable ``v``, defined in the one direction the sign
+      needs by one clause (or more, by distribution) per child: ``v -> n``
+      for an ``and``, ``n -> v`` for an ``or``.  A node with several
+      parents, one below a spliced node and one inside a translation are
+      defined so.
+    - ``iff`` gets a variable, defined in each direction it is used in by
+      two clauses over both signs of both children.
+
+    So an ``or`` never gets a definition ``v -> n``, nor an ``and`` one
+    ``n -> v``, and each definition is emitted at most once per direction.
+    The root is asserted as a clause of its own: a conjunction child by
+    child, a disjunction as one clause.  The result is satisfiable exactly
+    when the input is.  A model of it, restricted to the variables
+    ``1..num_reserved``, satisfies the input with its atoms so translated,
+    and every assignment of those variables that satisfies the input
+    extends to a model.  A definition variable need not equal its node's
+    value.  Clauses are kept as built; ``Cnf`` puts them in normal form.
     """
     clauses: list[tuple[int, ...]] = []
     defs: dict[int, str] = {}
     counter = [num_reserved]
-    # keyed by node, so a translation cannot alias a node of ``phi``
-    lits: dict[Formula, int] = {}
-    emitted: dict[Formula, int] = {}    # the directions done, as a mask
+    parents = _parent_counts(phi)
+    var: dict[Formula, int] = {}
+    # the literals that stand for a node, one table per sign; keyed by node,
+    # so a translation cannot alias a node of ``phi``
+    pos: dict[Formula, tuple[int, ...]] = {}
+    neg: dict[Formula, tuple[int, ...]] = {}
     lowered: dict[Formula, Formula] = {}
     const_lit: list[int] = []
 
@@ -115,72 +149,115 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
             clauses.append((v,))
         return const_lit[0]
 
-    def lit(n: Formula, pol: int) -> int:
-        done = emitted.get(n, 0)
-        new = pol & ~done
-        if not new:
-            return lits[n]
+    def translation(n: Formula) -> Formula:
+        low = lowered.get(n)
+        if low is None:
+            low = lowered[n] = lower(n.payload)
+        return low
+
+    def lits(n: Formula, s: int) -> tuple[int, ...]:
+        """The literals that stand for ``n`` under sign ``s``."""
+        memo = pos if s > 0 else neg
+        out = memo.get(n)
+        if out is not None:
+            return out
         k = n.kind
-        if k == TRUE:
-            out, new = true_lit(), 3
-        elif k == FALSE:
-            out, new = -true_lit(), 3
+        if k == NOT:
+            out = lits(n.children[0], -s)
         elif k == ATOM:
-            payload = n.payload
-            if isinstance(payload, int):
-                out, new = payload, 3
+            p = n.payload
+            if isinstance(p, int):
+                out = (p if s > 0 else -p,)
             else:
-                low = lowered.get(n)
-                if low is None:
-                    low = lowered[n] = lower(payload)
-                out = lit(low, new)
-        elif k == NOT:
-            out = -lit(n.children[0], _SWAP[new])
+                out = lits(translation(n), s)
+        elif k == (OR if s > 0 else AND):
+            spliced: list[int] = []
+            for c in n.children:
+                spliced += lits(c, s)
+            out = tuple(spliced)
+        elif k == TRUE or k == FALSE:
+            t = true_lit()
+            out = (t if (k == TRUE) == (s > 0) else -t,)
         else:
-            sub = 3 if k == IFF else new
-            cs = [lit(c, sub) for c in n.children]
-            v = lits.get(n) or fresh(f"def({k})")
-            if k == AND:
-                if new & 1:
-                    for c in cs:
-                        clauses.append((-v, c))
-                if new & 2:
-                    clauses.append(tuple([v] + [-c for c in cs]))
-            elif k == OR:
-                if new & 2:
-                    for c in cs:
-                        clauses.append((v, -c))
-                if new & 1:
-                    clauses.append(tuple([-v] + cs))
-            elif k == IFF:
-                a, b = cs
-                if new & 1:
-                    clauses.append((-v, -a, b))
-                    clauses.append((-v, a, -b))
-                if new & 2:
-                    clauses.append((v, a, b))
-                    clauses.append((v, -a, -b))
-            else:
-                raise ValueError(f"unknown node kind {k!r}")
-            out = v
-        lits[n] = out
-        emitted[n] = done | new
+            v = define(n, s)
+            out = (v if s > 0 else -v,)
+        memo[n] = out
         return out
 
-    def assert_node(n: Formula) -> None:
-        if n.kind == TRUE:
-            return
-        if n.kind == FALSE:
-            clauses.append(())
-        elif n.kind == AND:
+    def define(n: Formula, s: int) -> int:
+        """``n``'s variable, with the direction that sign ``s`` uses
+        defined; ``lits`` asks for each direction once."""
+        v = var.get(n)
+        if v is None:
+            v = var[n] = fresh(f"def({n.kind})")
+        k = n.kind
+        if k == AND or k == OR:
+            head = (-v,) if s > 0 else (v,)
             for c in n.children:
-                assert_node(c)
-        elif n.kind == OR:
-            clauses.append(tuple([lit(c, 1) for c in n.children]))
+                if parents.get(c) == 1:
+                    emit(head, c, s, True)
+                else:
+                    clauses.append(head + lits(c, s))
+        elif k == IFF:
+            a, b = n.children
+            if s > 0:
+                clauses.append((-v,) + lits(a, -1) + lits(b, 1))
+                clauses.append((-v,) + lits(a, 1) + lits(b, -1))
+            else:
+                clauses.append((v,) + lits(a, 1) + lits(b, 1))
+                clauses.append((v,) + lits(a, -1) + lits(b, -1))
         else:
-            clauses.append((lit(n, 1),))
+            raise ValueError(f"unknown node kind {k!r}")
+        return v
 
-    assert_node(phi)
+    def emit(base: tuple[int, ...], n: Formula, s: int, own: bool) -> None:
+        """Emit the clauses ``base or n`` for ``n`` under sign ``s``;
+        ``own`` says that no other clause reaches ``n``.  An unowned
+        conjunction-like node is distributed only into a clause that is
+        nothing but the node."""
+        if (base and not own) or (n.kind == ATOM and isinstance(n.payload, int)):
+            clauses.append(base + lits(n, s))
+            return
+        out = list(base)
+        todo = [(n, s, own)]
+        dist = None
+        while todo:
+            n, s, own = todo.pop()
+            if own or not (out or todo):
+                k = n.kind
+                if k == NOT:
+                    c = n.children[0]
+                    todo.append((c, -s, own and parents.get(c) == 1))
+                    continue
+                if k == ATOM:
+                    if own and not isinstance(n.payload, int):
+                        # each atom has a translation of its own, whose
+                        # root the atom passes its ownership to
+                        todo.append((translation(n), s, True))
+                        continue
+                elif own and k == (OR if s > 0 else AND):
+                    for c in reversed(n.children):
+                        todo.append((c, s, parents.get(c) == 1))
+                    continue
+                elif dist is None and k == (AND if s > 0 else OR):
+                    dist, sign, dist_own = n, s, own
+                    continue
+            out += lits(n, s)
+        if dist is None:
+            clauses.append(tuple(out))
+        else:
+            base = tuple(out)
+            for c in dist.children:
+                emit(base, c, sign, dist_own and parents.get(c) == 1)
+
+    if phi.kind == FALSE:
+        clauses.append(())
+    elif phi.kind != TRUE:
+        emit((), phi, 1, True)
+    # the three functions reach each other through their closure cells;
+    # emptying the cells breaks that cycle, so the tables above are freed
+    # on return rather than left to the cycle collector
+    del lits, define, emit
     return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)
 
 

@@ -560,11 +560,11 @@ ABLATION_DIGESTS = {
 # lowers them; under some settings Tseitin's raw clauses hold repeated
 # literals and tautologies, so these also pin what ``Cnf`` drops
 CNF_DIGESTS = {
-    "EX2": "747883be00379b4482cefcabc2cb2518a5c55d321e66befb70bdc4279df7d4bc",
-    "EX13": "353c1f342aeb5cae2dadd6761a02b99ef05ac835bfe6ca4bc076e07656afeaae",
-    "ACKERMANN": "05842b6e1a4020e9d48b41e981304eee3530388a5854485d48c201ed1251afd8",
-    "REVERSE": "859e15b4eab426e7fb92d2055f1246b991e01ab937e8207cae92930580153b55",
-    "SHUFFLE": "c12d8b9d5e335b0f3dbe301cabce465d20c7676ccf51be2b7e4b4b733e1c50f2",
+    "EX2": "cb6d4468b5ff7079e61a70fee2f53e1cdaa927822b3c286ffcef04db59ba9169",
+    "EX13": "771d1f511f11b8ce789f1c7828d8c046660c79807d945f0fb605c52a59877062",
+    "ACKERMANN": "e1cedfec084054a6c12c6421f65f8566e6b0bd1a50484c0f062fdfa35e3877c6",
+    "REVERSE": "13a9bee455124fc0bc0830a251430ddc35d951d89bb2868caa87a6ea88da05bb",
+    "SHUFFLE": "bcea480bae78498200e28ef51f5463785a6e8c5cf8e406b20b4052e6e9ad0f4d",
 }
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -7,8 +8,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termfilter import atoms as A
+from termfilter import cnf as cnf_module
 from termfilter import prover
 from termfilter.cnf import Cnf, parse_dimacs, tseitin_cnf, write_dimacs
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
@@ -242,31 +245,59 @@ def test_tseitin_shares_definitions():
     shared = b.and_([x, y])
     phi = b.iff(b.implies(p, shared), b.implies(q, shared))
     res = tseitin_cnf(phi, 4, no_atoms)
-    # one definition for the shared conjunction, one per implication (each
-    # a disjunction over it) and one for the iff
-    assert sorted(res.definitions.values()) == ["def(and)", "def(iff)", "def(or)", "def(or)"]
-    assert res.definitions[5] == "def(and)"
-    assert [c for c in res.cnf.clauses if c[0] in (5, -5)] == [(-5, 1), (-5, 2), (5, -1, -2)]
+    # the iff's children occur with both signs.  Used positively, each
+    # implication is spliced and the shared conjunction in it gets one
+    # definition, v7 -> (x1 and x2); used negatively, each implication gets
+    # a variable, and the conjunction under it is spliced as -1, -2
+    assert res.definitions == {5: "def(iff)", 6: "def(or)", 7: "def(and)", 8: "def(or)"}
+    assert [c for c in res.cnf.clauses if -7 in c] == [(-7, 1), (-7, 2)]
+    assert res.cnf.clauses == ((6, -1, -2), (6, 3), (-7, 1), (-7, 2), (-5, -6, 7, -4),
+                               (8, -1, -2), (8, 4), (-5, 7, -3, -8), (5,))
 
 
-def test_tseitin_one_sided_agrees_with_two_sided():
+def test_tseitin_one_sided_agrees_with_two_sided(monkeypatch):
     # the same random formulas, with and without symbolic atoms, through
-    # both forms: satisfiable together, and the one-sided form is smaller
+    # both forms: satisfiable together, and the one-sided form is no larger.
+    # It has fewer variables where it splices or distributes a node, none
+    # of them with a one-clause definition, and the assignments of the
+    # variables that satisfy the formula are exactly the projections of its
+    # models
     rng = random.Random(2024)
     for round_no in range(300):
-        n_vars = rng.randint(2, 8)
-        b = FormulaBuilder(simplify=rng.random() < 0.7)
-        payloads = [("a", i) for i in range(rng.randint(0, 3))]
-        translation = {p: _random_formula(rng, b, n_vars, rng.randint(0, 4))
-                       for p in payloads}
-        phi = _random_formula(rng, b, n_vars, rng.randint(3, 20), payloads)
-        one = tseitin_cnf(phi, n_vars, translation.__getitem__)
+        phi, n_vars, translation = _random_lowered_formula(rng)
+        one, raw = _raw_tseitin(monkeypatch, phi, n_vars, translation.__getitem__)
+        _check_no_one_clause_definition(one, raw, round_no)
         two = reference_tseitin_cnf(phi, n_vars, translation.__getitem__)
-        assert one.cnf.num_vars == two.cnf.num_vars, round_no
+        assert one.cnf.num_vars <= two.cnf.num_vars, round_no
         assert len(one.cnf.clauses) <= len(two.cnf.clauses), round_no
-        _check_projecting(one, _lowered_value(phi, translation), n_vars,
-                          f"round {round_no}")
+        value = _lowered_value(phi, translation)
+        _check_projecting(one, value, n_vars, f"round {round_no}")
+        _check_extending(one, value, n_vars, f"round {round_no}")
         assert solve_internal(one.cnf).status == solve_internal(two.cnf).status, round_no
+
+
+def _random_lowered_formula(rng):
+    """``(phi, n_vars, translation)``: a random formula over the variables
+    ``1..n_vars`` and up to three symbolic atoms, whose translations come
+    from the same builder."""
+    n_vars = rng.randint(2, 8)
+    b = FormulaBuilder(simplify=rng.random() < 0.7)
+    payloads = [("a", i) for i in range(rng.randint(0, 3))]
+    translation = {p: _random_formula(rng, b, n_vars, rng.randint(0, 4))
+                   for p in payloads}
+    return _random_formula(rng, b, n_vars, rng.randint(3, 20), payloads), n_vars, translation
+
+
+def _check_extending(res, value, n_vars, where):
+    """Every assignment of the variables ``1..n_vars`` that satisfies
+    ``value`` is the projection of a model of ``res``: the clauses with
+    those values as unit clauses are satisfiable."""
+    for bits in itertools.product([False, True], repeat=n_vars):
+        env = dict(zip(range(1, n_vars + 1), bits))
+        if value(env):
+            units = tuple((v if on else -v,) for v, on in env.items())
+            extended = Cnf(res.cnf.num_vars, res.cnf.clauses + units)
+            assert solve_internal(extended).status == SAT, (where, env)
 
 
 def _paper_rounds(monkeypatch, mode, processor):
@@ -320,50 +351,154 @@ def test_rounds_have_no_implication_and_no_defined_unit(monkeypatch, mode, proce
         assert [c for c in ts.cnf.clauses if len(c) == 1 and abs(c[0]) > num_reserved] == []
 
 
-def test_tseitin_positive_and_is_binary_clauses_only():
-    # the conjunction occurs only under the asserted disjunction, so its
-    # definition is v -> x1 and v -> x2, without (x1 and x2) -> v; the root
-    # disjunction gets no definition and is asserted as one clause
+def _raw_tseitin(monkeypatch, phi, num_reserved, lower):
+    """``tseitin_cnf``'s result and its clauses as built, before ``Cnf``
+    drops repeated literals and tautological clauses."""
+    raw = []
+
+    def record(num_vars, clauses):
+        raw.extend(clauses)
+        return Cnf(num_vars, clauses)
+
+    with monkeypatch.context() as m:
+        m.setattr(cnf_module, "Cnf", record)
+        res = tseitin_cnf(phi, num_reserved, lower)
+    return res, raw
+
+
+def _check_no_one_clause_definition(res, raw, where):
+    # an ``and`` variable v is defined only as v -> and, by a clause with -v
+    # per child, and an ``or`` variable only as or -> v, by a clause with +v
+    # per child; their uses carry the other sign.  So that literal is in two
+    # clauses or more, where a one-clause definition (v -> or, and -> v)
+    # would leave it to the uses, often one
+    for v, desc in res.definitions.items():
+        defining = {"def(and)": -v, "def(or)": v}.get(desc)
+        if defining is not None:
+            assert sum(defining in c for c in raw) >= 2, (where, v, desc)
+
+
+@pytest.mark.parametrize("processor", ["thm5", "thm12"])
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_rounds_have_no_one_clause_definition(monkeypatch, mode, processor):
+    rounds = _paper_rounds(monkeypatch, mode, processor)
+    for i, (phi, num_reserved, lower, _) in enumerate(rounds):
+        res, raw = _raw_tseitin(monkeypatch, phi, num_reserved, lower)
+        _check_no_one_clause_definition(res, raw, f"round {i}")
+
+
+_OPS = st.lists(st.tuples(st.sampled_from(["not", "and", "or", "iff", "implies"]),
+                          st.lists(st.integers(0, 99), min_size=1, max_size=3)),
+                min_size=1, max_size=10)
+
+
+def _grow(b, pool, ops):
+    """The last node after each op of ``ops`` joins the nodes of ``pool``
+    that its indices pick, the nodes it built included, so nodes are
+    shared."""
+    pool = list(pool)
+    for kind, picks in ops:
+        cs = [pool[i % len(pool)] for i in picks]
+        if kind == "not":
+            node = b.not_(cs[0])
+        elif kind == "and":
+            node = b.and_(cs)
+        elif kind == "or":
+            node = b.or_(cs)
+        elif kind == "iff":
+            node = b.iff(cs[0], cs[-1])
+        else:
+            node = b.implies(cs[0], cs[-1])
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(n_vars=st.integers(1, 4), ops=_OPS, lowered=st.lists(_OPS, max_size=3),
+       simplify=st.booleans(), share=st.booleans())
+def test_tseitin_matches_reference_on_random_dags(n_vars, ops, lowered, simplify, share):
+    # random DAGs with shared nodes, constants, not, iff, nested and (an
+    # unsimplified root is asserted child by child) and symbolic atoms
+    # whose translations come from the same builder, so that they can
+    # share nodes with the formula, as the prover's do
+    b = FormulaBuilder(simplify=simplify, share=share)
+    variables = [b.atom(v) for v in range(1, n_vars + 1)] + [b.TRUE, b.FALSE]
+    translation = {("a", i): _grow(b, variables, t) for i, t in enumerate(lowered)}
+    phi = _grow(b, variables + [b.atom(p) for p in translation], ops)
+    res = tseitin_cnf(phi, n_vars, translation.__getitem__)
+    ref = reference_tseitin_cnf(phi, n_vars, translation.__getitem__)
+    value = _lowered_value(phi, translation)
+    assert solve_internal(res.cnf).status == solve_internal(ref.cnf).status
+    _check_projecting(res, value, n_vars, "dag")
+    _check_extending(res, value, n_vars, "dag")
+
+
+def test_tseitin_leaves_no_reference_cycle():
+    # the walk's memo tables are freed when it returns, not left for the
+    # cycle collector to find during whatever runs next
+    b = FormulaBuilder()
+    x = [b.atom(v) for v in range(1, 5)]
+    phi = b.and_([b.or_([b.and_(x[:2]), x[2]]), b.iff(x[0], b.not_(x[3])),
+                  b.or_([b.not_(b.or_(x[1:3])), x[3]])])
+    gc.collect()
+    gc.disable()
+    try:
+        tseitin_cnf(phi, 4, no_atoms)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tseitin_single_parent_and_is_distributed():
+    # the conjunction's only parent is the asserted disjunction, so it is
+    # distributed into it: (x1 or x3) and (x2 or x3), with no definition
     b = FormulaBuilder()
     x = [None] + [b.atom(v) for v in range(1, 4)]
     phi = b.or_([b.and_([x[1], x[2]]), x[3]])
     res = tseitin_cnf(phi, 3, no_atoms)
-    assert res.definitions == {4: "def(and)"}
-    assert res.cnf.clauses == ((-4, 1), (-4, 2), (3, 4))
+    assert res.definitions == {}
+    assert res.cnf.clauses == ((3, 1), (3, 2))
 
 
 def test_tseitin_antecedent_takes_the_other_direction():
     # (x1 and x2) -> x3 is the disjunction not(x1 and x2) or x3: the not
-    # swaps the polarity, so the conjunction gets only (x1 and x2) -> v
+    # swaps the sign, and a conjunction used negatively is spliced, so the
+    # whole implication is one clause without a definition
     b = FormulaBuilder()
     phi = b.implies(b.and_([b.atom(1), b.atom(2)]), b.atom(3))
     res = tseitin_cnf(phi, 3, no_atoms)
-    assert res.definitions == {4: "def(and)"}
-    assert res.cnf.clauses == ((4, -1, -2), (3, -4))
+    assert res.definitions == {}
+    assert res.cnf.clauses == ((3, -1, -2),)
 
 
 def test_tseitin_each_direction_emitted_once():
     # the conjunction is reached positively, negatively, and positively
-    # again: each of its three definition clauses comes out exactly once
+    # again: its one direction, v6 -> (x1 and x2), comes out exactly once,
+    # and the negative use is spliced
     b = FormulaBuilder()
     x = [None] + [b.atom(v) for v in range(1, 6)]
     shared = b.and_([x[1], x[2]])
     phi = b.and_([b.or_([shared, x[3]]), b.or_([b.not_(shared), x[4]]),
                   b.or_([shared, x[5]])])
     res = tseitin_cnf(phi, 5, no_atoms)
-    assert res.definitions[6] == "def(and)"
+    assert res.definitions == {6: "def(and)"}
     mentions = [c for c in res.cnf.clauses if 6 in c or -6 in c]
-    assert sorted(c for c in mentions if c[0] in (6, -6)) == [(-6, 1), (-6, 2), (6, -1, -2)]
-    assert len(mentions) == 3 + 3   # its own three and one per disjunction
+    assert sorted(c for c in mentions if -6 in c) == [(-6, 1), (-6, 2)]
+    assert len(mentions) == 2 + 2   # its own two and one per positive use
+    assert (4, -1, -2) in res.cnf.clauses
     assert len(set(res.cnf.clauses)) == len(res.cnf.clauses)
 
 
 def test_tseitin_iff_children_get_both_directions():
+    # an asserted iff is used positively, so it is defined by v4 -> iff:
+    # (-4, not a, x3) and (-4, a, -x3).  Its conjunction child a is thus
+    # used with both signs: negatively it is spliced as -1, -2, and
+    # positively it gets its definition v5 -> a
     b = FormulaBuilder()
     phi = b.iff(b.and_([b.atom(1), b.atom(2)]), b.atom(3))
     res = tseitin_cnf(phi, 3, no_atoms)
-    assert res.cnf.clauses == ((-4, 1), (-4, 2), (4, -1, -2),
-                               (-5, -4, 3), (-5, 4, -3), (5,))
+    assert res.definitions == {4: "def(iff)", 5: "def(and)"}
+    assert res.cnf.clauses == ((-4, -1, -2, 3), (-5, 1), (-5, 2), (-4, 5, -3), (4,))
 
 
 def test_cnf_normal_form():
@@ -533,16 +668,16 @@ def test_solver_replays_reference_on_acceptance_cnfs(monkeypatch):
 # only the symbols its constraint mentions; numbering the whole problem
 # signature again would raise the first figure of most rounds
 ROUND_SIZES = {
-    ("EX2", "strict"): [(8, 65), (19, 173)],
-    ("EX2", "quasi"): [(8, 75), (19, 251)],
-    ("EX13", "strict"): [(8, 65), (8, 65), (46, 739)],
-    ("EX13", "quasi"): [(8, 75), (8, 75), (46, 1313)],
-    ("ACKERMANN", "strict"): [(21, 437), (8, 57)],
-    ("ACKERMANN", "quasi"): [(21, 577), (8, 64)],
-    ("REVERSE", "strict"): [(9, 42), (8, 38)],
-    ("REVERSE", "quasi"): [(9, 49), (8, 44)],
-    ("SHUFFLE", "strict"): [(9, 42), (8, 38), (29, 361)],
-    ("SHUFFLE", "quasi"): [(9, 49), (8, 44), (29, 538)],
+    ("EX2", "strict"): [(8, 51), (19, 134)],
+    ("EX2", "quasi"): [(8, 57), (19, 183)],
+    ("EX13", "strict"): [(8, 51), (8, 51), (46, 600)],
+    ("EX13", "quasi"): [(8, 57), (8, 57), (46, 1022)],
+    ("ACKERMANN", "strict"): [(21, 339), (8, 44)],
+    ("ACKERMANN", "quasi"): [(21, 429), (8, 49)],
+    ("REVERSE", "strict"): [(9, 34), (8, 30)],
+    ("REVERSE", "quasi"): [(9, 40), (8, 35)],
+    ("SHUFFLE", "strict"): [(9, 34), (8, 30), (29, 285)],
+    ("SHUFFLE", "quasi"): [(9, 40), (8, 35), (29, 401)],
 }
 
 
