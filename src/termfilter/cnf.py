@@ -15,9 +15,10 @@ is distributed into that clause.  Definition variables therefore bound
 their nodes rather than equal them, and only the original variables of a
 model carry meaning: a model projects onto them, and each of their
 assignments that satisfies the formula extends to a model.  The formulas
-have no implication node (``FormulaBuilder.implies`` builds a
-disjunction), so an asserted implication, like any asserted disjunction,
-is one clause.
+have no implication or equivalence node: ``FormulaBuilder.implies``
+builds a disjunction and ``FormulaBuilder.iff`` a conjunction of two, so
+an asserted implication, like any asserted disjunction, is one clause,
+and the walk defines only ``and`` and ``or``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .formula import ATOM, AND, FALSE, IFF, NOT, OR, TRUE, Formula
+from .formula import ATOM, AND, FALSE, NOT, OR, TRUE, Formula
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,8 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     ``not`` swaps the sign.  An atom whose payload is an ``int`` is that
     variable; any other atom is translated by ``lower`` into a formula over
     variables the first time the walk reaches its node, once per node, and
-    stands for that formula.  ``and``, ``or`` and ``iff`` go by their
-    kind under the sign:
+    stands for that formula.  ``and`` and ``or``, the only other kinds
+    besides the constants, go by their kind under the sign:
 
     - Disjunction-like (an ``or`` with sign +1, an ``and`` with -1): its
       definition would be one clause, so it gets no variable and stands
@@ -112,11 +113,9 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
       for an ``and``, ``n -> v`` for an ``or``.  A node with several
       parents, one below a spliced node and one inside a translation are
       defined so.
-    - ``iff`` gets a variable, defined in each direction it is used in by
-      two clauses over both signs of both children.
 
     So an ``or`` never gets a definition ``v -> n``, nor an ``and`` one
-    ``n -> v``, and each definition is emitted at most once per direction.
+    ``n -> v``, and no node is defined twice.
     The root is asserted as a clause of its own: a conjunction child by
     child, a disjunction as one clause.  The result is satisfiable exactly
     when the input is.  A model of it, restricted to the variables
@@ -129,7 +128,6 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     defs: dict[int, str] = {}
     counter = [num_reserved]
     parents = _parent_counts(phi)
-    var: dict[Formula, int] = {}
     # the literals that stand for a node, one table per sign; keyed by node,
     # so a translation cannot alias a node of ``phi``
     pos: dict[Formula, tuple[int, ...]] = {}
@@ -185,29 +183,15 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
         return out
 
     def define(n: Formula, s: int) -> int:
-        """``n``'s variable, with the direction that sign ``s`` uses
-        defined; ``lits`` asks for each direction once."""
-        v = var.get(n)
-        if v is None:
-            v = var[n] = fresh(f"def({n.kind})")
-        k = n.kind
-        if k == AND or k == OR:
-            head = (-v,) if s > 0 else (v,)
-            for c in n.children:
-                if parents.get(c) == 1:
-                    emit(head, c, s, True)
-                else:
-                    clauses.append(head + lits(c, s))
-        elif k == IFF:
-            a, b = n.children
-            if s > 0:
-                clauses.append((-v,) + lits(a, -1) + lits(b, 1))
-                clauses.append((-v,) + lits(a, 1) + lits(b, -1))
+        """A fresh variable for the conjunction-like ``n``, defined in the
+        direction that sign ``s`` uses; ``lits`` asks once per node."""
+        v = fresh(f"def({n.kind})")
+        head = (-v,) if s > 0 else (v,)
+        for c in n.children:
+            if parents.get(c) == 1:
+                emit(head, c, s, True)
             else:
-                clauses.append((v,) + lits(a, 1) + lits(b, 1))
-                clauses.append((v,) + lits(a, -1) + lits(b, -1))
-        else:
-            raise ValueError(f"unknown node kind {k!r}")
+                clauses.append(head + lits(c, s))
         return v
 
     def emit(base: tuple[int, ...], n: Formula, s: int, own: bool) -> None:

@@ -7,7 +7,9 @@ the walks below are keyed by the node itself: ids, which two builders share,
 only order children and rendering.  With simplification enabled the
 builder folds constants, flattens nested conjunctions/disjunctions, removes
 duplicate children, and collapses complementary ones.  Both switches can be
-turned off to measure what they buy.
+turned off to measure what they buy.  Besides the constants and atoms there
+are three node kinds, ``not``, ``and`` and ``or``: ``implies`` and ``iff``
+build their formulas from these.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ ATOM = "atom"
 NOT = "not"
 AND = "and"
 OR = "or"
-IFF = "iff"
 
 _BY_ID = attrgetter("id")
 
@@ -118,22 +119,10 @@ class FormulaBuilder:
         return self.or_([self.not_(a), b])
 
     def iff(self, a: Formula, b: Formula) -> Formula:
-        if self.simplify:
-            if a is self.TRUE:
-                return b
-            if b is self.TRUE:
-                return a
-            if a is self.FALSE:
-                return self.not_(b)
-            if b is self.FALSE:
-                return self.not_(a)
-            if a is b:
-                return self.TRUE
-            if (a.kind == NOT and a.children[0] is b) or (b.kind == NOT and b.children[0] is a):
-                return self.FALSE
-            if a.id > b.id:
-                a, b = b, a
-        return self._node(IFF, None, (a, b))
+        """``a <-> b``, built as the conjunction ``(not a or b) and (a or not
+        b)``: there is no equivalence node either, and ``not_``, ``or_`` and
+        ``and_`` do all the folding."""
+        return self.and_([self.or_([self.not_(a), b]), self.or_([a, self.not_(b)])])
 
 
 def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
@@ -146,11 +135,7 @@ def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
         if v is not None:
             return v
         k = n.kind
-        if k == TRUE:
-            v = True
-        elif k == FALSE:
-            v = False
-        elif k == ATOM:
+        if k == ATOM:
             v = bool(atom_value(n.payload))
         elif k == NOT:
             v = not ev(n.children[0])
@@ -159,11 +144,16 @@ def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
         elif k == OR:
             v = any(ev(c) for c in n.children)
         else:
-            v = ev(n.children[0]) == ev(n.children[1])
+            v = k == TRUE
         memo[n] = v
         return v
 
-    return ev(f)
+    try:
+        return ev(f)
+    finally:
+        # ``ev`` reaches itself through its closure cell; emptying the cell
+        # frees the memo on return rather than leaving it to the collector
+        del ev
 
 
 def iter_nodes(f: Formula) -> Iterator[Formula]:

@@ -75,13 +75,15 @@ class VarMap:
 
 
 def _bit_gt(b: FormulaBuilder, fb: Sequence[int], gb: Sequence[int]) -> Formula:
-    """Unsigned comparison of two little-endian bit vectors."""
+    """Unsigned comparison of two little-endian bit vectors: up to bit
+    ``i``, ``f > g`` when ``f_i and not g_i``, or when bit ``i`` does not
+    favour ``g`` (``f_i or not g_i``) and the lower bits put ``f`` above
+    ``g``.  That tie test needs no equivalence ``f_i <-> g_i``: where the
+    bits differ with ``f_i`` on, the first disjunct holds anyway."""
     form = b.and_([b.atom(fb[0]), b.not_(b.atom(gb[0]))])
     for i in range(1, len(fb)):
-        form = b.or_([
-            b.and_([b.atom(fb[i]), b.not_(b.atom(gb[i]))]),
-            b.and_([b.iff(b.atom(fb[i]), b.atom(gb[i])), form]),
-        ])
+        f_i, not_g_i = b.atom(fb[i]), b.not_(b.atom(gb[i]))
+        form = b.or_([b.and_([f_i, not_g_i]), b.and_([b.or_([f_i, not_g_i]), form])])
     return form
 
 

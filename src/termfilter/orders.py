@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .terms import App, Symbol, Term, Var, symbol_key
@@ -145,15 +147,17 @@ def _equivalence(prec: Precedence, mode: str) -> Callable[[Term, Term], bool]:
     Terms are interned and a strict precedence makes no two distinct symbols
     equivalent, so strict equivalence is identity."""
     _check_mode(mode)
+    return operator.is_ if mode == STRICT else partial(_quasi_equivalent, prec)
 
-    def quasi(s: Term, t: Term) -> bool:
-        if s is t:
-            return True
-        if isinstance(s, Var) or isinstance(t, Var) or s.fun.arity != t.fun.arity:
-            return False
-        return prec.equivalent(s.fun, t.fun, QUASI) and all(map(quasi, s.args, t.args))
 
-    return operator.is_ if mode == STRICT else quasi
+def _quasi_equivalent(prec: Precedence, s: Term, t: Term) -> bool:
+    # a module-level function, so that a call leaves no closure cycle
+    if s is t:
+        return True
+    if isinstance(s, Var) or isinstance(t, Var) or s.fun.arity != t.fun.arity:
+        return False
+    return (prec.equivalent(s.fun, t.fun, QUASI)
+            and all(map(_quasi_equivalent, repeat(prec), s.args, t.args)))
 
 
 def terms_equivalent(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
@@ -205,7 +209,12 @@ def lpo_gt(prec: Precedence, mode: str, s: Term, t: Term) -> bool:
         memo[key] = result
         return result
 
-    return gt(s, t)
+    try:
+        return gt(s, t)
+    finally:
+        # ``gt`` reaches itself through its closure cell; emptying the cell
+        # frees the memo on return rather than leaving it to the collector
+        del gt
 
 
 def lpo_ge(prec: Precedence, mode: str, s: Term, t: Term) -> bool:

@@ -331,7 +331,7 @@ def _equivalent_by_sat(phi, psi, symbols, mode):
 
 def _rebuilt(f, b):
     """``f`` built again, node by node, with the builder ``b``."""
-    from termfilter.formula import AND, ATOM, FALSE, IFF, NOT, TRUE, iter_nodes
+    from termfilter.formula import AND, ATOM, FALSE, NOT, TRUE, iter_nodes
     out = {}
     for n in iter_nodes(f):
         cs = [out[c.id] for c in n.children]
@@ -343,8 +343,6 @@ def _rebuilt(f, b):
             out[n.id] = b.atom(n.payload)
         elif n.kind == NOT:
             out[n.id] = b.not_(cs[0])
-        elif n.kind == IFF:
-            out[n.id] = b.iff(*cs)
         elif n.kind == AND:
             out[n.id] = b.and_(cs)
         else:
@@ -379,11 +377,11 @@ def _quasi_cases(seed, count):
 def _canonical(phi, table):
     """Number of ``phi``'s structure in ``table``, independent of node ids
     and hence of the order in which the nodes were built."""
-    from termfilter.formula import AND, IFF, OR, iter_nodes
+    from termfilter.formula import AND, OR, iter_nodes
     ids = {}
     for n in iter_nodes(phi):
         kids = tuple(ids[c.id] for c in n.children)
-        if n.kind in (AND, OR, IFF):
+        if n.kind in (AND, OR):
             kids = tuple(sorted(kids))
         ids[n.id] = table.setdefault((n.kind, n.payload, kids), len(table))
     return ids[phi.id]
@@ -560,11 +558,11 @@ ABLATION_DIGESTS = {
 # lowers them; under some settings Tseitin's raw clauses hold repeated
 # literals and tautologies, so these also pin what ``Cnf`` drops
 CNF_DIGESTS = {
-    "EX2": "cb6d4468b5ff7079e61a70fee2f53e1cdaa927822b3c286ffcef04db59ba9169",
-    "EX13": "771d1f511f11b8ce789f1c7828d8c046660c79807d945f0fb605c52a59877062",
-    "ACKERMANN": "e1cedfec084054a6c12c6421f65f8566e6b0bd1a50484c0f062fdfa35e3877c6",
-    "REVERSE": "13a9bee455124fc0bc0830a251430ddc35d951d89bb2868caa87a6ea88da05bb",
-    "SHUFFLE": "bcea480bae78498200e28ef51f5463785a6e8c5cf8e406b20b4052e6e9ad0f4d",
+    "EX2": "aa8c6350c880a83a13d022efd331344d78d7241936e8500f0fb3ea9c5f93ff50",
+    "EX13": "5d6fffce8608b36e95b876df520a4b64e285372a7019ff43182ea5eeb6aa6595",
+    "ACKERMANN": "223e2362b5207a10a067896682007ba5d66f6aff2c64203eec32910d4617f2bd",
+    "REVERSE": "703c95dd42e4c175651a304de9251ec7300d476ee0e5aac6cc60d72d92eecdf0",
+    "SHUFFLE": "8efdf0eae879c99f46e51aa01e1878ccd6a17cdcdb0607b936c862d266acb03b",
 }
 
 

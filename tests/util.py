@@ -376,12 +376,9 @@ def reference_tseitin_cnf(phi, num_reserved: int, lower) -> TseitinResult:
             if k == AND:
                 clauses.extend((-v, c) for c in cs)
                 clauses.append(tuple([v] + [-c for c in cs]))
-            elif k == OR:
+            else:
                 clauses.extend((v, -c) for c in cs)
                 clauses.append(tuple([-v] + cs))
-            else:
-                a, b = cs
-                clauses.extend([(-v, -a, b), (-v, a, -b), (v, a, b), (v, -a, -b)])
             out = v
         lits[n] = out
         return out
