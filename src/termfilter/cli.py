@@ -60,17 +60,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: bad --solver value {args.solver!r}", file=sys.stderr)
         return 3
     try:
-        text = Path(args.file).read_text()
+        trs = parse_trs(Path(args.file).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    try:
-        trs = parse_trs(text)
-    except ParseError as exc:
+    except (UnicodeDecodeError, ParseError) as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print(f"error: {args.file}: terms nested too deeply", file=sys.stderr)
         return 3
 
     config = ProverConfig(

@@ -139,16 +139,14 @@ def _sccs(graph: Mapping[int, Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def scc_decompose(problem: DpProblem,
-                  graph: Mapping[int, Sequence[int]] | None = None) -> list[DpProblem]:
+def scc_decompose(problem: DpProblem) -> list[DpProblem]:
     """One sub-problem per non-trivial strongly connected component.
 
     A single pair counts only if it has a self-arc.  Pairs on no cycle are
     dropped; every sub-problem keeps the full rule component.  Sub-problems
     are ordered by their smallest pair index.
     """
-    if graph is None:
-        graph = estimate_dependency_graph(problem)
+    graph = estimate_dependency_graph(problem)
     pairs = problem.pairs.rules
     components = []
     for comp in _sccs(graph):

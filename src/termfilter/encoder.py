@@ -190,16 +190,6 @@ class EncodingContext:
             implied[2 * eq] |= 2 << 2 * fg | 2 << 2 * gf
         return own
 
-    def _prec(self, f: Symbol, g: Symbol) -> tuple[int, int]:
-        """Numbers of ``PoGt(f, g)`` and of the ``PoEq`` atom of ``f`` and
-        ``g``, for distinct symbols."""
-        pair = self._precedence.get((f, g))
-        if pair is None:
-            self._meet(f)
-            self._meet(g)
-            pair = self._precedence[f, g]
-        return pair
-
     def _node(self, k: int) -> Formula:
         """The formula node of atom ``k``: kept per number when nodes are
         shared, made afresh on every request when not."""
@@ -369,7 +359,7 @@ class EncodingContext:
         if f != g:
             literals.append((g_atoms.list_p, True))
             if self.mode == "strict":
-                literals.append((self._prec(f, g)[0], True))
+                literals.append((self._precedence[f, g][0], True))
         entered = self._enter(ctx, literals)
         if entered is None:
             return b.FALSE
@@ -377,7 +367,7 @@ class EncodingContext:
         if f == g:
             parts.append(self._lex_same(f, s.args, t.args, 1, rel, ctx))
         elif self.mode == "quasi":
-            gt, eq = self._prec(f, g)
+            gt, eq = self._precedence[f, g]
             lex = self._lex_two(s, t, 1, 1, rel, ctx, ((eq, True),))
             # the lex branch is built before the precedence atom's node
             parts.append(b.or_([self._atom(ctx, gt), lex]))

@@ -252,7 +252,7 @@ class Rule:
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
-            raise ValueError("left-hand side of a rule must not be a variable")
+            raise ValueError("left-hand side is a variable")
         bound = set(variables(self.lhs))
         missing = [v for v in variables(self.rhs) if v not in bound]
         if missing:

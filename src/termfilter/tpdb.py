@@ -3,13 +3,25 @@
 A file is a sequence of parenthesised blocks.  ``(VAR x y ...)`` declares
 variable names, ``(RULES l -> r ...)`` lists the rules, ``(COMMENT ...)`` is
 skipped.  Any other block (STRATEGY, THEORY, ...) is rejected.
+
+One regular expression cuts the text into tokens: ``(``, ``)``, ``,``,
+``->`` and identifiers, which run up to white space (space, tab, CR, LF),
+punctuation or an arrow.  A token is its text and its offset; a line and
+column are worked out from the offset only when an error is raised.  Terms
+are read with an explicit stack of open applications, so nesting depth is
+bounded by memory, not by the recursion limit, and :func:`parse_trs` raises
+nothing but :class:`ParseError` on any string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from .terms import App, Rule, Symbol, Term, Trs, Var, variables
+from .terms import App, Rule, Symbol, Term, Trs, Var
+
+# a '-' starts an identifier character unless it starts an arrow
+_TOKEN = re.compile(r"->|[(),]|(?:[^ \t\r\n(),-]|-(?!>))+")
+_PUNCTUATION = frozenset(["(", ")", ",", "->", ""])  # "" is the end of input
 
 
 class ParseError(ValueError):
@@ -23,140 +35,97 @@ class UnsupportedBlockError(ParseError):
     """A block the tool deliberately does not handle."""
 
 
-_LPAREN, _RPAREN, _COMMA, _ARROW, _IDENT, _EOF = "(", ")", ",", "->", "ident", "eof"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif c in " \t\r":
-            i, col = i + 1, col + 1
-        elif c in "(),":
-            toks.append(_Token(c, c, line, col))
-            i, col = i + 1, col + 1
-        elif text.startswith("->", i):
-            toks.append(_Token(_ARROW, "->", line, col))
-            i, col = i + 2, col + 2
-        else:
-            start, start_col = i, col
-            while i < n and text[i] not in " \t\r\n()," and not text.startswith("->", i):
-                i, col = i + 1, col + 1
-            toks.append(_Token(_IDENT, text[start:i], line, start_col))
-    toks.append(_Token(_EOF, "", line, col))
-    return toks
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.toks.append(("", len(text)))
         self.pos = 0
         self.vars: set[str] = set()
         self.arities: dict[str, int] = {}
-        self.rules: list[Rule] = []
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def error(self, message: str, offset: int, cls: type = ParseError) -> ParseError:
+        line = self.text.count("\n", 0, offset) + 1
+        return cls(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, int]:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}" if tok.kind != _EOF
-                             else f"expected {what}, found end of input",
-                             tok.line, tok.column)
-        return tok
+    def expect(self, text: str | None, what: str) -> tuple[str, int]:
+        """The next token, which must be ``text``, or an identifier when
+        ``text`` is None."""
+        tok, offset = self.next()
+        if not (tok == text if text else tok not in _PUNCTUATION):
+            found = repr(tok) if tok else "end of input"
+            raise self.error(f"expected {what}, found {found}", offset)
+        return tok, offset
 
     def parse(self) -> Trs:
-        while self.peek().kind != _EOF:
-            self.expect(_LPAREN, "'('")
-            name = self.expect(_IDENT, "a block name")
-            if name.text == "VAR":
-                self.var_block()
-            elif name.text == "RULES":
-                self.rules_block()
-            elif name.text == "COMMENT":
-                self.skip_block()
+        rules: list[Rule] = []
+        while self.toks[self.pos][0]:
+            self.expect("(", "'('")
+            name, offset = self.expect(None, "a block name")
+            if name == "VAR":
+                while self.toks[self.pos][0] not in _PUNCTUATION:
+                    self.vars.add(self.next()[0])
+                self.expect(")", "')'")
+            elif name == "RULES":
+                while self.toks[self.pos][0] != ")":
+                    start = self.toks[self.pos][1]
+                    lhs = self.term()
+                    self.expect("->", "'->'")
+                    rhs = self.term()
+                    try:
+                        rules.append(Rule(lhs, rhs))
+                    except ValueError as exc:
+                        raise self.error(str(exc), start) from None
+                self.pos += 1
+            elif name == "COMMENT":
+                depth = 1
+                while depth:
+                    tok, offset = self.next()
+                    if not tok:
+                        raise self.error("unterminated block", offset)
+                    depth += (tok == "(") - (tok == ")")
             else:
-                raise UnsupportedBlockError(
-                    f"unsupported block {name.text!r}", name.line, name.column)
-        return Trs.of(self.rules)
-
-    def var_block(self) -> None:
-        while self.peek().kind == _IDENT:
-            self.vars.add(self.next().text)
-        self.expect(_RPAREN, "')'")
-
-    def skip_block(self) -> None:
-        depth = 1
-        while depth:
-            tok = self.next()
-            if tok.kind == _EOF:
-                raise ParseError("unterminated block", tok.line, tok.column)
-            if tok.kind == _LPAREN:
-                depth += 1
-            elif tok.kind == _RPAREN:
-                depth -= 1
-
-    def rules_block(self) -> None:
-        while self.peek().kind != _RPAREN:
-            start = self.peek()
-            lhs = self.term()
-            self.expect(_ARROW, "'->'")
-            rhs = self.term()
-            if isinstance(lhs, Var):
-                raise ParseError("left-hand side is a variable", start.line, start.column)
-            bound = set(variables(lhs))
-            free = [v.name for v in variables(rhs) if v not in bound]
-            if free:
-                raise ParseError(
-                    f"right-hand side variables not bound on the left: {', '.join(free)}",
-                    start.line, start.column)
-            self.rules.append(Rule(lhs, rhs))
-        self.next()
+                raise self.error(f"unsupported block {name!r}", offset, UnsupportedBlockError)
+        return Trs.of(rules)
 
     def term(self) -> Term:
-        tok = self.expect(_IDENT, "a term")
-        if self.peek().kind == _LPAREN:
-            if tok.text in self.vars:
-                raise ParseError(f"variable {tok.text!r} used with arguments",
-                                 tok.line, tok.column)
-            self.next()
-            args = [self.term()]
-            while self.peek().kind == _COMMA:
-                self.next()
-                args.append(self.term())
-            self.expect(_RPAREN, "')' or ','")
-            return App(self.symbol(tok, len(args)), tuple(args))
-        if tok.text in self.vars:
-            return Var(tok.text)
-        return App(self.symbol(tok, 0), ())
+        open_apps: list[tuple[str, int, list[Term]]] = []  # name, offset, arguments so far
+        while True:
+            name, offset = self.expect(None, "a term")
+            if self.toks[self.pos][0] == "(":
+                if name in self.vars:
+                    raise self.error(f"variable {name!r} used with arguments", offset)
+                self.pos += 1
+                open_apps.append((name, offset, []))
+                continue
+            t = Var(name) if name in self.vars else App(self.symbol(name, offset, 0), ())
+            # close every application that this argument completes
+            while open_apps:
+                name, offset, args = open_apps[-1]
+                args.append(t)
+                if self.toks[self.pos][0] == ",":
+                    self.pos += 1
+                    break
+                self.expect(")", "')' or ','")
+                open_apps.pop()
+                t = App(self.symbol(name, offset, len(args)), tuple(args))
+            else:
+                return t
 
-    def symbol(self, tok: _Token, arity: int) -> Symbol:
-        prev = self.arities.setdefault(tok.text, arity)
+    def symbol(self, name: str, offset: int, arity: int) -> Symbol:
+        prev = self.arities.setdefault(name, arity)
         if prev != arity:
-            raise ParseError(
-                f"symbol {tok.text!r} used with {arity} arguments but earlier with {prev}",
-                tok.line, tok.column)
-        return Symbol(tok.text, arity)
+            raise self.error(
+                f"symbol {name!r} used with {arity} arguments but earlier with {prev}", offset)
+        return Symbol(name, arity)
 
 
 def parse_trs(text: str) -> Trs:
-    """Parse rewrite-system source text into a :class:`Trs`."""
+    """Parse rewrite-system source text into a :class:`Trs`; raise
+    :class:`ParseError` on any text that is not a rewrite system."""
     return _Parser(text).parse()

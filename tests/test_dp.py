@@ -90,7 +90,7 @@ def test_scc_output_subset_and_on_cycle():
     trs = ex13()
     problem = DpProblem(dependency_pairs(trs), trs)
     graph = estimate_dependency_graph(problem)
-    subs = scc_decompose(problem, graph)
+    subs = scc_decompose(problem)
     all_pairs = set(problem.pairs.rules)
     for sub in subs:
         for p in sub.pairs.rules:

@@ -321,6 +321,15 @@ def test_cli_deep_nesting_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cli_file_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.trs"
+    path.write_bytes(b"(VAR x)(RULES f(\xff) -> x)")
+    assert cli_main([str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "utf-8" in err
+
+
 def test_cli_missing_file(capsys):
     assert cli_main(["/no/such/file.trs"]) == 3
     assert "error" in capsys.readouterr().err

@@ -1,12 +1,16 @@
+import contextlib
 import gc
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termfilter.terms import (App, Rule, Symbol, Trs, Var, defined_symbols,
                               format_trs, functions, substitute, subterms, unify, variables)
@@ -75,6 +79,80 @@ def test_parse_error_carries_position():
 def test_variable_used_with_arguments():
     with pytest.raises(ParseError, match="variable 'x' used with arguments"):
         parse_trs("(VAR x)(RULES x(x) -> x)")
+
+
+@pytest.mark.parametrize("text,error,line,column,message", [
+    ("(VAR x)\r\n(RULES\r\n  f(x) x)", ParseError, 3, 8, "expected '->', found 'x'"),
+    ("(VAR x)\n(RULES\n  f(x) ->", ParseError, 3, 10, "expected a term, found end of input"),
+    ("(VAR x)\n\n  (STRATEGY INNERMOST)", UnsupportedBlockError, 3, 4,
+     "unsupported block 'STRATEGY'"),
+    ("(COMMENT a\n(b)\n c", ParseError, 3, 3, "unterminated block"),
+    ("(VAR x)\n(RULES\n  f(x) -> x\n  x -> x)", ParseError, 4, 3,
+     "left-hand side is a variable"),
+    ("(VAR x y)\n(RULES\n    f(x) ->\n y)", ParseError, 3, 5,
+     "right-hand side variables not bound on the left: y"),
+    ("(VAR x)\n(RULES f(x) -> x\n\tg(x(x)) -> x)", ParseError, 3, 4,
+     "variable 'x' used with arguments"),
+    ("(VAR x y)\n(RULES f(x, y) -> x\n  f(x) -> x)", ParseError, 3, 3,
+     "symbol 'f' used with 1 arguments but earlier with 2"),
+], ids=["unexpected-token", "end-of-input", "unsupported-block", "unterminated-comment",
+        "variable-lhs", "unbound-rhs-variable", "variable-with-arguments", "arity-mismatch"])
+def test_parse_error_positions(text, error, line, column, message):
+    # a column counts characters from 1, a CR and a tab one each; a rule's
+    # own errors point at its first token, a symbol's at its name
+    with pytest.raises(ParseError) as err:
+        parse_trs(text)
+    assert type(err.value) is error
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+_PIECES = ["(", ")", ",", "->", "-", ">", " ", "\n", "\r", "\t", "\x0c", "VAR", "RULES",
+           "COMMENT", "THEORY", "x", "y", "f", "s", "0"]
+_SCRAPS = st.lists(st.sampled_from(_PIECES) | st.text(max_size=3), max_size=12).map("".join)
+
+
+def _tower(head: str, depth: int, inner: str, tail: str) -> str:
+    return f"{head}(VAR x)(RULES f({'s(' * depth}{inner}{')' * depth}) -> f(x)){tail}"
+
+
+# a rule whose left-hand side nests up to 3,000 applications deep, alone or
+# with scraps of the format and arbitrary characters around and inside it,
+# or scraps alone
+_DEPTHS = st.integers(0, 3000)
+_TRS_TEXTS = st.one_of(
+    _DEPTHS.map(lambda depth: _tower("", depth, "x", "")),
+    st.builds(_tower, _SCRAPS, _DEPTHS, st.just("x") | _SCRAPS, _SCRAPS),
+    _SCRAPS)
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(text=_TRS_TEXTS)
+def test_parse_returns_a_system_or_raises_parse_error(text):
+    try:
+        trs = parse_trs(text)
+    except ParseError:
+        return
+    assert isinstance(trs, Trs)
+    assert parse_trs(format_trs(trs)) == trs
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(text=_TRS_TEXTS, raw=st.binary(max_size=3))
+def test_cli_exits_0_to_3_on_any_file(text, raw):
+    from termfilter.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.trs")
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8", "surrogatepass") + raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path, "--timeout", "0.2"])
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert not err.getvalue() and out.getvalue()
 
 
 @pytest.mark.parametrize("text", [EX2_TEXT, EX13_TEXT])
