@@ -23,7 +23,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def seconds(text: str) -> float:
     """A ``--timeout`` value: finite and non-negative (no deadline check ever
-    trips on NaN, and infinity overflows an external solver's timeout)."""
+    trips on NaN, and an infinite deadline is no deadline, which leaving
+    ``--timeout`` out already asks for)."""
     value = float(text)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"not a finite non-negative number: {text!r}")
@@ -42,8 +43,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--processor", choices=["thm5", "thm12"], default="thm12",
                         help="usable rules: thm5 = classical closure, "
                              "thm12 = filtered, chosen by the solver (default)")
-    parser.add_argument("--solver", default="internal",
-                        help="'internal' or 'external:<command>' (default: internal)")
     parser.add_argument("--timeout", type=seconds, default=None, metavar="SECONDS")
     parser.add_argument("--emit-dimacs", default=None, metavar="DIR",
                         help="write every CNF plus a variable manifest to DIR")
@@ -55,12 +54,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    external = args.solver.startswith("external:")
-    if args.solver != "internal" and not (external and args.solver[len("external:"):].strip()):
-        print(f"error: bad --solver value {args.solver!r}", file=sys.stderr)
-        return 3
     try:
-        trs = parse_trs(Path(args.file).read_text(encoding="utf-8"))
+        trs = parse_trs(Path(args.file).read_bytes().decode("utf-8"))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -71,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ProverConfig(
         mode="quasi" if args.order == "qlpo" else "strict",
         processor=args.processor,
-        solver=args.solver,
         timeout=args.timeout,
         emit_dimacs=args.emit_dimacs,
         dump_formula=args.dump_formula,

@@ -1,9 +1,8 @@
-"""Clause sets in normal form, CNF conversion and DIMACS reading/writing.
+"""Clause sets in normal form, CNF conversion and DIMACS writing.
 
 ``Cnf`` is the one place where clause normal form is decided: whatever
-builds a clause set (Tseitin, ``parse_dimacs``, a test) hands over clauses
-as they come, and whatever reads one (the internal solver, ``write_dimacs``,
-an external solver) takes them as they are.
+builds a clause set (Tseitin, a test) hands over clauses as they come, and
+whatever reads one (the solver, ``write_dimacs``) takes them as they are.
 
 ``tseitin_cnf`` is polarity-aware: it defines each node only in the
 direction the formula uses it in (Plaisted & Greenbaum 1986).  It also
@@ -250,34 +249,3 @@ def write_dimacs(cnf: Cnf) -> str:
     for clause in cnf.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text: str) -> Cnf:
-    num_vars = 0
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    declared = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
-            declared = True
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(current))
-                current = []
-            else:
-                current.append(lit)
-                num_vars = max(num_vars, abs(lit))
-    if current:
-        clauses.append(tuple(current))
-    if not declared and not clauses:
-        raise ValueError("no problem line and no clauses")
-    return Cnf(num_vars, tuple(clauses))

@@ -125,37 +125,6 @@ class FormulaBuilder:
         return self.and_([self.or_([self.not_(a), b]), self.or_([a, self.not_(b)])])
 
 
-def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
-    """Evaluate a formula under a total assignment given as a function on
-    atom payloads."""
-    memo: dict[Formula, bool] = {}
-
-    def ev(n: Formula) -> bool:
-        v = memo.get(n)
-        if v is not None:
-            return v
-        k = n.kind
-        if k == ATOM:
-            v = bool(atom_value(n.payload))
-        elif k == NOT:
-            v = not ev(n.children[0])
-        elif k == AND:
-            v = all(ev(c) for c in n.children)
-        elif k == OR:
-            v = any(ev(c) for c in n.children)
-        else:
-            v = k == TRUE
-        memo[n] = v
-        return v
-
-    try:
-        return ev(f)
-    finally:
-        # ``ev`` reaches itself through its closure cell; emptying the cell
-        # frees the memo on return rather than leaving it to the collector
-        del ev
-
-
 def iter_nodes(f: Formula) -> Iterator[Formula]:
     """Each reachable node exactly once, children before parents."""
     seen: set[Formula] = set()
@@ -176,22 +145,6 @@ def iter_nodes(f: Formula) -> Iterator[Formula]:
 def dag_size(f: Formula) -> int:
     """Number of distinct nodes reachable from ``f``."""
     return sum(1 for _ in iter_nodes(f))
-
-
-def tree_size(f: Formula) -> int:
-    """Node count of the fully expanded tree (shared nodes counted once per
-    occurrence)."""
-    sizes: dict[Formula, int] = {}
-    for node in iter_nodes(f):
-        sizes[node] = 1 + sum(sizes[c] for c in node.children)
-    return sizes[f]
-
-
-def atoms_of(f: Formula) -> list:
-    """Atom payloads reachable from ``f``, in node-id order."""
-    found = [n for n in iter_nodes(f) if n.kind == ATOM]
-    found.sort(key=_BY_ID)
-    return [n.payload for n in found]
 
 
 def dump(f: Formula, atom_str: Callable[[Any], str] = repr) -> str:

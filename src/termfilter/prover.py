@@ -36,7 +36,6 @@ class VerificationError(RuntimeError):
 class ProverConfig:
     mode: str = "strict"            # strict | quasi
     processor: str = "thm12"        # thm5 | thm12
-    solver: str = "internal"        # internal | external:<command>
     timeout: float | None = None
     emit_dimacs: str | None = None
     dump_formula: bool = False
@@ -123,7 +122,7 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     if config.emit_dimacs:
         _emit(ts.cnf, vm, ts.definitions, enc, session)
 
-    result = solve(ts.cnf, config.solver, deadline=session.deadline)
+    result = solve(ts.cnf, deadline=session.deadline)
     if result.status == UNKNOWN:
         return RpOutcome("timeout")
     if result.status == UNSAT:

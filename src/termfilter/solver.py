@@ -1,9 +1,9 @@
-"""SAT solving: an internal CDCL solver and a DIMACS subprocess bridge.
+"""SAT solving: the one CDCL solver that every pair problem's SAT call runs.
 
-The internal solver is a conflict-driven clause learner with two watched
-literals per clause, first-UIP learning, activity-based decisions, phase
-saving (all variables start false), and Luby restarts.  It is deterministic:
-identical input yields the identical model.
+It is a conflict-driven clause learner with two watched literals per
+clause, first-UIP learning, activity-based decisions, phase saving (all
+variables start false), and Luby restarts.  It is deterministic: identical
+input yields the identical model.
 
 The layout follows MiniSat (Een & Sorensson 2003).  Values and watch lists
 are lists indexed by the literal itself, negative literals wrapping into the
@@ -23,14 +23,10 @@ nothing.
 from __future__ import annotations
 
 import heapq
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
-from .cnf import Cnf, write_dimacs
+from .cnf import Cnf
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -41,10 +37,6 @@ UNKNOWN = "unknown"
 class SolveResult:
     status: str
     model: dict[int, bool] | None = None
-
-
-class ExternalSolverError(RuntimeError):
-    """The external solver crashed or produced unparseable output."""
 
 
 def _luby(i: int) -> int:
@@ -307,71 +299,6 @@ class _Cdcl:
                 self._enqueue(self.phase[v], None)
 
 
-def solve_internal(cnf: Cnf, deadline: float | None = None) -> SolveResult:
+def solve(cnf: Cnf, *, deadline: float | None = None) -> SolveResult:
     """Complete search; UNKNOWN only when the deadline expires."""
     return _Cdcl(cnf, deadline).solve()
-
-
-def solve_external(cnf: Cnf, command: str, timeout: float | None = None) -> SolveResult:
-    """Run a DIMACS solver as a subprocess and parse its s/v output lines."""
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
-        handle.write(write_dimacs(cnf))
-        path = handle.name
-    try:
-        argv = shlex.split(command) + [path]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return SolveResult(UNKNOWN)
-        except OSError as exc:
-            raise ExternalSolverError(f"cannot run {command!r}: {exc}") from exc
-        status: str | None = None
-        positives: set[int] = set()
-        mentioned: set[int] = set()
-        for line in proc.stdout.splitlines():
-            line = line.strip()
-            if line.startswith("s "):
-                token = line[2:].strip()
-                if token == "SATISFIABLE":
-                    status = SAT
-                elif token == "UNSATISFIABLE":
-                    status = UNSAT
-                elif token == "UNKNOWN":
-                    status = UNKNOWN
-                else:
-                    raise ExternalSolverError(f"unrecognised status line {line!r}")
-            elif line.startswith("v "):
-                for tok in line[2:].split():
-                    lit = int(tok)
-                    if lit == 0:
-                        continue
-                    mentioned.add(abs(lit))
-                    if lit > 0:
-                        positives.add(lit)
-        if status is None:
-            raise ExternalSolverError(
-                f"no status line from {command!r} "
-                f"(exit {proc.returncode}, stderr: {proc.stderr.strip()[:200]!r})")
-        if status != SAT:
-            return SolveResult(status)
-        if not mentioned:
-            raise ExternalSolverError(f"satisfiable but no model lines from {command!r}")
-        model = {v: v in positives for v in range(1, cnf.num_vars + 1)}
-        return SolveResult(SAT, model)
-    finally:
-        Path(path).unlink(missing_ok=True)
-
-
-def solve(cnf: Cnf, backend: str = "internal", *, deadline: float | None = None) -> SolveResult:
-    """Dispatch to the internal solver or ``external:<command>``."""
-    if backend == "internal":
-        return solve_internal(cnf, deadline)
-    if backend.startswith("external:"):
-        command = backend[len("external:"):]
-        if not command.strip():
-            raise ValueError("external solver backend needs a command")
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.01, deadline - time.monotonic())
-        return solve_external(cnf, command, timeout)
-    raise ValueError(f"unknown solver backend {backend!r}")

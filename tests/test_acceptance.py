@@ -12,18 +12,18 @@ from termfilter import atoms as A
 from termfilter.cnf import tseitin_cnf
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import EncodingContext, encode_rp_formula
-from termfilter.formula import FormulaBuilder, dag_size, evaluate, tree_size
+from termfilter.formula import FormulaBuilder, dag_size
 from termfilter.lowering import VarMap, decode_model, lower_atoms
 from termfilter.orders import (ArgumentFiltering, Collapse, Keep, Precedence,
                                lpo_af_ge, lpo_af_gt, lpo_gt)
 from termfilter.prover import ProverConfig, Terminating, prove
-from termfilter.solver import SAT, UNSAT, solve_internal
+from termfilter.solver import SAT, UNSAT, solve
 from termfilter.terms import App, Symbol, Var
 from termfilter.usable import omega, roots, usable_rules
 
-from util import (all_filterings, all_precedences, check_cnf, ex13, ex2,
+from util import (all_filterings, all_precedences, check_cnf, evaluate, ex13, ex2,
                   identity_filtering, lowered_cnf, no_atoms, random_signature,
-                  random_term, random_trs, symbol_map)
+                  random_term, random_trs, symbol_map, tree_size)
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -31,7 +31,7 @@ def report(number: int, description: str, ok: bool) -> None:
 
 
 def solve_formula(formula, builder, vm, mode):
-    return solve_internal(lowered_cnf(formula, builder, vm, mode).cnf)
+    return solve(lowered_cnf(formula, builder, vm, mode).cnf)
 
 
 def signature_of(*systems):
@@ -321,7 +321,7 @@ def test_criterion_7_bits_and_tseitin():
             phi = pool[-1]
             res = tseitin_cnf(phi, n_vars, no_atoms)
             check_cnf(res.cnf)
-            got = solve_internal(res.cnf)
+            got = solve(res.cnf)
             expected = any(
                 evaluate(phi, dict(zip(range(1, n_vars + 1), bits)).__getitem__)
                 for bits in itertools.product([False, True], repeat=n_vars))
@@ -348,7 +348,7 @@ def test_criterion_8_sharing_and_optimizations():
         ctx = EncodingContext("strict")
         mine = ctx.tau_gt(lhs, rhs)
         assert dag_size(mine) < tree_size(mine)
-        from termfilter.formula import atoms_of
+        from util import atoms_of
         payloads = atoms_of(mine)
         assert len(payloads) == len(set(payloads))  # each atom one shared node
 

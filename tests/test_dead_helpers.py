@@ -1,13 +1,17 @@
 """Lint guards: every private function or method under ``src/termfilter`` is
-referenced by some module there, other than from inside its own body, and
-every name a module there assigns at its top level is read by some module
-there."""
+referenced by some module there, other than from inside its own body; every
+name a module there assigns at its top level is read by some module there;
+and every public name a module there defines or assigns at its top level is
+read by some module under ``src`` or ``bench``, exported in ``__all__`` or an
+entry point of ``pyproject.toml``."""
 
 import ast
+import tomllib
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "termfilter"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "termfilter"
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -36,26 +40,62 @@ def dead_private_helpers(paths) -> list[str]:
                   if used[name] <= sum(_references(d)[name] for d in defs))
 
 
-def unread_module_names(paths) -> list[str]:
-    """Names assigned at the top level of a module that no module reads,
-    as a name or an attribute; importing a name does not read it, and
-    dunders such as ``__all__`` are exempt."""
-    assigned: set[str] = set()
+def _read_names(paths) -> set[str]:
+    """Every name the modules read, as a name or an attribute; importing a
+    name does not read it."""
     read: set[str] = set()
     for path in paths:
-        tree = ast.parse(path.read_text(), str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                assigned.update(n.id for t in targets for n in ast.walk(t)
-                                if isinstance(n, ast.Name))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(name for name in assigned - read
+    return read
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    """The names a top-level statement assigns."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unread_module_names(paths) -> list[str]:
+    """Names assigned at the top level of a module that no module reads;
+    dunders such as ``__all__`` are exempt."""
+    assigned = {name for path in paths
+                for node in ast.parse(path.read_text(), str(path)).body
+                for name in _assigned(node)}
+    return sorted(name for name in assigned - _read_names(paths)
                   if not (name.startswith("__") and name.endswith("__")))
+
+
+def unread_public_names(paths, readers, exempt=()) -> list[str]:
+    """Public functions, classes and names defined or assigned at the top
+    level of a module of ``paths`` that no module of ``readers`` reads, as
+    ``module.name``.  A name that some module's ``__all__`` lists, or whose
+    ``module.name`` is in ``exempt``, counts as read."""
+    read = _read_names(readers)
+    defined: list[tuple[str, str]] = []
+    for path in paths:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif "__all__" in _assigned(node):
+                read.update(ast.literal_eval(node.value))
+            else:
+                defined += [(path.stem, name) for name in _assigned(node)]
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not name.startswith("_") and name not in read
+                  and f"{module}.{name}" not in exempt)
+
+
+def entry_points() -> set[str]:
+    """The ``[project.scripts]`` targets, as ``module.name``."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    return {target.removeprefix("termfilter.").replace(":", ".")
+            for target in scripts.values()}
 
 
 def test_no_private_helper_is_unreferenced():
@@ -89,3 +129,27 @@ def test_guard_flags_an_unread_module_name(tmp_path):
     n = tmp_path / "n.py"
     n.write_text("import m\nfrom m import DEAD\nvalue = m.ELSEWHERE\n")
     assert unread_module_names([m, n]) == ["DEAD", "value"]
+
+
+def test_no_public_name_is_unread():
+    readers = sorted(SRC.parent.rglob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert entry_points() == {"cli.entry"}
+    assert unread_public_names(sorted(SRC.glob("*.py")), readers, entry_points()) == []
+
+
+def test_guard_flags_an_unread_public_name(tmp_path):
+    m = tmp_path / "m.py"
+    m.write_text(
+        "__all__ = ['Exported']\n"
+        "USED = 1\n"
+        "UNUSED: int = 2\n"
+        "_private = 3\n"
+        "def used():\n    return USED\n"
+        "def dead():\n    return 4\n"
+        "def entry():\n    return 5\n"
+        "class Exported:\n    pass\n"
+        "class Dead:\n    def method(self):\n        return 6\n")
+    n = tmp_path / "n.py"
+    n.write_text("import m\nfrom m import dead\nm.used()\n")
+    assert unread_public_names([m], [m, n], {"m.entry"}) == \
+        ["m.Dead", "m.UNUSED", "m.dead"]

@@ -8,16 +8,16 @@ from termfilter import atoms as A
 from termfilter.cnf import write_dimacs
 from termfilter.encoder import EMPTY_CTX, GE, GT, EncodingContext, encode_rp_formula
 from termfilter.dp import DpProblem, dependency_pairs
-from termfilter.formula import dag_size, dump, evaluate, tree_size
+from termfilter.formula import dag_size, dump
 from termfilter.lowering import VarMap
 from termfilter.orders import lpo_af_ge, lpo_af_gt
 from termfilter.terms import App, Rule, Symbol, Trs, Var
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
-                  all_filterings, all_precedences, concrete_atom_value, ex13, ex2,
-                  identity_filtering, lowered_cnf, problem_signature, random_signature,
-                  random_term, stack_depth)
+                  all_filterings, all_precedences, concrete_atom_value, evaluate, ex13,
+                  ex2, identity_filtering, lowered_cnf, problem_signature,
+                  random_signature, random_term, stack_depth, tree_size)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -158,7 +158,7 @@ def test_every_literal_implies_exactly_its_facts(mode):
 
 
 def _reachable_atoms(formula):
-    from termfilter.formula import atoms_of
+    from util import atoms_of
     return atoms_of(formula)
 
 
@@ -272,10 +272,10 @@ def test_ground_pair_problem_satisfiable():
     enc = encode_rp_formula(problem, "thm5", "strict")
 
     from termfilter.lowering import VarMap, decode_model
-    from termfilter.solver import solve_internal
+    from termfilter.solver import solve
     symbols = sorted({a, bsym, ft}, key=lambda f: (f.name, f.is_tuple))
     vm = VarMap(symbols, 1)
-    res = solve_internal(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
+    res = solve(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
     assert res.status == "sat"
     decoded = decode_model(res.model, vm)
     assert lpo_af_gt(decoded.precedence, decoded.filtering, "strict",
@@ -322,11 +322,11 @@ def _equivalent_by_sat(phi, psi, symbols, mode):
     into a tree that takes the solver far longer than its DAG."""
     from termfilter.formula import FormulaBuilder
     from termfilter.lowering import VarMap
-    from termfilter.solver import UNSAT, solve_internal
+    from termfilter.solver import UNSAT, solve
     vm = VarMap(sorted(symbols, key=lambda f: f.name))
     b = FormulaBuilder()
     xor = b.not_(b.iff(_rebuilt(phi, b), _rebuilt(psi, b)))
-    return solve_internal(lowered_cnf(xor, b, vm, mode).cnf).status == UNSAT
+    return solve(lowered_cnf(xor, b, vm, mode).cnf).status == UNSAT
 
 
 def _rebuilt(f, b):

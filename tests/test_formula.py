@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from termfilter.formula import (AND, OR, FormulaBuilder, atoms_of, dag_size, dump,
-                                evaluate, iter_nodes, tree_size)
-from util import reference_nary
+from termfilter.formula import AND, OR, FormulaBuilder, dag_size, dump, iter_nodes
+from util import atoms_of, evaluate, reference_nary, tree_size
 
 
 def test_constant_folding():

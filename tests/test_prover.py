@@ -1,10 +1,14 @@
+import contextlib
+import io
+import os
 import random
 import subprocess
 import sys
-import textwrap
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termfilter import prover
 from termfilter.cli import main as cli_main
@@ -14,7 +18,7 @@ from termfilter.orders import ArgumentFiltering, Keep, Precedence, lpo_af_ge, lp
 from termfilter.prover import (Maybe, ProverConfig, Terminating, Timeout,
                                reduction_pair_processor, prove, render_proof)
 from termfilter.terms import Trs
-from termfilter.tpdb import parse_trs
+from termfilter.tpdb import ParseError, parse_trs
 from termfilter.usable import usable_rules, usable_rules_mod_pi
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
@@ -175,7 +179,7 @@ def test_refutation_after_the_deadline_is_timeout(monkeypatch):
     from termfilter.solver import UNSAT, SolveResult
     calls = []
 
-    def late_unsat(cnf, backend="internal", *, deadline=None):
+    def late_unsat(cnf, *, deadline=None):
         calls.append(deadline)
         time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
         return SolveResult(UNSAT)
@@ -259,26 +263,6 @@ def test_render_proof_mentions_witness():
     assert "usable rule" in text
 
 
-def test_external_solver_end_to_end(tmp_path):
-    script = tmp_path / "fake_solver.py"
-    script.write_text(textwrap.dedent("""
-        import sys
-        from termfilter.cnf import parse_dimacs
-        from termfilter.solver import solve_internal
-        cnf = parse_dimacs(open(sys.argv[1]).read())
-        res = solve_internal(cnf)
-        if res.status == "sat":
-            print("s SATISFIABLE")
-            lits = [v if res.model[v] else -v for v in sorted(res.model)]
-            print("v " + " ".join(map(str, lits)) + " 0")
-        else:
-            print("s UNSATISFIABLE")
-    """))
-    config = ProverConfig(solver=f"external:{sys.executable} {script}")
-    verdict = prove(ex2(), config)
-    assert isinstance(verdict, Terminating)
-
-
 # ----------------------------------------------------------------------
 # command line
 
@@ -328,6 +312,21 @@ def test_cli_file_not_utf8_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert "utf-8" in err
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(VAR x)\r(RULES f(x) -> )", "line 1, column 24"),
+    ("(VAR x)\r\n(RULES f(x) -> )", "line 2, column 16"),
+], ids=["lone-cr", "crlf"])
+def test_cli_reports_the_parser_position(tmp_path, capsys, text, position):
+    # the CLI reads the file's newlines as they are, so a lone CR is no
+    # line break there either
+    with pytest.raises(ParseError, match=position):
+        parse_trs(text)
+    path = tmp_path / "bad.trs"
+    path.write_bytes(text.encode())
+    assert cli_main([str(path)]) == 3
+    assert f"{path}: {position}: " in capsys.readouterr().err
 
 
 def test_cli_missing_file(capsys):
@@ -391,27 +390,10 @@ def test_emit_dimacs_numbers_only_the_symbols_of_the_round(tmp_path, capsys):
     assert "TERMINATING" in capsys.readouterr().out
 
 
-def test_cli_bad_solver_value(tmp_path, capsys):
-    path = tmp_path / "division.trs"
-    path.write_text(EX2_TEXT)
-    assert cli_main([str(path), "--solver", "quantum"]) == 3
-
-
-@pytest.mark.parametrize("solver", ["external:", "external:   "])
-def test_cli_empty_external_command(tmp_path, capsys, solver):
-    from termfilter.cnf import Cnf
-    from termfilter.solver import solve
-    with pytest.raises(ValueError):
-        solve(Cnf(1, ((1,),)), solver)
-    path = tmp_path / "division.trs"
-    path.write_text(EX2_TEXT)
-    assert cli_main([str(path), "--solver", solver]) == 3
-    assert "bad --solver value" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("args", [["--timeout", "abc"], ["--timeout", "nan"],
-                                  ["--timeout", "-1"], ["--timeout", "inf"], []],
-                         ids=["abc", "nan", "negative", "infinite", "no-file"])
+                                  ["--timeout", "-1"], ["--timeout", "inf"], [],
+                                  ["--solver", "internal"]],
+                         ids=["abc", "nan", "negative", "infinite", "no-file", "solver"])
 def test_cli_usage_errors_exit_3(tmp_path, capsys, args):
     # argparse's own code 2 is the timeout code here
     path = tmp_path / "division.trs"
@@ -420,6 +402,46 @@ def test_cli_usage_errors_exit_3(tmp_path, capsys, args):
         cli_main(([str(path)] if args else []) + args)
     assert exc.value.code == 3
     assert "error" in capsys.readouterr().err
+
+
+_TIMEOUTS = st.one_of(
+    st.none(),
+    st.floats(0, 2).map(repr),
+    st.integers(0, 5).map(str),
+    st.sampled_from(["abc", "", "nan", "inf", "-inf", "1e999", "-1", "-0.5", "0x10"]))
+
+
+@settings(database=None, derandomize=True, max_examples=40, deadline=None)
+@given(system=st.sampled_from([EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT,
+                               SHUFFLE_TEXT]),
+       order=st.sampled_from([None, "lpo", "qlpo"]),
+       processor=st.sampled_from([None, "thm5", "thm12"]),
+       timeout=_TIMEOUTS, flags=st.sets(st.sampled_from(
+           ["--proof", "--dump-formula", "--emit-dimacs"])))
+def test_cli_flags_exit_0_to_3_with_the_verdict(system, order, processor, timeout, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.trs")
+        with open(path, "w") as f:
+            f.write(system)
+        argv = [path]
+        for flag, value in (("--order", order), ("--processor", processor),
+                            ("--timeout", timeout)):
+            if value is not None:
+                argv += [flag, value]
+        for flag in sorted(flags):
+            argv += [flag, os.path.join(tmp, "cnf")] if flag == "--emit-dimacs" else [flag]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    else:
+        verdict = out.getvalue().splitlines()[-1].split()[0]
+        assert verdict == ("TERMINATING", "MAYBE", "TIMEOUT")[code]
 
 
 def test_cli_help_exits_0(capsys):

@@ -13,23 +13,22 @@ from hypothesis import given, settings, strategies as st
 from termfilter import atoms as A
 from termfilter import cnf as cnf_module
 from termfilter import prover
-from termfilter.cnf import Cnf, parse_dimacs, tseitin_cnf, write_dimacs
+from termfilter.cnf import Cnf, tseitin_cnf, write_dimacs
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import encode_rp_formula
-from termfilter.formula import ATOM, FormulaBuilder, evaluate, iter_nodes
+from termfilter.formula import ATOM, FormulaBuilder, iter_nodes
 from termfilter.lowering import (EncodingError, VarMap, _bit_eq, _bit_gt,
                                  decode_model, lower_atoms, structural_constraints)
 from termfilter.orders import Collapse, Keep, lpo_af_ge, lpo_af_gt
-from termfilter.solver import (SAT, UNKNOWN, UNSAT, ExternalSolverError, _Cdcl,
-                               solve_external, solve_internal)
+from termfilter.solver import SAT, UNKNOWN, UNSAT, _Cdcl, solve
 from termfilter.terms import Symbol
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
 from termfilter.prover import ProverConfig, prove
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
-                  ReferenceCdcl, check_cnf, ex13, ex2, lowered_cnf, no_atoms,
-                  problem_signature, reference_tseitin_cnf)
+                  ReferenceCdcl, check_cnf, evaluate, ex13, ex2, lowered_cnf, no_atoms,
+                  parse_dimacs, problem_signature, reference_tseitin_cnf)
 
 
 # ----------------------------------------------------------------------
@@ -151,14 +150,14 @@ def test_tseitin_contradiction_unsat():
     x = b.atom(1)
     phi = b.and_([x, b.not_(x)])
     res = tseitin_cnf(phi, 1, no_atoms)
-    assert solve_internal(res.cnf).status == UNSAT
+    assert solve(res.cnf).status == UNSAT
 
 
 def test_tseitin_false_root():
     b = FormulaBuilder()
     res = tseitin_cnf(b.FALSE, 0, no_atoms)
     assert res.cnf.clauses == ((),)
-    assert solve_internal(res.cnf).status == UNSAT
+    assert solve(res.cnf).status == UNSAT
     res_t = tseitin_cnf(b.TRUE, 0, no_atoms)
     assert res_t.cnf.clauses == ()
 
@@ -239,7 +238,7 @@ def _check_projecting(res, value, n_vars, where):
     """``res`` is satisfiable exactly when ``value`` is, and its models,
     cut down to the variables ``1..n_vars``, satisfy ``value``."""
     check_cnf(res.cnf)
-    got = solve_internal(res.cnf)
+    got = solve(res.cnf)
     assert (got.status == SAT) == _brute_force_sat(value, n_vars), where
     if got.status == SAT:
         assert value({v: got.model.get(v, False) for v in range(1, n_vars + 1)}), where
@@ -287,7 +286,7 @@ def test_tseitin_one_sided_agrees_with_two_sided(monkeypatch):
         value = _lowered_value(phi, translation)
         _check_projecting(one, value, n_vars, f"round {round_no}")
         _check_extending(one, value, n_vars, f"round {round_no}")
-        assert solve_internal(one.cnf).status == solve_internal(two.cnf).status, round_no
+        assert solve(one.cnf).status == solve(two.cnf).status, round_no
 
 
 def test_tseitin_spliced_and_defined_node_repeats_a_clause():
@@ -327,7 +326,7 @@ def _check_extending(res, value, n_vars, where):
         if value(env):
             units = tuple((v if on else -v,) for v, on in env.items())
             extended = Cnf(res.cnf.num_vars, res.cnf.clauses + units)
-            assert solve_internal(extended).status == SAT, (where, env)
+            assert solve(extended).status == SAT, (where, env)
 
 
 def _paper_rounds(monkeypatch, mode, processor):
@@ -355,9 +354,9 @@ def test_tseitin_one_sided_on_every_round(monkeypatch, mode, processor):
     # satisfiable exactly when the two-sided one is, and its model, cut
     # down to the reserved variables, satisfies the round's formula
     for phi, num_reserved, lower, ts in _paper_rounds(monkeypatch, mode, processor):
-        got = solve_internal(ts.cnf)
+        got = solve(ts.cnf)
         two = reference_tseitin_cnf(phi, num_reserved, lower)
-        assert got.status == solve_internal(two.cnf).status
+        assert got.status == solve(two.cnf).status
         assert len(_distinct(ts.cnf.clauses)) == len(ts.cnf.clauses)
         assert len(ts.cnf.clauses) < len(two.cnf.clauses)
         if got.status == SAT:
@@ -464,7 +463,7 @@ def test_tseitin_matches_reference_on_random_dags(n_vars, ops, lowered, simplify
     res = tseitin_cnf(phi, n_vars, translation.__getitem__)
     ref = reference_tseitin_cnf(phi, n_vars, translation.__getitem__)
     value = _lowered_value(phi, translation)
-    assert solve_internal(res.cnf).status == solve_internal(ref.cnf).status
+    assert solve(res.cnf).status == solve(ref.cnf).status
     _check_projecting(res, value, n_vars, "dag")
     _check_extending(res, value, n_vars, "dag")
 
@@ -555,16 +554,16 @@ def test_cnf_normal_form():
 # internal solver
 
 def test_solver_trivial_cases():
-    assert solve_internal(Cnf(1, ((1,), (-1,)))).status == UNSAT
-    res = solve_internal(Cnf(2, ((1, 2), (-1,))))
+    assert solve(Cnf(1, ((1,), (-1,)))).status == UNSAT
+    res = solve(Cnf(2, ((1, 2), (-1,))))
     assert res.status == SAT
     assert res.model[2] is True and res.model[1] is False
-    assert solve_internal(Cnf(0, ())).status == SAT
-    assert solve_internal(Cnf(2, ((),))).status == UNSAT
+    assert solve(Cnf(0, ())).status == SAT
+    assert solve(Cnf(2, ((),))).status == UNSAT
 
 
 def test_solver_assigns_every_variable():
-    res = solve_internal(Cnf(5, ((1, 2),)))
+    res = solve(Cnf(5, ((1, 2),)))
     assert res.status == SAT
     assert set(res.model) == {1, 2, 3, 4, 5}
 
@@ -591,7 +590,7 @@ def test_solver_against_brute_force():
     rng = random.Random(123)
     for _ in range(250):
         cnf = _random_cnf(rng, rng.randint(2, 8), rng.randint(1, 22))
-        res = solve_internal(cnf)
+        res = solve(cnf)
         expected = _brute_cnf_sat(cnf)
         assert (res.status == SAT) == expected, cnf
         if res.status == SAT:
@@ -602,8 +601,8 @@ def test_solver_against_brute_force():
 def test_solver_deterministic():
     rng = random.Random(5)
     cnf = _random_cnf(rng, 12, 40)
-    first = solve_internal(cnf)
-    second = solve_internal(cnf)
+    first = solve(cnf)
+    second = solve(cnf)
     assert first.status == second.status
     assert first.model == second.model
 
@@ -613,8 +612,8 @@ def test_solver_deadline_unknown():
     # the deadline is read every 64 conflicts: pigeonhole 5 needs 166 of
     # them, pigeonhole 4 only 28
     past = time.monotonic() - 1
-    assert solve_internal(_pigeonhole_cnf(5), deadline=past).status == UNKNOWN
-    assert solve_internal(_pigeonhole_cnf(4), deadline=past).status == UNSAT
+    assert solve(_pigeonhole_cnf(5), deadline=past).status == UNKNOWN
+    assert solve(_pigeonhole_cnf(4), deadline=past).status == UNSAT
 
 
 class _CountingReference(ReferenceCdcl):
@@ -761,7 +760,7 @@ def test_solver_rescale_refreshes_heap():
 
 
 # ----------------------------------------------------------------------
-# DIMACS and the external bridge
+# DIMACS
 
 def test_dimacs_roundtrip():
     cnf = Cnf(3, ((1, -2), (2, 3), (-3,)))
@@ -828,44 +827,6 @@ def test_dimacs_deterministic_across_hash_seeds(tmp_path):
     assert len(runs[0][1]) >= 20
 
 
-FAKE_SOLVER = textwrap.dedent("""
-    import sys
-    from termfilter.cnf import parse_dimacs
-    from termfilter.solver import solve_internal
-    cnf = parse_dimacs(open(sys.argv[1]).read())
-    res = solve_internal(cnf)
-    if res.status == "sat":
-        print("c solved")
-        print("s SATISFIABLE")
-        lits = [v if res.model[v] else -v for v in sorted(res.model)]
-        print("v " + " ".join(map(str, lits)) + " 0")
-    else:
-        print("s UNSATISFIABLE")
-""")
-
-
-def test_external_solver_roundtrip(tmp_path):
-    script = tmp_path / "fake_solver.py"
-    script.write_text(FAKE_SOLVER)
-    command = f"{sys.executable} {script}"
-    sat = solve_external(Cnf(2, ((1, 2), (-1,))), command)
-    assert sat.status == SAT and sat.model[2] is True
-    unsat = solve_external(Cnf(1, ((1,), (-1,))), command)
-    assert unsat.status == UNSAT
-
-
-def test_external_solver_garbage_rejected(tmp_path):
-    script = tmp_path / "garbage.py"
-    script.write_text("print('what even is this')")
-    with pytest.raises(ExternalSolverError, match="no status line"):
-        solve_external(Cnf(1, ((1,),)), f"{sys.executable} {script}")
-
-
-def test_external_solver_missing_binary():
-    with pytest.raises(ExternalSolverError, match="cannot run"):
-        solve_external(Cnf(1, ((1,),)), "/nonexistent/solver/binary")
-
-
 # ----------------------------------------------------------------------
 # end-to-end: every SAT model decodes to an oracle-approved ordering
 
@@ -875,7 +836,7 @@ def test_division_component_model_verifies():
     enc = encode_rp_formula(problem, "thm5", "strict")
     vm = VarMap(problem_signature(problem), len(problem.pairs.rules),
                 enc.usable_symbols)
-    res = solve_internal(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
+    res = solve(lowered_cnf(enc.formula, enc.context.builder, vm, "strict").cnf)
     assert res.status == SAT
     decoded = decode_model(res.model, vm)
     assert decoded.strict_pairs
@@ -902,8 +863,8 @@ def _pigeonhole_cnf(holes):
 
 
 def test_solver_pigeonhole_unsat():
-    assert solve_internal(_pigeonhole_cnf(3)).status == UNSAT
-    assert solve_internal(_pigeonhole_cnf(4)).status == UNSAT
+    assert solve(_pigeonhole_cnf(3)).status == UNSAT
+    assert solve(_pigeonhole_cnf(4)).status == UNSAT
 
 
 def test_solver_planted_solution_large():
@@ -921,13 +882,7 @@ def test_solver_planted_solution_large():
             fix = rng.choice(lits)
             lits[lits.index(fix)] = abs(fix) if planted[abs(fix)] else -abs(fix)
         clauses.append(tuple(lits))
-    res = solve_internal(Cnf(n_vars, tuple(clauses)))
+    res = solve(Cnf(n_vars, tuple(clauses)))
     assert res.status == SAT
     for cl in clauses:
         assert any(res.model[abs(l)] == (l > 0) for l in cl)
-
-
-def test_solve_dispatcher_validates_backend():
-    from termfilter.solver import solve
-    with pytest.raises(ValueError):
-        solve(Cnf(1, ((1,),)), "quantum")

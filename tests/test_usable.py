@@ -6,16 +6,15 @@ import pytest
 from termfilter import atoms as A
 from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.encoder import EncodingContext, encode_rp_formula
-from termfilter.formula import atoms_of, evaluate
 from termfilter.orders import (ArgumentFiltering, Collapse, Keep, lpo_af_ge,
                                lpo_af_gt)
 from termfilter.terms import Trs
 from termfilter.tpdb import parse_trs
 from termfilter.usable import omega, roots, usable_rules, usable_rules_mod_pi
 
-from util import (all_filterings, all_precedences, concrete_atom_value, ex13,
-                  ex2, filter_options, lowered_cnf, random_trs, symbol_map,
-                  usable_rules_mod_pi_reference)
+from util import (all_filterings, all_precedences, atoms_of, concrete_atom_value,
+                  evaluate, ex13, ex2, filter_options, lowered_cnf, random_trs,
+                  symbol_map, usable_rules_mod_pi_reference)
 
 
 def rule_strs(rules):
@@ -252,7 +251,7 @@ def test_omega_model_enumeration_soundness(cyclic):
     """Every model of the filtered-usable encoding flags at least the rules
     that are usable under its own decoded filtering."""
     from termfilter.lowering import VarMap, decode_model
-    from termfilter.solver import solve_internal
+    from termfilter.solver import solve
 
     problem, signature = _enumeration_problem(cyclic)
     rules = problem.rules
@@ -265,7 +264,7 @@ def test_omega_model_enumeration_soundness(cyclic):
     clauses = list(base.cnf.clauses)
     models = 0
     while models < 300:
-        res = solve_internal(Cnf(base.cnf.num_vars, tuple(clauses)))
+        res = solve(Cnf(base.cnf.num_vars, tuple(clauses)))
         if res.status != "sat":
             break
         models += 1

@@ -7,10 +7,11 @@ import itertools
 import random
 import sys
 import time
+from typing import Any, Callable
 
 from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
-from termfilter.formula import AND, ATOM, FALSE, NOT, OR, TRUE
+from termfilter.formula import AND, ATOM, FALSE, NOT, OR, TRUE, Formula, iter_nodes
 from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
@@ -137,6 +138,88 @@ def check_cnf(cnf: Cnf) -> None:
 def no_atoms(payload):
     """The ``lower`` of a formula over integer variables only."""
     raise AssertionError(f"atom {payload!r} in a formula over variables")
+
+
+# ----------------------------------------------------------------------
+# formula walks and DIMACS reading
+
+def evaluate(f: Formula, atom_value: Callable[[Any], bool]) -> bool:
+    """Evaluate a formula under a total assignment given as a function on
+    atom payloads."""
+    memo: dict[Formula, bool] = {}
+
+    def ev(n: Formula) -> bool:
+        v = memo.get(n)
+        if v is not None:
+            return v
+        k = n.kind
+        if k == ATOM:
+            v = bool(atom_value(n.payload))
+        elif k == NOT:
+            v = not ev(n.children[0])
+        elif k == AND:
+            v = all(ev(c) for c in n.children)
+        elif k == OR:
+            v = any(ev(c) for c in n.children)
+        else:
+            v = k == TRUE
+        memo[n] = v
+        return v
+
+    try:
+        return ev(f)
+    finally:
+        # ``ev`` reaches itself through its closure cell; emptying the cell
+        # frees the memo on return rather than leaving it to the collector
+        del ev
+
+
+def tree_size(f: Formula) -> int:
+    """Node count of the fully expanded tree (shared nodes counted once per
+    occurrence)."""
+    sizes: dict[Formula, int] = {}
+    for node in iter_nodes(f):
+        sizes[node] = 1 + sum(sizes[c] for c in node.children)
+    return sizes[f]
+
+
+def atoms_of(f: Formula) -> list:
+    """Atom payloads reachable from ``f``, in node-id order."""
+    found = [n for n in iter_nodes(f) if n.kind == ATOM]
+    found.sort(key=lambda n: n.id)
+    return [n.payload for n in found]
+
+
+def parse_dimacs(text: str) -> Cnf:
+    """The clause set of a DIMACS text, as ``write_dimacs`` writes it."""
+    num_vars = 0
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
+    declared = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad problem line: {line!r}")
+            num_vars = int(parts[2])
+            declared = True
+            continue
+        for tok in line.split():
+            lit = int(tok)
+            if lit == 0:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                current.append(lit)
+                num_vars = max(num_vars, abs(lit))
+    if current:
+        clauses.append(tuple(current))
+    if not declared and not clauses:
+        raise ValueError("no problem line and no clauses")
+    return Cnf(num_vars, tuple(clauses))
 
 
 # ----------------------------------------------------------------------
