@@ -19,34 +19,33 @@ The formula node of an atom is made from its object when first needed, and
 kept per number when the builder shares nodes.
 
 A branch whose body is one memoized comparison hands its guard literals
-to that comparison: ``_tau`` and ``_lex_two`` take them, ``_enter`` them
-(``FALSE`` when one is known false), build or look up the body under the
-extended context and conjoin it to the nodes of the literals not yet known.
-Other branches call ``_enter`` themselves, and an implication calls
-``_open`` for its guard and the context with the guard assumed.  No helper
-takes a body to call back, so descending one level of a term costs two
-frames, ``_tau`` and ``_build_tau``.  The order in which nodes are made
-fixes their ids, so a branch makes its literal nodes before its body.
+to that comparison: ``_compare`` takes them, ``_enter``s them (``FALSE``
+when one is known false), builds or looks up the body under the extended
+context and conjoins it to the nodes of the literals not yet known.  Other
+branches call ``_enter`` themselves, and an implication calls ``_open`` for
+its guard and the context with the guard assumed.  No helper takes a body
+to call back, and ``_compare`` picks its builder in its own frame, so
+descending one level of a term costs two frames, ``_compare`` and
+``_build_tau``.  The order in which nodes are made fixes their ids, so a
+branch makes its literal nodes before its body.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
 produces, in one cell per memoized comparison.  Terms and symbols are
 hash-consed (see ``terms``), so a cell is keyed on the compared terms
-themselves and hashing its key runs no Python code: ``(s, t)`` for ``_tau``,
-and ``(s, t, i, j)`` for ``_lex_two``, which compares the arguments of ``s``
-and ``t`` from positions ``i`` and ``j`` on.  A key holding the whole
-branch context would miss almost always, because every path to a comparison
-fixes different literals elsewhere in the problem.  So the cell keeps a mask
-of the atoms the comparison can read, made the first time a non-empty
-context reaches it, and its results keyed on the relation and the context
-cut down by that mask.  Each result is built under the cut-down context:
-every read answers as before, and hash-consing returns the same node the
-full context would have given.
-- ``_tau(s, t)`` reads and assumes only atoms over the function symbols of
-  ``s`` and ``t``.
-- The quasi-mode comparison of two argument tuples, ``_lex_two`` at cell
-  ``(s, t, i, j)``, reads the atoms over the symbols of the argument
-  suffixes from ``i`` and ``j`` on, plus the filtering atoms of the two
-  heads at those positions and later.
+themselves and hashing its key runs no Python code: ``(s, t)`` for τ, and
+``(s, t, i, j)`` for the quasi-mode comparison of the arguments of ``s``
+and ``t`` from positions ``i`` and ``j`` on (``_build_lex_two``).  A key
+holding the whole branch context would miss almost always, because every
+path to a comparison fixes different literals elsewhere in the problem.  So
+the cell keeps a mask of the atoms the comparison can read, made the first
+time a non-empty context reaches it, and its results keyed on the relation
+and the context cut down by that mask.  Each result is built under the
+cut-down context: every read answers as before, and hash-consing returns
+the same node the full context would have given.  The one mask rule
+(``_mask``): a comparison reads and assumes only atoms over the function
+symbols of the terms it compares, which for ``(s, t, i, j)`` are the
+argument suffixes, plus the filtering atoms of the two heads at those
+positions and later.
 
 For a mask to stay complete, meeting a symbol numbers at once every atom
 over it alone and every precedence atom between it and the symbols met
@@ -125,14 +124,12 @@ class EncodingContext:
         self._between: dict[tuple[Symbol, Symbol], int] = {}
         # symbol set -> both bits of each atom over those symbols
         self._masks: dict[frozenset[Symbol], int] = {}
-        # term -> its function symbols; (application, position) -> the
-        # symbols of its arguments from that position on
+        # term -> its function symbols
         self._term_symbols: dict[Term, frozenset[Symbol]] = {}
-        self._suffix_symbols: dict[tuple[App, int], frozenset[Symbol]] = {}
-        # one cell per memoized comparison: [the bits it can read, or None
-        # until a non-empty context reaches it; {(rel, cut context): formula}]
-        self._tau_cells: dict[tuple[Term, Term], list] = {}
-        self._lex_cells: dict[tuple[App, App, int, int], list] = {}
+        # one cell per memoized comparison, keyed (s, t) or (s, t, i, j):
+        # [the bits it can read, or None until a non-empty context reaches
+        # it; {(rel, cut context): formula}]
+        self._cells: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     # atom tables
@@ -270,17 +267,19 @@ class EncodingContext:
 
     def tau_gt(self, s: Term, t: Term, ctx: Ctx = EMPTY_CTX) -> Formula:
         """Constraints under which ``s`` strictly exceeds ``t``."""
-        return self._tau(s, t, GT, ctx)
+        return self._compare((s, t), GT, ctx)
 
     def tau_ge(self, s: Term, t: Term, ctx: Ctx = EMPTY_CTX) -> Formula:
         """Constraints under which ``s`` weakly exceeds ``t``."""
-        return self._tau(s, t, GE, ctx)
+        return self._compare((s, t), GE, ctx)
 
-    def _tau(self, s: Term, t: Term, rel: str, ctx: Ctx,
-             literals: Sequence[tuple[int, bool]] = ()) -> Formula:
-        """Memoized on the part of the context the comparison can read.
-        Given ``literals``, the branch on them: the comparison under the
-        context they extend, conjoined to the nodes of those not yet known."""
+    def _compare(self, key: tuple, rel: str, ctx: Ctx,
+                 literals: Sequence[tuple[int, bool]] = ()) -> Formula:
+        """The comparison at ``key``: τ of ``(s, t)``, or ``_build_lex_two``
+        of ``(s, t, i, j)``.  Memoized on the part of the context it can
+        read.  Given ``literals``, the branch on them: the comparison under
+        the context they extend, conjoined to the nodes of those not yet
+        known."""
         b = self.builder
         if literals:
             entered = self._enter(ctx, literals)
@@ -288,33 +287,49 @@ class EncodingContext:
                 return b.FALSE
             parts, ctx = entered
         if b.share:
-            cell = self._tau_cells.get((s, t))
+            cell = self._cells.get(key)
             if cell is None:
-                cell = self._tau_cells[s, t] = [None, {}]
+                cell = self._cells[key] = [None, {}]
             if ctx:
                 if cell[0] is None:
-                    cell[0] = self._tau_mask(s, t)
+                    cell[0] = self._mask(key)
                 ctx &= cell[0]
-            result = cell[1].get((rel, ctx))
-            if result is None:
-                result = cell[1][rel, ctx] = self._build_tau(s, t, rel, ctx)
+            results = cell[1]
         else:
-            result = self._build_tau(s, t, rel, ctx)
+            results = {}
+        result = results.get((rel, ctx))
+        if result is None:
+            if len(key) == 2:
+                result = self._build_tau(key[0], key[1], rel, ctx)
+            else:
+                result = self._build_lex_two(key[0], key[1], key[2], key[3], rel, ctx)
+            results[rel, ctx] = result
         if not literals:
             return result
         parts.append(result)
         return b.and_(parts)
 
-    def _tau_mask(self, s: Term, t: Term) -> int:
-        """The bits ``_tau`` on ``s`` and ``t`` can read: those of the atoms
-        over the function symbols of the two terms."""
-        return self._readable(self._symbols_of(s) | self._symbols_of(t))
+    def _mask(self, key: tuple) -> int:
+        """The bits the comparison at ``key`` can read: those of the atoms
+        over the function symbols of the compared terms, which for
+        ``(s, t, i, j)`` are the arguments of ``s`` from ``i`` and of ``t``
+        from ``j`` on, together with the ``ArgIn`` atoms of the two heads at
+        those positions and later."""
+        if len(key) == 2:
+            return self._readable(self._symbols_of(key[0]) | self._symbols_of(key[1]))
+        s, t, i, j = key
+        mask = self._readable(_NO_SYMBOLS.union(
+            *map(self._symbols_of, s.args[i - 1:] + t.args[j - 1:])))
+        for h, start in ((s.fun, i), (t.fun, j)):
+            for k in self._meet(h).arg_in[start - 1:]:
+                mask |= 3 << 2 * k
+        return mask
 
     def _build_tau(self, s: Term, t: Term, rel: str, ctx: Ctx) -> Formula:
-        # A branch below one comparison hands its guard literals to ``_tau``,
-        # which enters them itself, so that descending one level of a term
-        # costs two frames.  Plain loops, not comprehensions, make the calls:
-        # a comprehension is one more frame per level.
+        # A branch below one comparison hands its guard literals to
+        # ``_compare``, which enters them itself, so that descending one
+        # level of a term costs two frames.  Plain loops, not comprehensions,
+        # make the calls: a comprehension is one more frame per level.
         b = self.builder
         branches: list[Formula] = []
         if isinstance(s, Var):
@@ -324,20 +339,20 @@ class EncodingContext:
                 return b.TRUE if s == t else b.FALSE
             # a variable only weakly exceeds a collapsed application
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                branches.append(self._tau(s, a, GE, ctx, ((k, True),)))
+                branches.append(self._compare((s, a), GE, ctx, ((k, True),)))
             return b.or_(branches)
 
         f = self._meet(s.fun)
         if isinstance(t, App):
             # target root collapsed away
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                branches.append(self._tau(s, a, rel, ctx, ((k, True),)))
+                branches.append(self._compare((s, a), rel, ctx, ((k, True),)))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
-            branches.append(self._tau(a, t, rel, ctx, ((k, True),)))
+            branches.append(self._compare((a, t), rel, ctx, ((k, True),)))
         # source kept: some kept argument already weakly exceeds t
         entered = self._enter(ctx, ((f.list_p, True),))
         if entered is None:
@@ -346,7 +361,7 @@ class EncodingContext:
         kept_parts, kept_ctx = entered
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
-            kept.append(self._tau(a, t, GE, kept_ctx, ((k, True),)))
+            kept.append(self._compare((a, t), GE, kept_ctx, ((k, True),)))
         kept_parts.append(b.or_(kept))
         branches.append(b.and_(kept_parts))
         return b.or_(branches)
@@ -365,10 +380,10 @@ class EncodingContext:
             return b.FALSE
         parts, ctx = entered
         if f == g:
-            parts.append(self._lex_same(f, s.args, t.args, 1, rel, ctx))
+            parts.append(self._lex_same(f, s.args, t.args, rel, ctx))
         elif self.mode == "quasi":
             gt, eq = self._precedence[f, g]
-            lex = self._lex_two(s, t, 1, 1, rel, ctx, ((eq, True),))
+            lex = self._compare((s, t, 1, 1), rel, ctx, ((eq, True),))
             # the lex branch is built before the precedence atom's node
             parts.append(b.or_([self._atom(ctx, gt), lex]))
         for k, a in zip(g_atoms.arg_in, t.args):
@@ -377,89 +392,34 @@ class EncodingContext:
                 parts.append(b.TRUE)
                 continue
             guard, c = opened
-            below = self._tau(s, a, GT, c)
+            below = self._compare((s, a), GT, c)
             parts.append(below if guard is None else b.implies(guard, below))
         return b.and_(parts)
 
     def _lex_same(self, f: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
-                  i: int, rel: str, ctx: Ctx) -> Formula:
+                  rel: str, ctx: Ctx) -> Formula:
         """Lexicographic comparison of the argument tuples of one symbol,
-        skipping positions the filtering drops."""
+        skipping positions the filtering drops.  Each position's "greater
+        here" and "equal here" parts are built in order, then folded from
+        the last position back, which makes nodes in the order a recursion
+        over the positions would, with no frame per position."""
         b = self.builder
-        if i > len(ss):
-            return b.FALSE if rel == GT else b.TRUE
-        k = self._meet(f).arg_in[i - 1]
-        s_i, t_i = ss[i - 1], ts[i - 1]
-        first = self._tau(s_i, t_i, GT, ctx, ((k, True),))
-        opened = self._open(ctx, k)
-        if opened is None:
-            hold = b.TRUE
-        else:
-            guard, c = opened
-            hold = self._tau(s_i, t_i, GE, c)
-            if guard is not None:
-                hold = b.implies(guard, hold)
-        rest = self._lex_same(f, ss, ts, i + 1, rel, ctx)
-        return b.or_([first, b.and_([hold, rest])])
-
-    def _lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx,
-                 literals: Sequence[tuple[int, bool]] = ()) -> Formula:
-        """Lexicographic comparison of the arguments of ``s`` from ``i`` on
-        and of ``t`` from ``j`` on, across two equivalent symbols with
-        independent filterings (quasi mode), memoized on the part of the
-        context the comparison can read.  ``literals`` enter a branch as
-        they do for ``_tau``."""
-        b = self.builder
-        if literals:
-            entered = self._enter(ctx, literals)
-            if entered is None:
-                return b.FALSE
-            parts, ctx = entered
-        if b.share:
-            key = (s, t, i, j)
-            cell = self._lex_cells.get(key)
-            if cell is None:
-                cell = self._lex_cells[key] = [None, {}]
-            if ctx:
-                if cell[0] is None:
-                    cell[0] = self._lex_mask(s, t, i, j)
-                ctx &= cell[0]
-            result = cell[1].get((rel, ctx))
-            if result is None:
-                result = cell[1][rel, ctx] = self._build_lex_two(s, t, i, j, rel, ctx)
-        else:
-            result = self._build_lex_two(s, t, i, j, rel, ctx)
-        if not literals:
-            return result
-        parts.append(result)
-        return b.and_(parts)
-
-    def _lex_mask(self, s: App, t: App, i: int, j: int) -> int:
-        """The bits ``_lex_two`` at ``(i, j)`` can read: those of the atoms
-        over symbols of the arguments of ``s`` from ``i`` and of ``t`` from
-        ``j`` on, and of the ``ArgIn`` atoms of the two heads at those
-        positions and later."""
-        mask = self._readable(self._symbols_from(s, i) | self._symbols_from(t, j))
-        for h, start in ((s.fun, i), (t.fun, j)):
-            for k in self._meet(h).arg_in[start - 1:]:
-                mask |= 3 << 2 * k
-        return mask
-
-    def _symbols_from(self, t: App, i: int) -> frozenset[Symbol]:
-        """Function symbols occurring in the arguments of ``t`` from ``i``
-        on: those of argument ``i`` joined with ``_symbols_from(t, i + 1)``,
-        filled from the end."""
-        memo = self._suffix_symbols
-        syms = memo.get((t, i))
-        if syms is None:
-            args = t.args
-            syms = _NO_SYMBOLS
-            for k in range(len(args), i - 1, -1):
-                known = memo.get((t, k))
-                if known is None:
-                    known = memo[t, k] = self._symbols_of(args[k - 1]) | syms
-                syms = known
-        return syms
+        steps: list[tuple[Formula, Formula]] = []
+        for k, s_i, t_i in zip(self._meet(f).arg_in, ss, ts):
+            first = self._compare((s_i, t_i), GT, ctx, ((k, True),))
+            opened = self._open(ctx, k)
+            if opened is None:
+                hold = b.TRUE
+            else:
+                guard, c = opened
+                hold = self._compare((s_i, t_i), GE, c)
+                if guard is not None:
+                    hold = b.implies(guard, hold)
+            steps.append((first, hold))
+        rest = b.FALSE if rel == GT else b.TRUE
+        for first, hold in reversed(steps):
+            rest = b.or_([first, b.and_([hold, rest])])
+        return rest
 
     def _symbols_of(self, t: Term) -> frozenset[Symbol]:
         """Function symbols of ``t``, each subterm's set built once from its
@@ -486,6 +446,9 @@ class EncodingContext:
         return memo[t]
 
     def _build_lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx) -> Formula:
+        """Lexicographic comparison of the arguments of ``s`` from ``i`` on
+        and of ``t`` from ``j`` on, across two equivalent symbols with
+        independent filterings (quasi mode)."""
         b = self.builder
         ss, ts = s.args, t.args
         f_in, g_in = self._meet(s.fun).arg_in, self._meet(t.fun).arg_in
@@ -503,8 +466,8 @@ class EncodingContext:
         left, right = f_in[i - 1], g_in[j - 1]
         branches: list[Formula] = []
         # skip the left argument, skip the right one, or compare the two
-        branches.append(self._lex_two(s, t, i + 1, j, rel, ctx, ((left, False),)))
-        branches.append(self._lex_two(s, t, i, j + 1, rel, ctx,
+        branches.append(self._compare((s, t, i + 1, j), rel, ctx, ((left, False),)))
+        branches.append(self._compare((s, t, i, j + 1), rel, ctx,
                                       ((left, True), (right, False))))
         entered = self._enter(ctx, ((left, True), (right, True)))
         if entered is None:
@@ -513,9 +476,9 @@ class EncodingContext:
             parts, c = entered
             s_i, t_j = ss[i - 1], ts[j - 1]
             parts.append(b.or_([
-                self._tau(s_i, t_j, GT, c),
-                b.and_([self._tau(s_i, t_j, GE, c),
-                        self._lex_two(s, t, i + 1, j + 1, rel, c)]),
+                self._compare((s_i, t_j), GT, c),
+                b.and_([self._compare((s_i, t_j), GE, c),
+                        self._compare((s, t, i + 1, j + 1), rel, c)]),
             ]))
             branches.append(b.and_(parts))
         return b.or_(branches)

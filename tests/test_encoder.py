@@ -78,13 +78,13 @@ def test_tau_ge_variable_cases():
 
 def test_tau_lex_base_cases():
     strict = EncodingContext("strict")
-    assert strict._lex_same(MINUS, (), (), 3, GT, EMPTY_CTX) is strict.builder.FALSE
-    assert strict._lex_same(MINUS, (), (), 3, GE, EMPTY_CTX) is strict.builder.TRUE
+    assert strict._lex_same(MINUS, (), (), GT, EMPTY_CTX) is strict.builder.FALSE
+    assert strict._lex_same(MINUS, (), (), GE, EMPTY_CTX) is strict.builder.TRUE
 
 
 def test_tau_lex_identical_unary_false():
     ctx = EncodingContext("strict")
-    assert ctx._lex_same(S1, (X,), (X,), 1, GT, EMPTY_CTX) is ctx.builder.FALSE
+    assert ctx._lex_same(S1, (X,), (X,), GT, EMPTY_CTX) is ctx.builder.FALSE
 
 
 def test_tau_gt_identical_terms_unsatisfiable():
@@ -294,7 +294,7 @@ def test_tau_lex_binary_satisfied_by_known_assignment():
     minus_t = Symbol("minus", 2, True)
     sx, sy = mk(S1, X), mk(S1, Y)
     ctx = EncodingContext("strict")
-    lex = ctx._lex_same(minus_t, (sx, sy), (X, Y), 1, GT, EMPTY_CTX)
+    lex = ctx._lex_same(minus_t, (sx, sy), (X, Y), GT, EMPTY_CTX)
     from termfilter.orders import ArgumentFiltering, Keep, Precedence
     from util import concrete_atom_value
     pi = ArgumentFiltering({minus_t: Keep((1,)), S1: Keep((1,))})
@@ -389,9 +389,9 @@ def _canonical(phi, table):
 
 def test_lex_memo_keeps_quasi_encodings_equivalent():
     for s, t, rel, symbols in _quasi_cases(5, 4):
-        opt = EncodingContext("quasi")._tau(s, t, rel, EMPTY_CTX)
+        opt = EncodingContext("quasi")._compare((s, t), rel, EMPTY_CTX)
         raw = EncodingContext("quasi", simplify=False, share=False,
-                              propagate=False)._tau(s, t, rel, EMPTY_CTX)
+                              propagate=False)._compare((s, t), rel, EMPTY_CTX)
         assert _equivalent_by_sat(opt, raw, symbols, "quasi"), (str(s), rel, str(t))
 
 
@@ -401,20 +401,22 @@ def test_lex_memo_builds_the_same_nodes():
     for s, t, rel, _ in _quasi_cases(6, 8):
         restricted = EncodingContext("quasi")
         whole = EncodingContext("quasi")
-        whole._lex_mask = lambda s, t, i, j: -1
+        whole._mask = lambda key: -1 if len(key) == 4 else EncodingContext._mask(whole, key)
         table = {}
-        assert _canonical(restricted._tau(s, t, rel, EMPTY_CTX), table) == \
-            _canonical(whole._tau(s, t, rel, EMPTY_CTX), table), (str(s), rel, str(t))
+        assert _canonical(restricted._compare((s, t), rel, EMPTY_CTX), table) == \
+            _canonical(whole._compare((s, t), rel, EMPTY_CTX), table), (str(s), rel, str(t))
 
 
 # ----------------------------------------------------------------------
-# the memo of ``_tau``, keyed on the context cut to what the cell can read
+# the memo of τ, keyed on the context cut to what the cell can read
 
 PAPER_SYSTEMS = [EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, REVERSE_TEXT, SHUFFLE_TEXT]
 
 
 def _whole_context(monkeypatch):
-    monkeypatch.setattr(EncodingContext, "_tau_mask", lambda self, s, t: -1)
+    inner = EncodingContext._mask
+    monkeypatch.setattr(EncodingContext, "_mask",
+                        lambda self, key: -1 if len(key) == 2 else inner(self, key))
 
 
 @pytest.mark.parametrize("processor", ["thm5", "thm12"])
@@ -445,10 +447,10 @@ def test_tau_memo_builds_the_same_nodes(monkeypatch, mode):
     table = {}
     with monkeypatch.context() as m:
         _whole_context(m)
-        whole = [_canonical(EncodingContext(mode)._tau(s, t, rel, EMPTY_CTX), table)
+        whole = [_canonical(EncodingContext(mode)._compare((s, t), rel, EMPTY_CTX), table)
                  for s, t, rel in cases]
     for (s, t, rel), expected in zip(cases, whole):
-        got = _canonical(EncodingContext(mode)._tau(s, t, rel, EMPTY_CTX), table)
+        got = _canonical(EncodingContext(mode)._compare((s, t), rel, EMPTY_CTX), table)
         assert got == expected, (str(s), rel, str(t))
 
 
@@ -490,14 +492,14 @@ def test_rot_quasi_dag_sizes(k, size, digest):
 
 def test_lex_two_calls_grow_polynomially(monkeypatch):
     calls = 0
-    inner = EncodingContext._lex_two
+    inner = EncodingContext._compare
 
-    def counted(self, *args):
+    def counted(self, key, *args):
         nonlocal calls
-        calls += 1
-        return inner(self, *args)
+        calls += len(key) == 4
+        return inner(self, key, *args)
 
-    monkeypatch.setattr(EncodingContext, "_lex_two", counted)
+    monkeypatch.setattr(EncodingContext, "_compare", counted)
     encode_rp_formula(_rot_problem(9), "thm12", "quasi")
     assert 0 < calls <= 3000
 
@@ -539,6 +541,23 @@ def test_encoder_descends_at_most_two_frames_per_level(mode):
     problem = _depth_problem(200)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 2 * 200 + 50)
+    try:
+        encode_rp_formula(problem, "thm12", mode)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_encoder_descends_no_frame_per_argument_position(mode):
+    # f(s(x1), x2, ..., x200) -> f(x1, ..., x200) with 60 frames to spare;
+    # a lexicographic comparison that recurses once per argument position
+    # needs 200 more and fails here
+    xs = [f"x{i}" for i in range(1, 201)]
+    trs = parse_trs(f"(VAR {' '.join(xs)})(RULES f(s(x1),{','.join(xs[1:])}) -> "
+                    f"f({','.join(xs)}))")
+    problem = DpProblem(dependency_pairs(trs), trs)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
     try:
         encode_rp_formula(problem, "thm12", mode)
     finally:
