@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -15,6 +16,11 @@ from .tpdb import ParseError, parse_trs
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # "-inf" and "-nan" are values for ``seconds``, as "-1" is, not options
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
+
     def error(self, message: str):
         # argparse exits 2, which is the timeout code here
         self.print_usage(sys.stderr)

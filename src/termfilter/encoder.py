@@ -34,18 +34,22 @@ produces, in one cell per memoized comparison.  Terms and symbols are
 hash-consed (see ``terms``), so a cell is keyed on the compared terms
 themselves and hashing its key runs no Python code: ``(s, t)`` for τ, and
 ``(s, t, i, j)`` for the quasi-mode comparison of the arguments of ``s``
-and ``t`` from positions ``i`` and ``j`` on (``_build_lex_two``).  A key
-holding the whole branch context would miss almost always, because every
-path to a comparison fixes different literals elsewhere in the problem.  So
-the cell keeps a mask of the atoms the comparison can read, made the first
-time a non-empty context reaches it, and its results keyed on the relation
-and the context cut down by that mask.  Each result is built under the
-cut-down context: every read answers as before, and hash-consing returns
-the same node the full context would have given.  The one mask rule
-(``_mask``): a comparison reads and assumes only atoms over the function
-symbols of the terms it compares, which for ``(s, t, i, j)`` are the
-argument suffixes, plus the filtering atoms of the two heads at those
-positions and later.
+and ``t`` from positions ``i`` and ``j`` on (``_build_lex_two``).  τ
+compares filtered terms: where the context knows ``f`` collapses onto
+``i``, ``f(t1, ..., tn)`` filters to ``ti``, so ``_compare`` keys τ on
+these images (``_image``).  Lex keys need none: ``_roots_branch`` enters
+the list flags of both heads before it makes one.  A key holding the
+whole branch context would miss almost always, because every path to a
+comparison fixes different literals elsewhere.  So the cell keeps a mask
+of the atoms the comparison can read, made the first time a non-empty
+context reaches it, and its results keyed on the relation and the context
+cut down by that mask.  Each result is built under the cut-down context:
+every read answers as before, and hash-consing returns the same node the
+full context would have given.  The one mask rule (``_mask``): a
+comparison reads and assumes only atoms over the function symbols of the
+terms it compares (for a τ key, of the images, so fewer), which for
+``(s, t, i, j)`` are the argument suffixes, plus the filtering atoms of
+the two heads at those positions and later.
 
 For a mask to stay complete, meeting a symbol numbers at once every atom
 over it alone and every precedence atom between it and the symbols met
@@ -275,17 +279,19 @@ class EncodingContext:
 
     def _compare(self, key: tuple, rel: str, ctx: Ctx,
                  literals: Sequence[tuple[int, bool]] = ()) -> Formula:
-        """The comparison at ``key``: τ of ``(s, t)``, or ``_build_lex_two``
-        of ``(s, t, i, j)``.  Memoized on the part of the context it can
-        read.  Given ``literals``, the branch on them: the comparison under
-        the context they extend, conjoined to the nodes of those not yet
-        known."""
+        """The comparison at ``key``: τ of the images of ``(s, t)``, or
+        ``_build_lex_two`` of ``(s, t, i, j)``.  Memoized on the part of the
+        context it can read.  Given ``literals``, the branch on them: the
+        comparison under the context they extend, conjoined to the nodes of
+        those not yet known."""
         b = self.builder
         if literals:
             entered = self._enter(ctx, literals)
             if entered is None:
                 return b.FALSE
             parts, ctx = entered
+        if ctx and len(key) == 2:
+            key = (self._image(key[0], ctx), self._image(key[1], ctx))
         if b.share:
             cell = self._cells.get(key)
             if cell is None:
@@ -309,12 +315,23 @@ class EncodingContext:
         parts.append(result)
         return b.and_(parts)
 
+    def _image(self, t: Term, ctx: Ctx) -> Term:
+        """``t`` filtered at the root levels ``ctx`` knows to collapse."""
+        while isinstance(t, App):
+            own = self._own.get(t.fun)
+            if own is None or not ctx & 2 << 2 * own.list_p:
+                return t
+            for k, a in zip(own.collapses_to, t.args):
+                if ctx >> 2 * k & 1:
+                    break
+            else:
+                return t
+            t = a
+        return t
+
     def _mask(self, key: tuple) -> int:
-        """The bits the comparison at ``key`` can read: those of the atoms
-        over the function symbols of the compared terms, which for
-        ``(s, t, i, j)`` are the arguments of ``s`` from ``i`` and of ``t``
-        from ``j`` on, together with the ``ArgIn`` atoms of the two heads at
-        those positions and later."""
+        """The bits the comparison at ``key`` can read, by the one mask rule
+        of the module docstring."""
         if len(key) == 2:
             return self._readable(self._symbols_of(key[0]) | self._symbols_of(key[1]))
         s, t, i, j = key

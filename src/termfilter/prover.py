@@ -102,7 +102,7 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     """One SAT round: encode, solve, decode, verify, and drop the strictly
     decreasing pairs.  ``unsat`` and ``timeout`` outcomes leave the problem
     untouched; an encoding that ends past the deadline is neither lowered
-    nor solved."""
+    nor solved, and a CNF whose lowering ends past it is not solved."""
     session = session or _Session(config)
     if not problem.pairs.rules:
         return RpOutcome("empty")
@@ -122,6 +122,8 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     if config.emit_dimacs:
         _emit(ts.cnf, vm, ts.definitions, enc, session)
 
+    if session.out_of_time():
+        return RpOutcome("timeout")
     result = solve(ts.cnf, deadline=session.deadline)
     if result.status == UNKNOWN:
         return RpOutcome("timeout")

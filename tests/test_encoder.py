@@ -470,6 +470,38 @@ def test_tau_memo_hits_across_contexts(monkeypatch):
     assert 0 < builds <= 300
 
 
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_collapsed_root_compares_as_its_kept_argument(mode):
+    # under a context that knows f collapses onto 2, f(x, s(y)) filters to
+    # s(y): its comparison is the very node of s(y)'s, on either side, and
+    # no cell is opened for the unfiltered term
+    f = Symbol("f", 2)
+    s, kept, t = mk(f, X, mk(S1, Y)), mk(S1, Y), mk(MINUS, Y, X)
+    for rel in (GT, GE):
+        ctx = EncodingContext(mode)
+        _, known = ctx._enter(EMPTY_CTX, ((ctx._meet(f).collapses_to[1], True),))
+        assert ctx._compare((s, t), rel, known) is ctx._compare((kept, t), rel, known)
+        assert ctx._compare((t, s), rel, known) is ctx._compare((t, kept), rel, known)
+        assert (s, t) not in ctx._cells and (t, s) not in ctx._cells
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_tower_skips_collapsed_levels(monkeypatch, mode):
+    # f(s^120(x)) -> f(x): an encoder that builds every branch under a
+    # collapsed s and folds all but one away makes 1,087 builds
+    builds = 0
+    inner = EncodingContext._build_tau
+
+    def counted(self, *args):
+        nonlocal builds
+        builds += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(EncodingContext, "_build_tau", counted)
+    encode_rp_formula(_depth_problem(120), "thm12", mode)
+    assert 0 < builds <= 480
+
+
 ROT_QUASI = [
     (3, 184, "eed948cd3cca53dca6300385c211045c5255e74ac400d41dcb60ccaae9b102ec"),
     (4, 252, "a9c563dfcf59ae487ab82f3d4058ac78d2f74a3f3fcd8c8db6e6252ab148016b"),
@@ -565,11 +597,11 @@ def test_encoder_descends_no_frame_per_argument_position(mode):
 
 
 ABLATION_DIGESTS = {
-    "EX2": "aa1c3dceb6e84053026d3ad8fd3acc7b24cb3a36bb388db2ccba0800b326cbc0",
-    "EX13": "7a93add7b5e420e1ffd1e0b2e4dfefaa73c92782578773810c4ad65fc0bf3a81",
-    "ACKERMANN": "75aae5bc13c7caeed987319f70b73d278e14e9cce19c4c94267064d971acd604",
-    "REVERSE": "1d26a9e5a2eefea36a7589b7537e32d7c2de7f7cdcc36395b80b3320a83277b6",
-    "SHUFFLE": "f21809a404b02e65e56c458395dab8e8693476c7165f64f38edd2fb9d858b7b9",
+    "EX2": "3bc8a445f5d3ef2d9bb71d8b7aba80fd3676de74b94226d388749a972688cb0b",
+    "EX13": "82a78b634a51a12c49981bd8f57a027d3a726faa0884c7fa7ab6678bde8aeabd",
+    "ACKERMANN": "043c696ccfa02a62c426dd5ebfdbdc5f370946af82bbcee47b108ca7e9301459",
+    "REVERSE": "03eb332b23d0d4fba0f719dc60787a24515e99fc44bf7e67898a0bd001109a7f",
+    "SHUFFLE": "fb424c5ecbd93861a8f3a1337661340e492a3e10275cac942cdc056e375c2867",
 }
 
 
@@ -577,27 +609,38 @@ ABLATION_DIGESTS = {
 # lowers them; under some settings Tseitin's raw clauses hold repeated
 # literals and tautologies, so these also pin what ``Cnf`` drops
 CNF_DIGESTS = {
-    "EX2": "aa8c6350c880a83a13d022efd331344d78d7241936e8500f0fb3ea9c5f93ff50",
-    "EX13": "5d6fffce8608b36e95b876df520a4b64e285372a7019ff43182ea5eeb6aa6595",
-    "ACKERMANN": "223e2362b5207a10a067896682007ba5d66f6aff2c64203eec32910d4617f2bd",
-    "REVERSE": "703c95dd42e4c175651a304de9251ec7300d476ee0e5aac6cc60d72d92eecdf0",
-    "SHUFFLE": "8efdf0eae879c99f46e51aa01e1878ccd6a17cdcdb0607b936c862d266acb03b",
+    "EX2": "0e2e39c6b5bfd1d5d65af85ad92987abc198c9f06c65b872e7ff37b3556acb7c",
+    "EX13": "8638152a30a23efa452d0f4b8242a86a9ce3c7e5f5857a9de0e0cf12d3d701de",
+    "ACKERMANN": "54ef8d2535b0b54e3aa6f795ce38241381362b16f6d9e920dc1fb03f078592e1",
+    "REVERSE": "c52bd6f07a81390e81252692550ef84458f7a3db15fd48b60b32a13ad1ceda62",
+    "SHUFFLE": "fe459fde7d0e1e3e8f349a6aa40aa202677503e5cfc3d910f260b11351c9c104",
 }
 
 
-@pytest.mark.parametrize("name,text", zip(ABLATION_DIGESTS, PAPER_SYSTEMS),
-                         ids=list(ABLATION_DIGESTS))
-def test_encoder_output_pinned_under_every_ablation(name, text):
-    # digests of the formulas of the payload-based encoder: every node, id
-    # and atom must come out the same under every setting of the switches
+# per system, the digests of the formulas and of their DIMACS text under the
+# default switches, over both modes and both processors; these hold while a
+# change of the encoder moves only the ablation settings
+DEFAULT_DIGESTS = {
+    "EX2": ("4e91e655ec0788ad927bb6f6c1577ac64dbd170f39ec21733c6f8da89ed6bb0a",
+            "935cf0f85b7f1a17021e52dc6b106c4746b0d3b4f678fb16ed6acec5b6d018bb"),
+    "EX13": ("29d967357692d4380487461b8937a0209c5e5583b32b332da18ce3f292b38109",
+             "ed82bd42b972fdcef49fa507ac2dfce47cd064084e75b338060164a59353985d"),
+    "ACKERMANN": ("363014a213be6da407ee5bb995594247809b47b7fae15f219b35ffa644f8cb7f",
+                  "61b68ceb9ca7c71a350419e8b4294d5872a9433bafe9943c60174dd6282ea609"),
+    "REVERSE": ("2f5abc7ef05c238b62a3ba285a0c18e6a624ea469c7464596f427f90d31896b7",
+                "0d7f7259bf56f3bc44ea1504c8b1b46eca9461d942edf4fcf2fda13b9dbcef21"),
+    "SHUFFLE": ("6167a308fc7290f43c3e62edc905ac23887f882c4e2e7c2edfb0324559d415f6",
+                "ba8e9436f18afa40b9b0be71403b7f2355aca8300dd753b13f288dead13bbd95"),
+}
+
+
+def _pinned_digests(problem, settings):
     import hashlib
-    trs = parse_trs(text)
-    problem = DpProblem(dependency_pairs(trs), trs)
     digest = hashlib.sha256()
     cnf_digest = hashlib.sha256()
     for mode in ("strict", "quasi"):
         for processor in ("thm5", "thm12"):
-            for simplify, share, propagate in itertools.product((True, False), repeat=3):
+            for simplify, share, propagate in settings:
                 enc = encode_rp_formula(problem, processor, mode, simplify=simplify,
                                         share=share, propagate=propagate)
                 digest.update(dump(enc.formula).encode() + b"\n")
@@ -605,5 +648,23 @@ def test_encoder_output_pinned_under_every_ablation(name, text):
                             enc.usable_symbols)
                 cnf = lowered_cnf(enc.formula, enc.context.builder, vm, mode).cnf
                 cnf_digest.update(write_dimacs(cnf).encode())
-    assert digest.hexdigest() == ABLATION_DIGESTS[name]
-    assert cnf_digest.hexdigest() == CNF_DIGESTS[name]
+    return digest.hexdigest(), cnf_digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,text", zip(DEFAULT_DIGESTS, PAPER_SYSTEMS),
+                         ids=list(DEFAULT_DIGESTS))
+def test_encoder_output_pinned_under_default_switches(name, text):
+    trs = parse_trs(text)
+    problem = DpProblem(dependency_pairs(trs), trs)
+    assert _pinned_digests(problem, [(True, True, True)]) == DEFAULT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,text", zip(ABLATION_DIGESTS, PAPER_SYSTEMS),
+                         ids=list(ABLATION_DIGESTS))
+def test_encoder_output_pinned_under_every_ablation(name, text):
+    # digests of the formulas of the payload-based encoder: every node, id
+    # and atom must come out the same under every setting of the switches
+    trs = parse_trs(text)
+    problem = DpProblem(dependency_pairs(trs), trs)
+    assert _pinned_digests(problem, list(itertools.product((True, False), repeat=3))) == \
+        (ABLATION_DIGESTS[name], CNF_DIGESTS[name])

@@ -210,6 +210,27 @@ def test_encoding_past_the_deadline_is_neither_lowered_nor_solved(monkeypatch):
     assert isinstance(verdict, Timeout) and not solved
 
 
+def test_cnf_past_the_deadline_is_not_solved(monkeypatch):
+    from termfilter import prover
+    from termfilter.solver import UNKNOWN, SolveResult
+    solved = []
+    lower = prover.tseitin_cnf
+
+    def late_lower(*args, **kwargs):
+        out = lower(*args, **kwargs)
+        time.sleep(0.1)
+        return out
+
+    def recorded_solve(cnf, *args, **kwargs):
+        solved.append(cnf)
+        return SolveResult(UNKNOWN)
+
+    monkeypatch.setattr(prover, "tseitin_cnf", late_lower)
+    monkeypatch.setattr(prover, "solve", recorded_solve)
+    verdict = prove(ex2(), ProverConfig(timeout=0.05))
+    assert isinstance(verdict, Timeout) and not solved
+
+
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 def test_classical_usable_closure_walked_once_per_round(monkeypatch, mode):
     from termfilter import prover, usable
@@ -392,16 +413,22 @@ def test_emit_dimacs_numbers_only_the_symbols_of_the_round(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [["--timeout", "abc"], ["--timeout", "nan"],
                                   ["--timeout", "-1"], ["--timeout", "inf"], [],
-                                  ["--solver", "internal"]],
-                         ids=["abc", "nan", "negative", "infinite", "no-file", "solver"])
+                                  ["--solver", "internal"], ["--timeout", "-inf"],
+                                  ["--timeout", "-Infinity"], ["--timeout", "-nan"]],
+                         ids=["abc", "nan", "negative", "infinite", "no-file", "solver",
+                              "negative-infinite", "negative-infinity", "negative-nan"])
 def test_cli_usage_errors_exit_3(tmp_path, capsys, args):
-    # argparse's own code 2 is the timeout code here
+    # argparse's own code 2 is the timeout code here; a number that
+    # ``seconds`` refuses, negative ones too, gets its message
     path = tmp_path / "division.trs"
     path.write_text(EX2_TEXT)
     with pytest.raises(SystemExit) as exc:
         cli_main(([str(path)] if args else []) + args)
     assert exc.value.code == 3
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    if args[:1] == ["--timeout"] and args[1] != "abc":
+        assert f"not a finite non-negative number: {args[1]!r}" in err
 
 
 _TIMEOUTS = st.one_of(
