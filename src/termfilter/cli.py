@@ -6,6 +6,7 @@ Exit codes: 0 termination proved, 1 no proof found, 2 timeout, 3 error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
@@ -82,15 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if args.proof:
-        print(render_proof(verdict))
-    elif isinstance(verdict, Terminating):
-        print("TERMINATING")
-    elif isinstance(verdict, Maybe):
-        print(f"MAYBE ({verdict.reason})")
-    else:
-        print("TIMEOUT")
-
+    # without --proof, only the verdict line that ends every proof
+    print(render_proof(verdict if args.proof else dataclasses.replace(verdict, steps=())))
     if isinstance(verdict, Terminating):
         return 0
     if isinstance(verdict, Maybe):

@@ -1,9 +1,9 @@
-"""Dependency pairs, dependency-pair problems, and the graph processor."""
+"""Dependency pairs, dependency-pair problems, and the graph processor:
+the components of the estimated graph, found by reachability."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .terms import App, Rule, Symbol, Term, Trs, Var, defined_symbols, subterms, substitute, unify, variables
 
@@ -90,71 +90,31 @@ def estimate_dependency_graph(problem: DpProblem) -> dict[int, tuple[int, ...]]:
     return graph
 
 
-def _sccs(graph: Mapping[int, Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iteratively, over nodes 0..n-1."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = [0]
-    out: list[list[int]] = []
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
-
-
 def scc_decompose(problem: DpProblem) -> list[DpProblem]:
-    """One sub-problem per non-trivial strongly connected component.
+    """One sub-problem per strongly connected component on a cycle of the
+    estimated graph, found by reachability.
 
-    A single pair counts only if it has a self-arc.  Pairs on no cycle are
-    dropped; every sub-problem keeps the full rule component.  Sub-problems
-    are ordered by their smallest pair index.
+    ``reach[i]`` has bit ``j`` set when a path of one or more arcs leads
+    from pair ``i`` to pair ``j`` (Warshall's closure).  Pair ``i`` is kept
+    when it reaches itself; its component is every pair it reaches that
+    reaches it back.  Pairs on no cycle are dropped; every sub-problem
+    keeps the full rule component.  Sub-problems come out ordered by their
+    smallest pair index, each in pair order.
     """
     graph = estimate_dependency_graph(problem)
     pairs = problem.pairs.rules
-    components = []
-    for comp in _sccs(graph):
-        if len(comp) == 1:
-            v = comp[0]
-            if v not in graph[v]:
-                continue
-        components.append(sorted(comp))
-    components.sort(key=min)
-    return [DpProblem(Trs.of(pairs[i] for i in comp), problem.rules)
-            for comp in components]
+    n = len(pairs)
+    reach = [sum(1 << j for j in graph[i]) for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    placed: set[int] = set()
+    subs = []
+    for i in range(n):
+        if i in placed or not reach[i] >> i & 1:
+            continue
+        comp = [j for j in range(i, n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        placed.update(comp)
+        subs.append(DpProblem(Trs.of(pairs[j] for j in comp), problem.rules))
+    return subs

@@ -168,14 +168,16 @@ class EncodingContext:
                                          tuple(collapses_to), mask)
         implied = self._implied
         # f kept collapses nowhere; an argument filtered away is not the
-        # one f collapses to; f collapsed onto i keeps i and nothing else
-        for i, (a, c) in enumerate(zip(arg_in, collapses_to)):
+        # one f collapses to; f collapsed onto i keeps i and nothing else:
+        # every position's "known false" bits but i's own
+        positions_false = 0
+        for a, c in zip(arg_in, collapses_to):
+            positions_false |= 2 << 2 * a | 2 << 2 * c
+        for a, c in zip(arg_in, collapses_to):
             implied[2 * list_p] |= 2 << 2 * c
             implied[2 * a + 1] |= 2 << 2 * c
-            implied[2 * c] |= 2 << 2 * list_p | 1 << 2 * a
-            for j, (a2, c2) in enumerate(zip(arg_in, collapses_to)):
-                if j != i:
-                    implied[2 * c] |= 2 << 2 * c2 | 2 << 2 * a2
+            implied[2 * c] |= (positions_false & ~(2 << 2 * a | 2 << 2 * c)
+                               | 2 << 2 * list_p | 1 << 2 * a)
         for g in others:
             first = len(self._atoms)
             fg = self._number(A.PoGt(f, g))

@@ -3,9 +3,11 @@ referenced by some module there, other than from inside its own body; every
 name a module there assigns at its top level is read by some module there;
 and every public name a module there defines or assigns at its top level is
 read by some module under ``src`` or ``bench``, exported in ``__all__`` or an
-entry point of ``pyproject.toml``."""
+entry point of ``pyproject.toml``; and every module there imports only from
+the package itself or the standard library."""
 
 import ast
+import sys
 import tomllib
 from collections import Counter
 from pathlib import Path
@@ -91,6 +93,23 @@ def unread_public_names(paths, readers, exempt=()) -> list[str]:
                   and f"{module}.{name}" not in exempt)
 
 
+def non_stdlib_imports(paths) -> list[str]:
+    """Absolute imports whose top-level name is not a standard-library
+    module, as ``module: name``; relative imports are the package's own."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
 def entry_points() -> set[str]:
     """The ``[project.scripts]`` targets, as ``module.name``."""
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
@@ -153,3 +172,22 @@ def test_guard_flags_an_unread_public_name(tmp_path):
     n.write_text("import m\nfrom m import dead\nm.used()\n")
     assert unread_public_names([m], [m, n], {"m.entry"}) == \
         ["m.Dead", "m.UNUSED", "m.dead"]
+
+
+def test_src_imports_only_the_standard_library():
+    assert non_stdlib_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_flags_a_third_party_import(tmp_path):
+    m = tmp_path / "m.py"
+    m.write_text(
+        "import os.path\n"
+        "import json, numpy.linalg\n"
+        "from __future__ import annotations\n"
+        "from . import sibling\n"
+        "from .terms import Term\n"
+        "from collections import Counter\n"
+        "from hypothesis import given\n"
+        "def f():\n    import termfilter\n")
+    assert non_stdlib_imports([m]) == \
+        ["m: hypothesis", "m: numpy.linalg", "m: termfilter"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from termfilter.dp import (DpProblem, dependency_pairs, estimate_dependency_graph,
@@ -5,7 +7,7 @@ from termfilter.dp import (DpProblem, dependency_pairs, estimate_dependency_grap
 from termfilter.terms import App, Rule, Symbol, Trs, Var
 from termfilter.tpdb import parse_trs
 
-from util import ex13, ex2
+from util import ex13, ex2, random_trs
 
 
 def pair_strs(trs):
@@ -120,3 +122,51 @@ def test_graph_covers_known_chains():
     assert 1 in graph[1]
     assert 2 in graph[1]
     assert 0 in graph[2]
+
+
+def _components_by_search(problem):
+    """Reference components: a DFS reachable set per pair, then the classes
+    of mutual reachability among the pairs that reach themselves, ordered by
+    smallest index and each in pair order."""
+    graph = estimate_dependency_graph(problem)
+    reach = []
+    for i in graph:
+        seen, todo = set(), list(graph[i])
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo.extend(graph[j])
+        reach.append(seen)
+    comps = []
+    for i in sorted(graph):
+        if i in reach[i] and not any(i in c for c in comps):
+            comps.append([j for j in sorted(graph) if j in reach[i] and i in reach[j]])
+    return [[problem.pairs.rules[j] for j in c] for c in comps]
+
+
+def _chain(n):
+    """n functions calling each other in a ring; the last link swaps the
+    arguments back and keeps the s, so the ring has a refuting link."""
+    rules = []
+    for i in range(n):
+        nxt = (i + 1) % n
+        rhs = f"f{nxt}(s(y),x)" if i == n - 1 else f"f{nxt}(x,s(y))"
+        rules += [f"f{i}(s(x),y) -> {rhs}", f"f{i}(zero,y) -> y"]
+    return parse_trs(f"(VAR x y)(RULES {' '.join(rules)})")
+
+
+def test_scc_decompose_matches_search_reference():
+    rng = random.Random(2024)
+    systems = [random_trs(rng, 5, 8, 3, 2) for _ in range(300)] + [_chain(14)]
+    split = 0
+    for trs in systems:
+        problem = DpProblem(dependency_pairs(trs), trs)
+        subs = scc_decompose(problem)
+        assert [list(s.pairs.rules) for s in subs] == _components_by_search(problem)
+        assert all(s.rules == trs for s in subs)
+        split += len(subs) > 1
+    assert split > 10  # the sample has problems with several components
+    chain = DpProblem(dependency_pairs(systems[-1]), systems[-1])
+    assert [s.pairs for s in scc_decompose(chain)] == [chain.pairs]
+    assert len(chain.pairs.rules) == 14

@@ -129,21 +129,24 @@ def _implied_facts(atom, positive, atoms):
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 def test_every_literal_implies_exactly_its_facts(mode):
-    c, g, h = Symbol("c", 0), Symbol("g", 1), Symbol("h", 2)
+    c, g, h, f4 = Symbol("c", 0), Symbol("g", 1), Symbol("h", 2), Symbol("f4", 4)
     symbols = [h, g, c]
     ctx = EncodingContext(mode)
-    for f in symbols:
+    for f in symbols + [f4]:
         ctx._meet(f)
     atoms = list(ctx._atoms)
     number = {atom: k for k, atom in enumerate(atoms)}
-    usable = [a for a in atoms if isinstance(a, A.Usable)]
+    # the arity-4 symbol, met last, is checked for its masks only: the
+    # worlds range over the atoms numbered before it
+    small = atoms[:number[A.ListP(f4)]]
+    usable = [a for a in small if isinstance(a, A.Usable)]
     # every actual precedence and filtering, with usability flags free
     worlds = []
     for prec in all_precedences(symbols):
         for pi in all_filterings(symbols):
             for flags in itertools.product([False, True], repeat=len(usable)):
                 value = concrete_atom_value(prec, pi, dict(zip(usable, flags)))
-                worlds.append([value(a) for a in atoms])
+                worlds.append([value(a) for a in small])
     for k, atom in enumerate(atoms):
         for positive in (True, False):
             facts = _implied_facts(atom, positive, atoms)
@@ -151,7 +154,7 @@ def test_every_literal_implies_exactly_its_facts(mode):
             for a, v in facts.items():
                 expected |= (1 if v else 2) << 2 * number[a]
             assert ctx._assume(EMPTY_CTX, k, positive) == expected, (atom, positive)
-            for world in worlds:
+            for world in worlds if k < len(small) else ():
                 if world[k] == positive:
                     for a, v in facts.items():
                         assert world[number[a]] == v, (atom, positive, a)
