@@ -11,9 +11,16 @@ upper half; watch lists and reasons hold the clause lists themselves; the
 propagation loop compacts each watch list in place.  The decision heap holds
 no duplicate entry per activity: only assigned variables are bumped, and a
 variable goes back on the heap when it is unassigned with a changed
-activity.  Every decision, conflict, learnt clause and model is the same as
-those of the plain variable-indexed solver that the tests keep as their
-reference.
+activity.
+
+The work per conflict lives in three loops with no helper call per
+literal: ``_propagate`` searches a clause for its new watch with a plain
+index loop; ``_analyze`` bumps each activity where it meets the variable
+and picks the backjump literal as it collects the learnt clause; ``solve``
+enqueues each decision and each learnt clause itself.
+Every decision, conflict, learnt clause (its literal order included),
+restart and model is still the same as those of the plain variable-indexed
+solver that the tests keep as their reference.
 
 Clauses come in normal form from ``cnf.Cnf``; intake copies each into a
 list, watches its first two literals or enqueues it as a unit, and checks
@@ -128,13 +135,16 @@ class _Cdcl:
                     ws[j] = clause
                     j += 1
                     continue
-                for k in range(2, len(clause)):
+                k = 2
+                size = len(clause)
+                while k < size:
                     lit = clause[k]
                     if val[lit] != -1:
                         clause[1] = lit
                         clause[k] = false_lit
                         watches[lit].append(clause)
                         break
+                    k += 1
                 else:
                     ws[j] = clause
                     j += 1
@@ -154,13 +164,6 @@ class _Cdcl:
         self.propagations += len(trail) - start
         return None
 
-    def _bump(self, v: int) -> None:
-        # v is assigned (it is on the trail), so it needs no heap entry until
-        # _backtrack unassigns it
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            self._rescale()
-
     def _rescale(self) -> None:
         activity = self.activity
         for u in range(1, self.n + 1):
@@ -175,12 +178,24 @@ class _Cdcl:
         heapq.heapify(self.heap)
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause of confl, asserting literal first and a
+        literal of the backjump level second, and that level.
+
+        Each variable of a resolved clause is bumped when it is first seen;
+        a bump past 1e100 rescales there, and later bumps add the rescaled
+        increment.  learnt[1] is the first literal of the highest level
+        among learnt[1:], as ``max`` would pick it.
+        """
         level = self.level
         reason = self.reason
         trail = self.trail
         seen = self.seen
+        activity = self.activity
+        var_inc = self.var_inc
         learnt: list[int] = [0]
         counter = 0
+        back = 0                # the highest level in learnt[1:] ...
+        back_i = 1              # ... and where it first occurs
         p = 0
         idx = len(trail) - 1
         current = len(self.trail_lim)
@@ -190,18 +205,30 @@ class _Cdcl:
                 if q == p:
                     continue
                 v = q if q > 0 else -q
-                if not seen[v] and level[v] > 0:
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if lv:
                     seen[v] = True
-                    self._bump(v)
-                    if level[v] == current:
+                    # v is assigned (it is on the trail), so it needs no heap
+                    # entry until _backtrack unassigns it
+                    a = activity[v] = activity[v] + var_inc
+                    if a > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
+                    if lv == current:
                         counter += 1
                     else:
+                        if lv > back:
+                            back = lv
+                            back_i = len(learnt)
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
+            while True:
+                p = trail[idx]
                 idx -= 1
-            p = trail[idx]
-            v = abs(p)
-            idx -= 1
+                v = p if p > 0 else -p
+                if seen[v]:
+                    break
             seen[v] = False
             counter -= 1
             if counter == 0:
@@ -209,12 +236,10 @@ class _Cdcl:
             clause = reason[v]
         learnt[0] = -p
         for q in learnt:
-            seen[abs(q)] = False
-        if len(learnt) == 1:
-            return learnt, 0
-        max_i = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
-        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, level[abs(learnt[1])]
+            seen[q if q > 0 else -q] = False
+        if back:
+            learnt[1], learnt[back_i] = learnt[back_i], learnt[1]
+        return learnt, back
 
     def _backtrack(self, level: int) -> None:
         if len(self.trail_lim) <= level:
@@ -260,43 +285,66 @@ class _Cdcl:
     def solve(self) -> SolveResult:
         if not self.ok:
             return SolveResult(UNSAT)
+        val = self.val
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        trail_lim = self.trail_lim
+        watches = self.watches
+        phase = self.phase
+        deadline = self.deadline
+        propagate = self._propagate
+        analyze = self._analyze
+        backtrack = self._backtrack
+        decide = self._decide
         restart = 0
         while True:
             restart += 1
             budget = 64 * _luby(restart)
             conflicts = 0
             while True:
-                confl = self._propagate()
+                confl = propagate()
                 if confl is not None:
                     conflicts += 1
                     self.conflicts += 1
-                    if self.conflicts % 64 == 0 and self.deadline is not None \
-                            and time.monotonic() > self.deadline:
+                    if self.conflicts % 64 == 0 and deadline is not None \
+                            and time.monotonic() > deadline:
                         return SolveResult(UNKNOWN)
-                    if not self.trail_lim:
+                    if not trail_lim:
                         return SolveResult(UNSAT)
-                    learnt, back = self._analyze(confl)
-                    self._backtrack(back)
+                    learnt, back = analyze(confl)
+                    backtrack(back)
                     # learnt[0] was assigned at the conflict level, so it is
-                    # unassigned now and the enqueue succeeds
-                    if len(learnt) == 1:
-                        self._enqueue(learnt[0], None)
+                    # unassigned now; the backjump leaves back decisions
+                    lit = learnt[0]
+                    val[lit] = 1
+                    val[-lit] = -1
+                    v = lit if lit > 0 else -lit
+                    level[v] = back
+                    if back:
+                        watches[lit].append(learnt)
+                        watches[learnt[1]].append(learnt)
+                        reason[v] = learnt
                     else:
-                        self.watches[learnt[0]].append(learnt)
-                        self.watches[learnt[1]].append(learnt)
-                        self._enqueue(learnt[0], learnt)
+                        reason[v] = None
+                    trail.append(lit)
                     self.var_inc /= 0.95
                     if conflicts >= budget:
-                        self._backtrack(0)
+                        backtrack(0)
                         break
                     continue
-                v = self._decide()
+                v = decide()
                 if v == 0:
-                    model = {u: self.val[u] > 0 for u in range(1, self.n + 1)}
+                    model = {u: val[u] > 0 for u in range(1, self.n + 1)}
                     return SolveResult(SAT, model)
                 self.decisions += 1
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(self.phase[v], None)
+                trail_lim.append(len(trail))
+                lit = phase[v]
+                val[lit] = 1
+                val[-lit] = -1
+                level[v] = len(trail_lim)
+                reason[v] = None
+                trail.append(lit)
 
 
 def solve(cnf: Cnf, *, deadline: float | None = None) -> SolveResult:

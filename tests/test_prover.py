@@ -516,8 +516,11 @@ def test_benchmark_tracer_installs_and_restores():
 def test_console_entry_point(tmp_path):
     path = tmp_path / "division.trs"
     path.write_text(EX2_TEXT)
+    # the child imports the package this process imports, however pytest ran
+    src = os.path.dirname(os.path.dirname(prover.__file__))
     proc = subprocess.run([sys.executable, "-m", "termfilter.cli", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert "TERMINATING" in proc.stdout
 

@@ -742,21 +742,77 @@ def test_round_sizes_pinned(monkeypatch, name, mode):
 
 def test_solver_rescale_refreshes_heap():
     s = _Cdcl(Cnf(3, ()), None)
-    # variable 1 goes back on the heap with activity 5e99
+    # variable 1 goes back on the heap with activity 5e99: the conflict [1]
+    # under the decision -1 bumps it once
     s.trail_lim.append(len(s.trail))
     s._enqueue(-1, None)
     s.var_inc = 5e99
-    s._bump(1)
+    assert s._analyze([1]) == ([1], 0)
     s._backtrack(0)
     # bumping variable 2 past 1e100 scales every activity by 1e-100
     s.trail_lim.append(len(s.trail))
     s._enqueue(-2, None)
     s.var_inc = 2e100
-    s._bump(2)
+    assert s._analyze([2]) == ([2], 0)
     s._backtrack(0)
     assert s.activity[1] < s.activity[2] < 1e100
     by_activity = sorted(range(1, 4), key=lambda v: (-s.activity[v], v))
     assert [s._decide() for _ in range(4)] == by_activity + [0] == [2, 1, 3, 0]
+
+
+def test_solver_rescale_mid_analysis_uses_rescaled_increment():
+    # level 1: decide -1, then -2 by the reason -2 | 1; the conflict 2 | 1
+    # bumps 2, whose activity passes 1e100, and then 1
+    s = _Cdcl(Cnf(2, ()), None)
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-1, None)
+    s._enqueue(-2, [-2, 1])
+    s.activity[2] = 0.9e100
+    s.var_inc = 0.2e100
+    assert s._analyze([2, 1]) == ([1], 0)
+    assert s.var_inc == 0.2e100 * 1e-100
+    assert s.activity[2] == (0.9e100 + 0.2e100) * 1e-100
+    assert s.activity[1] == s.var_inc
+
+
+def test_solver_backjump_literal_is_the_first_of_the_highest_level():
+    # -1 at level 1, -2 and -3 at level 2, the decision -4 at level 3; the
+    # conflict 4 | 1 | 3 | 2 learns it as is, then moves 3, the first
+    # literal of the backjump level 2, to second place
+    s = _Cdcl(Cnf(4, ()), None)
+    for lit in (-1, -2):
+        s.trail_lim.append(len(s.trail))
+        s._enqueue(lit, None)
+    s._enqueue(-3, None)
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-4, None)
+    assert s._analyze([4, 1, 3, 2]) == ([4, 3, 1, 2], 2)
+
+
+def _refuting_ring(n):
+    """n functions passing an s from x to y in a ring whose last link swaps
+    the arguments back and keeps the s, so it does not terminate."""
+    rules = []
+    for i in range(n):
+        rhs = "f0(s(y),x)" if i == n - 1 else f"f{i + 1}(x,s(y))"
+        rules.append(f"f{i}(s(x),y) -> {rhs}")
+    return parse_trs(f"(VAR x y)(RULES {' '.join(rules)})")
+
+
+def test_solver_replays_reference_on_refutation_cnfs(monkeypatch):
+    cnfs = []
+    real = prover.solve
+
+    def record(cnf, *args, **kwargs):
+        cnfs.append(cnf)
+        return real(cnf, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "solve", record)
+    for n, mode in ((8, "strict"), (6, "quasi")):
+        assert isinstance(prove(_refuting_ring(n), ProverConfig(mode=mode)), prover.Maybe)
+    outcomes = [_replay(cnf) for cnf in cnfs]
+    assert UNSAT in {status for status, _ in outcomes}
+    assert max(conflicts for _, conflicts in outcomes) > 64   # restarts
 
 
 # ----------------------------------------------------------------------

@@ -330,8 +330,10 @@ def test_unpickled_terms_are_canonical_in_new_process(tmp_path):
         assert t is App(f, (App(c), inner))
         assert g is Symbol("g", 1, True) and y is Var("y")
     """)
+    # the children import the package this process imports, however pytest ran
+    src = os.path.dirname(os.path.dirname(sys.modules[App.__module__].__file__))
     for seed, script in (("1", dump), ("2", load)):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
