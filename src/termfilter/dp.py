@@ -1,11 +1,18 @@
 """Dependency pairs, dependency-pair problems, and the graph processor:
-the components of the estimated graph, found by reachability."""
+the components of the estimated graph, found by reachability.
+
+The estimate (Arts and Giesl 2000) tries only the pairs whose left root is
+the root the cap keeps, names the cap's fresh variables apart from every
+left side (with a space, which the parser never makes) and builds no
+unifier.  ``prove`` keeps one table of decided arcs per proof, since a
+sub-problem's graph is its parent's, restricted (Hirokawa and Middeldorp 2005).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Rule, Symbol, Term, Trs, Var, defined_symbols, subterms, substitute, unify, variables
+from .terms import App, Rule, Symbol, Term, Trs, Var, defined_symbols, subterms, unifiable, variables
 
 
 @dataclass(frozen=True)
@@ -29,68 +36,68 @@ def dependency_pairs(trs: Trs) -> Trs:
     """One pair ``F#(s..) -> G#(t..)`` per call from a defined symbol to a
     defined symbol, in rule order and outermost-first within a right-hand side."""
     defined = defined_symbols(trs)
-    pairs: list[Rule] = []
-    seen: set[Rule] = set()
+    pairs: dict[Rule, None] = {}
     for rule in trs.rules:
-        lhs = rule.lhs
-        assert isinstance(lhs, App)
-        marked_lhs = App(lhs.fun.marked(), lhs.args)
+        marked_lhs = App(rule.root.marked(), rule.lhs.args)  # type: ignore[union-attr]
         for sub in subterms(rule.rhs):
             if isinstance(sub, App) and sub.fun in defined:
-                pair = Rule(marked_lhs, App(sub.fun.marked(), sub.args))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
+                pairs.setdefault(Rule(marked_lhs, App(sub.fun.marked(), sub.args)))
     return Trs.of(pairs)
 
 
-def _cap_ren(t: Term, defined: frozenset[Symbol], fresh: list[int]) -> Term:
+def _cap_ren(t: Term, defined: frozenset[Symbol], prefix: str) -> Term:
     """Abstract defined-rooted subterms and rename every variable occurrence,
-    numbering the fresh variables left to right.  An explicit post-order
-    walk: ``built`` holds the results of the finished subterms, and an
-    application is rebuilt from the last ``arity`` of them."""
+    naming the fresh variables ``prefix`` plus their number, left to right.
+    An explicit post-order walk: ``built`` holds the results of the finished
+    subterms, and a symbol on the stack marks an application whose arguments
+    are the last ``arity`` of them."""
     built: list[Term] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    stack: list[Term | Symbol] = [t]
+    fresh = 0
     while stack:
-        u, ready = stack.pop()
-        if ready:
-            n = u.fun.arity
-            args = tuple(built[len(built) - n:])
-            del built[len(built) - n:]
-            built.append(App(u.fun, args))
+        u = stack.pop()
+        if isinstance(u, Symbol):
+            args = tuple(built[len(built) - u.arity:])
+            del built[len(built) - u.arity:]
+            built.append(App(u, args))
         elif isinstance(u, Var) or u.fun in defined:
-            fresh[0] += 1
-            built.append(Var(f"_c{fresh[0]}"))
+            fresh += 1
+            built.append(Var(f"{prefix}{fresh}"))
         else:
-            stack.append((u, True))
-            stack.extend((a, False) for a in reversed(u.args))
+            stack.append(u.fun)
+            stack += reversed(u.args)
     return built[0]
 
 
-def _rename(t: Term, prefix: str) -> Term:
-    mapping = {v: Var(f"{prefix}{i}") for i, v in enumerate(variables(t))}
-    return substitute(t, mapping)
-
-
-def estimate_dependency_graph(problem: DpProblem) -> dict[int, tuple[int, ...]]:
+def estimate_dependency_graph(problem: DpProblem,
+                              arcs: dict | None = None) -> dict[int, tuple[int, ...]]:
     """Overapproximated dependency graph on pair indices.
 
     There is an arc from pair ``s -> t`` to pair ``u -> v`` whenever ``t``,
     with defined-rooted subterms abstracted away and all variables renamed
-    fresh, unifies with ``u``.
+    fresh, unifies with ``u``.  ``arcs`` caches that answer by ``(t, u)``;
+    share it only between problems with the same rules.
     """
-    defined = frozenset(defined_symbols(problem.rules))
+    arcs = {} if arcs is None else arcs
     pairs = problem.pairs.rules
-    sources = [_cap_ren(p.rhs, defined, [0]) for p in pairs]
-    targets = [_rename(p.lhs, "_u") for p in pairs]
+    by_root: dict[Symbol, list[int]] = {}
+    for j, p in enumerate(pairs):
+        by_root.setdefault(p.root, []).append(j)
+    defined = defined_symbols(problem.rules)
+    prefix = " " * max((len(v.name) for p in pairs for v in variables(p.lhs)), default=0) + " "
     graph: dict[int, tuple[int, ...]] = {}
-    for i, src in enumerate(sources):
-        graph[i] = tuple(j for j, tgt in enumerate(targets)
-                         if unify(src, tgt) is not None)
+    for i, p in enumerate(pairs):
+        targets = by_root.get(p.rhs.fun, ())
+        cap = None
+        for j in targets:
+            if (p.rhs, pairs[j].lhs) not in arcs:
+                cap = cap or _cap_ren(p.rhs, defined, prefix)
+                arcs[p.rhs, pairs[j].lhs] = unifiable(cap, pairs[j].lhs)
+        graph[i] = tuple(j for j in targets if arcs[p.rhs, pairs[j].lhs])
     return graph
 
 
-def scc_decompose(problem: DpProblem) -> list[DpProblem]:
+def scc_decompose(problem: DpProblem, arcs: dict | None = None) -> list[DpProblem]:
     """One sub-problem per strongly connected component on a cycle of the
     estimated graph, found by reachability.
 
@@ -99,9 +106,10 @@ def scc_decompose(problem: DpProblem) -> list[DpProblem]:
     when it reaches itself; its component is every pair it reaches that
     reaches it back.  Pairs on no cycle are dropped; every sub-problem
     keeps the full rule component.  Sub-problems come out ordered by their
-    smallest pair index, each in pair order.
+    smallest pair index, each in pair order.  ``arcs`` is passed on to
+    ``estimate_dependency_graph``.
     """
-    graph = estimate_dependency_graph(problem)
+    graph = estimate_dependency_graph(problem, arcs)
     pairs = problem.pairs.rules
     n = len(pairs)
     reach = [sum(1 << j for j in graph[i]) for i in range(n)]

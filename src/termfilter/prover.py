@@ -193,13 +193,14 @@ def prove(trs: Trs, config: ProverConfig | None = None) -> Verdict:
     session = _Session(config)
     steps: list[ProofStep] = []
     queue: list[DpProblem] = [DpProblem(dependency_pairs(trs), trs)]
+    arcs: dict = {}                 # every problem of the proof has the rules of trs
     while queue:
         if session.out_of_time():
             return Timeout(tuple(steps))
         problem = queue.pop(0)
         if not problem.pairs.rules:
             continue
-        subs = scc_decompose(problem)
+        subs = scc_decompose(problem, arcs)
         steps.append(ProofStep("dependency_graph", problem, tuple(subs)))
         for sub in subs:
             if session.out_of_time():
@@ -261,13 +262,8 @@ def render_proof(verdict: Verdict) -> str:
                          f"{len(w.removed)} of {len(step.problem.pairs.rules)} pair(s)")
             lines.append(f"  precedence: {_format_precedence(w.precedence, symbols, w.mode)}")
             lines.append(f"  filtering:  {_format_filtering(w.filtering)}")
-            for p in w.removed:
-                lines.append(f"  removed: {p}")
-            if w.usable:
-                for r in w.usable:
-                    lines.append(f"  usable rule: {r}")
-            else:
-                lines.append("  usable rules: none")
+            lines += [f"  removed: {p}" for p in w.removed]
+            lines += [f"  usable rule: {r}" for r in w.usable] or ["  usable rules: none"]
     if isinstance(verdict, Terminating):
         lines.append("TERMINATING")
     elif isinstance(verdict, Maybe):

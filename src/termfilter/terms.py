@@ -1,28 +1,38 @@
 """First-order terms, rules, and term rewrite systems.
 
 Symbols, variables and applications are hash-consed (Filliâtre and Conchon,
-"Type-safe modular hash-consing", 2006).  Each class keeps a table of its
-live instances, held weakly, and building a value that is already in the
-table returns that object, so structurally equal terms are the same object.
+"Type-safe modular hash-consing", 2006).  Each class keeps a ``dict`` from
+a value's key to a weak reference to its live instance; building a value
+that is already in the table returns that object, so structurally equal
+terms are the same object.  A hit takes no lock.  A dead instance's entry
+is dropped unless its key was built again first.
 The classes define no ``__eq__`` or ``__hash__``: equality is identity and
 hashing is CPython's identity hash, so a lookup keyed on terms runs no
 Python code and comparing two terms never walks them.  The order of a set
 of terms follows memory addresses, so no output may depend on it.
 
 Every walk over a term uses an explicit stack, so term depth is bounded by
-memory, not by the recursion limit.
+memory, not by the recursion limit.  Nothing here applies a substitution;
+the tests keep ``substitute``.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 # Taken only when a table misses, so that two threads building the same
 # value get one object.
 _INTERN_LOCK = threading.Lock()
+
+_NO_ENTRY = type(None)  # a missing table entry: called like a dead one, gives None
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)  # a table entry: a weak reference that knows its key
 
 
 class _Interned:
@@ -31,21 +41,34 @@ class _Interned:
     canonical instances in its own ``_table``."""
 
     __slots__ = ("__weakref__",)
-    _table: weakref.WeakValueDictionary
+    _table: dict[object, _Entry]
 
     @classmethod
     def _intern(cls, key, fields: dict):
-        """The instance for ``key`` after a lookup without the lock missed:
-        looked up again under the lock, and made from ``fields`` when still
-        missing."""
+        """The instance for ``key`` after a lock-free lookup missed: looked
+        up again under the lock, and made from ``fields`` if still missing."""
         with _INTERN_LOCK:
-            self = cls._table.get(key)
+            self = cls._table.get(key, _NO_ENTRY)()
             if self is None:
                 self = object.__new__(cls)
                 for name, value in fields.items():
                     object.__setattr__(self, name, value)
-                cls._table[key] = self
+                entry = _Entry(self, cls._forget)
+                entry.key = key
+                cls._table[key] = entry
         return self
+
+    @classmethod
+    def _forget(cls, entry: _Entry, remove=_remove_dead_weakref) -> None:
+        remove(cls._table, entry.key)  # only while the entry is this dead one
+
+    def __reduce__(self):
+        # unpickling builds through the table of the loading process
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -63,24 +86,17 @@ class Symbol(_Interned):
     """
 
     __slots__ = ("name", "arity", "is_tuple")
-    _table = weakref.WeakValueDictionary()
+    _table = {}
     name: str
     arity: int
     is_tuple: bool
 
     def __new__(cls, name: str, arity: int, is_tuple: bool = False) -> Symbol:
         key = (name, arity, is_tuple)
-        self = cls._table.get(key)
+        self = cls._table.get(key, _NO_ENTRY)()
         if self is None:
             self = cls._intern(key, {"name": name, "arity": arity, "is_tuple": is_tuple})
         return self
-
-    def __reduce__(self):
-        # unpickling builds through the table of the loading process
-        return (Symbol, (self.name, self.arity, self.is_tuple))
-
-    def __repr__(self) -> str:
-        return f"Symbol(name={self.name!r}, arity={self.arity!r}, is_tuple={self.is_tuple!r})"
 
     @property
     def display(self) -> str:
@@ -104,20 +120,14 @@ class Term(_Interned):
 
 class Var(Term):
     __slots__ = ("name",)
-    _table = weakref.WeakValueDictionary()
+    _table = {}
     name: str
 
     def __new__(cls, name: str) -> Var:
-        self = cls._table.get(name)
+        self = cls._table.get(name, _NO_ENTRY)()
         if self is None:
             self = cls._intern(name, {"name": name})
         return self
-
-    def __reduce__(self):
-        return (Var, (self.name,))
-
-    def __repr__(self) -> str:
-        return f"Var(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -128,25 +138,19 @@ class App(Term):
     application is first built; a later build finds it in the table."""
 
     __slots__ = ("fun", "args")
-    _table = weakref.WeakValueDictionary()
+    _table = {}
     fun: Symbol
     args: tuple[Term, ...]
 
     def __new__(cls, fun: Symbol, args: tuple[Term, ...] = ()) -> App:
         key = (fun, args)
-        self = cls._table.get(key)
+        self = cls._table.get(key, _NO_ENTRY)()
         if self is None:
             if len(args) != fun.arity:
                 raise ValueError(
                     f"symbol {fun.display}/{fun.arity} applied to {len(args)} arguments")
             self = cls._intern(key, {"fun": fun, "args": args})
         return self
-
-    def __reduce__(self):
-        return (App, (self.fun, self.args))
-
-    def __repr__(self) -> str:
-        return f"App(fun={self.fun!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         # the stack holds terms still to print and the punctuation between them
@@ -205,31 +209,19 @@ def subterms(t: Term) -> Iterator[Term]:
             stack.extend(reversed(u.args))
 
 
-def substitute(t: Term, mapping: Mapping[Var, Term]) -> Term:
-    """``t`` with every variable ``v`` in ``mapping`` replaced by
-    ``mapping[v]``, all at once."""
-    return _instantiate(t, mapping, {}, False)
-
-
-def _instantiate(t: Term, mapping: Mapping[Var, Term], done: dict[Term, Term],
-                 chase: bool) -> Term:
-    """``t`` with each variable replaced by its image under ``mapping``, by
-    an explicit post-order walk that rebuilds each distinct subterm once;
-    ``done`` maps the subterms rebuilt so far to their results.  With
-    ``chase`` an image is rebuilt in turn, which resolves an acyclic
-    triangular substitution."""
+def _instantiate(t: Term, subst: Mapping[Var, Term], done: dict[Term, Term]) -> Term:
+    """``t`` under the acyclic triangular substitution ``subst``, resolved by
+    an explicit post-order walk that rebuilds each distinct subterm, and each
+    image, once; ``done`` maps the subterms rebuilt so far to their results."""
     stack = [t]
     while stack:
         u = stack[-1]
         if u in done:
             stack.pop()
         elif isinstance(u, Var):
-            image = mapping.get(u, u)
-            if image is u or not chase:
-                done[u] = image
-                stack.pop()
-            elif image in done:
-                done[u] = done[image]
+            image = subst.get(u, u)
+            if image is u or image in done:
+                done[u] = done.get(image, u)
                 stack.pop()
             else:
                 stack.append(image)
@@ -308,12 +300,8 @@ def defined_symbols(trs: Trs) -> frozenset[Symbol]:
 
 def format_trs(trs: Trs) -> str:
     """Render a system in the textual rule format accepted by the parser."""
-    seen: list[str] = []
-    for rule in trs.rules:
-        for t in (rule.lhs, rule.rhs):
-            for v in variables(t):
-                if v.name not in seen:
-                    seen.append(v.name)
+    seen = list(dict.fromkeys(v.name for rule in trs.rules
+                              for t in (rule.lhs, rule.rhs) for v in variables(t)))
     lines = ["(VAR " + " ".join(seen) + ")" if seen else "(VAR )"]
     lines.append("(RULES")
     for rule in trs.rules:
@@ -328,6 +316,18 @@ def unify(s: Term, t: Term) -> dict[Var, Term] | None:
     Callers must rename the two terms apart beforehand.  The occurs check is
     performed and the returned substitution is idempotent.
     """
+    subst = _bindings(s, t)
+    done: dict[Term, Term] = {}
+    return None if subst is None else {v: _instantiate(v, subst, done) for v in subst}
+
+
+def unifiable(s: Term, t: Term) -> bool:
+    """Whether ``unify`` finds a unifier, found without building it."""
+    return _bindings(s, t) is not None
+
+
+def _bindings(s: Term, t: Term) -> dict[Var, Term] | None:
+    """A unifier as an acyclic triangular substitution, or ``None``."""
     subst: dict[Var, Term] = {}
 
     def walk(u: Term) -> Term:
@@ -355,18 +355,14 @@ def unify(s: Term, t: Term) -> dict[Var, Term] | None:
         a, b = walk(a), walk(b)
         if a is b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
         if isinstance(a, Var):
             if occurs(a, b):
                 return None
             subst[a] = b
-        elif isinstance(b, Var):
-            if occurs(b, a):
-                return None
-            subst[b] = a
+        elif a.fun is not b.fun:
+            return None
         else:
-            if a.fun is not b.fun:
-                return None
             stack.extend(zip(a.args, b.args))
-
-    done: dict[Term, Term] = {}
-    return {v: _instantiate(v, subst, done, True) for v in subst}
+    return subst

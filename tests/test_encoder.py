@@ -518,7 +518,8 @@ ROT_QUASI = [
                          ids=[f"{k}-{size}" for k, size, _ in ROT_QUASI])
 def test_rot_quasi_dag_sizes(k, size, digest):
     # the sizes, and sha256 digests of the dumped formulas, which these
-    # _lex_two-heavy encodings pin byte for byte
+    # encodings, heavy in quasi lexicographic comparisons (four-part
+    # ``_compare`` keys, built by ``_build_lex_two``), pin byte for byte
     import hashlib
     enc = encode_rp_formula(_rot_problem(k), "thm12", "quasi")
     assert dag_size(enc.formula) == size

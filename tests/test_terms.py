@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termfilter.terms import (App, Rule, Symbol, Trs, Var, defined_symbols,
-                              format_trs, functions, substitute, subterms, unify, variables)
+                              format_trs, functions, subterms, unify, variables)
 from termfilter.tpdb import ParseError, UnsupportedBlockError, parse_trs
 
-from util import EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term, stack_depth
+from util import (EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term, stack_depth,
+                  substitute)
 
 
 def test_parse_division_system():
@@ -367,6 +368,19 @@ def test_intern_tables_release_dropped_terms():
         assert [len(table) for table in tables] == before
     finally:
         gc.enable()
+
+
+def test_a_late_callback_keeps_the_entry_of_a_rebuilt_key():
+    # a dead instance's callback may run after its key has been built
+    # again; it must leave the new instance's entry in place
+    x = Var("late_callback_x")
+    old = Var._table["late_callback_x"]
+    del x
+    assert "late_callback_x" not in Var._table
+    y = Var("late_callback_x")
+    Var._forget(old)  # the dead entry's callback, once more and late
+    assert Var._table["late_callback_x"]() is y
+    assert Var("late_callback_x") is y
 
 
 def test_threads_building_the_same_terms_get_one_object_each():

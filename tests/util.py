@@ -7,7 +7,7 @@ import itertools
 import random
 import sys
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
@@ -15,7 +15,8 @@ from termfilter.formula import AND, ATOM, FALSE, NOT, OR, TRUE, Formula, iter_no
 from termfilter.lowering import lower_atoms, structural_constraints
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.solver import SAT, UNKNOWN, UNSAT, SolveResult, _luby
-from termfilter.terms import App, Rule, Symbol, Term, Trs, Var, symbol_key
+from termfilter.terms import (App, Rule, Symbol, Term, Trs, Var, defined_symbols, symbol_key,
+                              unify, variables)
 from termfilter.tpdb import parse_trs
 
 EX2_TEXT = """
@@ -223,6 +224,54 @@ def parse_dimacs(text: str) -> Cnf:
 
 
 # ----------------------------------------------------------------------
+# substitution and the reference dependency graph
+
+def substitute(t: Term, mapping: Mapping[Var, Term]) -> Term:
+    """``t`` with every variable ``v`` in ``mapping`` replaced by
+    ``mapping[v]``, all at once, by an explicit post-order walk that
+    rebuilds each distinct subterm once."""
+    done: dict[Term, Term] = {}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in done:
+            stack.pop()
+        elif isinstance(u, Var):
+            done[u] = mapping.get(u, u)
+            stack.pop()
+        else:
+            missing = [a for a in u.args if a not in done]
+            if missing:
+                stack += missing
+            else:
+                done[u] = App(u.fun, tuple([done[a] for a in u.args]))
+                stack.pop()
+    return done[t]
+
+
+def reference_dependency_graph(problem) -> dict[int, tuple[int, ...]]:
+    """The estimated dependency graph the plain way: for every ordered pair
+    of pairs, cap the right side with fresh variables ``_c<k>``, rename the
+    left side apart to ``_u<k>``, and ask ``unify`` for a unifier."""
+    defined = defined_symbols(problem.rules)
+    pairs = problem.pairs.rules
+
+    def cap(t: Term, fresh: itertools.count) -> Term:
+        if isinstance(t, Var) or t.fun in defined:
+            return Var(f"_c{next(fresh)}")
+        return App(t.fun, tuple(cap(a, fresh) for a in t.args))
+
+    targets = [substitute(p.lhs, {v: Var(f"_u{k}") for k, v in enumerate(variables(p.lhs))})
+               for p in pairs]
+    graph = {}
+    for i, p in enumerate(pairs):
+        source = cap(p.rhs, itertools.count())
+        graph[i] = tuple(j for j, target in enumerate(targets)
+                         if unify(source, target) is not None)
+    return graph
+
+
+# ----------------------------------------------------------------------
 # random generators
 
 def random_signature(rng: random.Random, max_symbols: int = 3,
@@ -267,7 +316,6 @@ def random_trs(rng: random.Random, max_symbols: int = 4, max_rules: int = 3,
         var_names = ["x", "y"][:max(1, f.arity)]
         lhs = App(f, tuple(random_term(rng, symbols, var_names, depth - 1)
                            for _ in range(f.arity)))
-        from termfilter.terms import variables
         lhs_vars = [v.name for v in variables(lhs)]
         rhs = random_term(rng, symbols, lhs_vars, depth)
         try:
