@@ -19,15 +19,20 @@ The formula node of an atom is made from its object when first needed, and
 kept per number when the builder shares nodes.
 
 A branch whose body is one memoized comparison hands its guard literals
-to that comparison: ``_compare`` takes them, ``_enter``s them (``FALSE``
-when one is known false), builds or looks up the body under the extended
-context and conjoins it to the nodes of the literals not yet known.  Other
-branches call ``_enter`` themselves, and an implication calls ``_open`` for
-its guard and the context with the guard assumed.  No helper takes a body
-to call back, and ``_compare`` picks its builder in its own frame, so
-descending one level of a term costs two frames, ``_compare`` and
-``_build_tau``.  The order in which nodes are made fixes their ids, so a
-branch makes its literal nodes before its body.
+to that comparison: ``_compare`` takes them, enters them in place, a bit
+test per literal (``FALSE`` when one is known false), builds or looks up
+the body under the extended context and conjoins it to the nodes of the
+literals not yet known.  A loop over such branches tests each one's guard
+before the call, and appends the ``FALSE`` itself when the guard is known
+false.  The implications ``guard -> body`` of ``_roots_branch`` and
+``_lex_same`` open their guards in place too; other branches call
+``_enter``, and other implications ``_open``, for the guard node and the
+context with the guard assumed.  No helper takes a body to call back, and
+``_compare`` picks its builder in its own frame, so descending one level of
+a term costs two frames, ``_compare`` and ``_build_tau``.  The order in
+which nodes are made fixes their ids, so a branch makes its literal nodes
+before its body, and a guard known false or true still leaves its constant
+among the branches.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
 produces, in one cell per memoized comparison.  Terms and symbols are
@@ -37,19 +42,20 @@ themselves and hashing its key runs no Python code: ``(s, t)`` for τ, and
 and ``t`` from positions ``i`` and ``j`` on (``_build_lex_two``).  τ
 compares filtered terms: where the context knows ``f`` collapses onto
 ``i``, ``f(t1, ..., tn)`` filters to ``ti``, so ``_compare`` keys τ on
-these images (``_image``).  Lex keys need none: ``_roots_branch`` enters
-the list flags of both heads before it makes one.  A key holding the
-whole branch context would miss almost always, because every path to a
-comparison fixes different literals elsewhere.  So the cell keeps a mask
+these images (``_image``), which it looks for only when the context knows
+some collapse.  Lex keys need none: ``_roots_branch`` enters the list
+flags of both heads before it makes one.  A key holding the whole branch
+context would miss almost always, because every path to a comparison fixes
+different literals elsewhere.  So the cell keeps a mask
 of the atoms the comparison can read, made the first time a non-empty
 context reaches it, and its results keyed on the relation and the context
 cut down by that mask.  Each result is built under the cut-down context:
 every read answers as before, and hash-consing returns the same node the
 full context would have given.  The one mask rule (``_mask``): a
 comparison reads and assumes only atoms over the function symbols of the
-terms it compares (for a τ key, of the images, so fewer), which for
-``(s, t, i, j)`` are the argument suffixes, plus the filtering atoms of
-the two heads at those positions and later.
+terms it compares (for a τ key, of the images, so fewer; kept per pair of
+symbol sets), which for ``(s, t, i, j)`` are the argument suffixes, plus
+the filtering atoms of the two heads at those positions and later.
 
 For a mask to stay complete, meeting a symbol numbers at once every atom
 over it alone and every precedence atom between it and the symbols met
@@ -126,8 +132,12 @@ class EncodingContext:
         self._precedence: dict[tuple[Symbol, Symbol], tuple[int, int]] = {}
         # (f, g) -> both bits of each precedence atom between f and g
         self._between: dict[tuple[Symbol, Symbol], int] = {}
+        # the "known true" bits of every CollapsesTo atom
+        self._collapse_bits = 0
         # symbol set -> both bits of each atom over those symbols
         self._masks: dict[frozenset[Symbol], int] = {}
+        # (symbols of s, symbols of t) -> the mask of a τ key (s, t)
+        self._pair_masks: dict[tuple[frozenset[Symbol], frozenset[Symbol]], int] = {}
         # term -> its function symbols
         self._term_symbols: dict[Term, frozenset[Symbol]] = {}
         # one cell per memoized comparison, keyed (s, t) or (s, t, i, j):
@@ -173,6 +183,7 @@ class EncodingContext:
         positions_false = 0
         for a, c in zip(arg_in, collapses_to):
             positions_false |= 2 << 2 * a | 2 << 2 * c
+            self._collapse_bits |= 1 << 2 * c
         for a, c in zip(arg_in, collapses_to):
             implied[2 * list_p] |= 2 << 2 * c
             implied[2 * a + 1] |= 2 << 2 * c
@@ -288,11 +299,19 @@ class EncodingContext:
         those not yet known."""
         b = self.builder
         if literals:
-            entered = self._enter(ctx, literals)
-            if entered is None:
-                return b.FALSE
-            parts, ctx = entered
-        if ctx and len(key) == 2:
+            # ``_enter``, inline: a literal's two bits are 1 when its atom is
+            # known true, 2 when known false only, 0 when not known
+            parts: list[Formula] = []
+            for k, positive in literals:
+                bits = ctx >> 2 * k & 3
+                if not bits:
+                    node = self._nodes[k] or self._node(k)
+                    parts.append(node if positive else b.not_(node))
+                    if self.propagate:
+                        ctx |= self._implied[2 * k + (not positive)]
+                elif (bits == 2) == positive:
+                    return b.FALSE
+        if ctx & self._collapse_bits and len(key) == 2:
             key = (self._image(key[0], ctx), self._image(key[1], ctx))
         if b.share:
             cell = self._cells.get(key)
@@ -335,7 +354,11 @@ class EncodingContext:
         """The bits the comparison at ``key`` can read, by the one mask rule
         of the module docstring."""
         if len(key) == 2:
-            return self._readable(self._symbols_of(key[0]) | self._symbols_of(key[1]))
+            pair = (self._symbols_of(key[0]), self._symbols_of(key[1]))
+            mask = self._pair_masks.get(pair)
+            if mask is None:
+                mask = self._pair_masks[pair] = self._readable(pair[0] | pair[1])
+            return mask
         s, t, i, j = key
         mask = self._readable(_NO_SYMBOLS.union(
             *map(self._symbols_of, s.args[i - 1:] + t.args[j - 1:])))
@@ -348,7 +371,9 @@ class EncodingContext:
         # A branch below one comparison hands its guard literals to
         # ``_compare``, which enters them itself, so that descending one
         # level of a term costs two frames.  Plain loops, not comprehensions,
-        # make the calls: a comprehension is one more frame per level.
+        # make the calls: a comprehension is one more frame per level.  Each
+        # loop tests its guard first and, when it is known false, appends
+        # the FALSE that ``_compare`` would return.
         b = self.builder
         branches: list[Formula] = []
         if isinstance(s, Var):
@@ -358,20 +383,29 @@ class EncodingContext:
                 return b.TRUE if s == t else b.FALSE
             # a variable only weakly exceeds a collapsed application
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                branches.append(self._compare((s, a), GE, ctx, ((k, True),)))
+                if ctx >> 2 * k & 3 == 2:
+                    branches.append(b.FALSE)
+                else:
+                    branches.append(self._compare((s, a), GE, ctx, ((k, True),)))
             return b.or_(branches)
 
         f = self._meet(s.fun)
         if isinstance(t, App):
             # target root collapsed away
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
-                branches.append(self._compare((s, a), rel, ctx, ((k, True),)))
+                if ctx >> 2 * k & 3 == 2:
+                    branches.append(b.FALSE)
+                else:
+                    branches.append(self._compare((s, a), rel, ctx, ((k, True),)))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
-            branches.append(self._compare((a, t), rel, ctx, ((k, True),)))
+            if ctx >> 2 * k & 3 == 2:
+                branches.append(b.FALSE)
+            else:
+                branches.append(self._compare((a, t), rel, ctx, ((k, True),)))
         # source kept: some kept argument already weakly exceeds t
         entered = self._enter(ctx, ((f.list_p, True),))
         if entered is None:
@@ -380,7 +414,10 @@ class EncodingContext:
         kept_parts, kept_ctx = entered
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
-            kept.append(self._compare((a, t), GE, kept_ctx, ((k, True),)))
+            if kept_ctx >> 2 * k & 3 == 2:
+                kept.append(b.FALSE)
+            else:
+                kept.append(self._compare((a, t), GE, kept_ctx, ((k, True),)))
         kept_parts.append(b.or_(kept))
         branches.append(b.and_(kept_parts))
         return b.or_(branches)
@@ -405,14 +442,17 @@ class EncodingContext:
             lex = self._compare((s, t, 1, 1), rel, ctx, ((eq, True),))
             # the lex branch is built before the precedence atom's node
             parts.append(b.or_([self._atom(ctx, gt), lex]))
+        # each kept argument of t: ``_open``, inline
         for k, a in zip(g_atoms.arg_in, t.args):
-            opened = self._open(ctx, k)
-            if opened is None:
+            bits = ctx >> 2 * k & 3
+            if bits == 2:
                 parts.append(b.TRUE)
-                continue
-            guard, c = opened
-            below = self._compare((s, a), GT, c)
-            parts.append(below if guard is None else b.implies(guard, below))
+            elif bits:
+                parts.append(self._compare((s, a), GT, ctx))
+            else:
+                guard = self._nodes[k] or self._node(k)
+                parts.append(b.implies(guard, self._compare(
+                    (s, a), GT, self._assume(ctx, k, True))))
         return b.and_(parts)
 
     def _lex_same(self, f: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
@@ -425,15 +465,16 @@ class EncodingContext:
         b = self.builder
         steps: list[tuple[Formula, Formula]] = []
         for k, s_i, t_i in zip(self._meet(f).arg_in, ss, ts):
+            bits = ctx >> 2 * k & 3
+            if bits == 2:
+                steps.append((b.FALSE, b.TRUE))
+                continue
             first = self._compare((s_i, t_i), GT, ctx, ((k, True),))
-            opened = self._open(ctx, k)
-            if opened is None:
-                hold = b.TRUE
+            if bits:
+                hold = self._compare((s_i, t_i), GE, ctx)
             else:
-                guard, c = opened
-                hold = self._compare((s_i, t_i), GE, c)
-                if guard is not None:
-                    hold = b.implies(guard, hold)
+                hold = b.implies(self._nodes[k] or self._node(k), self._compare(
+                    (s_i, t_i), GE, self._assume(ctx, k, True)))
             steps.append((first, hold))
         rest = b.FALSE if rel == GT else b.TRUE
         for first, hold in reversed(steps):
