@@ -64,6 +64,7 @@ before.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -86,6 +87,14 @@ literal ``(k, positive)`` is bit ``2k + (not positive)``."""
 EMPTY_CTX: Ctx = 0
 
 _NO_SYMBOLS: frozenset[Symbol] = frozenset()
+
+DEADLINE_BUILDS = 256
+"""A context with a deadline looks at the clock once per this many builds."""
+
+
+class _OutOfTime(Exception):
+    """Raised by a build past the context's deadline; the caller reports a
+    timeout."""
 
 
 class SymbolAtoms:
@@ -116,12 +125,16 @@ class EncodingContext:
     tables."""
 
     def __init__(self, mode: str = "strict", *, simplify: bool = True,
-                 share: bool = True, propagate: bool = True):
+                 share: bool = True, propagate: bool = True,
+                 deadline: float | None = None):
         if mode not in ("strict", "quasi"):
             raise ValueError(f"mode must be 'strict' or 'quasi', got {mode!r}")
         self.mode = mode
         self.builder = FormulaBuilder(simplify=simplify, share=share)
         self.propagate = propagate
+        # a ``time.monotonic`` value, and the builds made so far
+        self.deadline = deadline
+        self._builds = 0
         # per atom number k: the atom and its formula node once made
         self._atoms: list = []
         self._nodes: list[Formula | None] = []
@@ -138,8 +151,9 @@ class EncodingContext:
         self._masks: dict[frozenset[Symbol], int] = {}
         # (symbols of s, symbols of t) -> the mask of a τ key (s, t)
         self._pair_masks: dict[tuple[frozenset[Symbol], frozenset[Symbol]], int] = {}
-        # term -> its function symbols
+        # term -> its function symbols, and term -> its variables
         self._term_symbols: dict[Term, frozenset[Symbol]] = {}
+        self._term_variables: dict[Term, frozenset[Var]] = {}
         # one cell per memoized comparison, keyed (s, t) or (s, t, i, j):
         # [the bits it can read, or None until a non-empty context reaches
         # it; {(rel, cut context): formula}]
@@ -326,6 +340,10 @@ class EncodingContext:
             results = {}
         result = results.get((rel, ctx))
         if result is None:
+            if self.deadline is not None:
+                self._builds += 1
+                if not self._builds % DEADLINE_BUILDS and time.monotonic() > self.deadline:
+                    raise _OutOfTime
             if len(key) == 2:
                 result = self._build_tau(key[0], key[1], rel, ctx)
             else:
@@ -381,8 +399,13 @@ class EncodingContext:
                 return b.FALSE
             if isinstance(t, Var):
                 return b.TRUE if s == t else b.FALSE
-            # a variable only weakly exceeds a collapsed application
+            # a variable only weakly exceeds an application collapsed onto
+            # an argument that contains the variable
+            if s not in self._variables_of(t):
+                return b.FALSE
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
+                if s not in self._variables_of(a):
+                    continue
                 if ctx >> 2 * k & 3 == 2:
                     branches.append(b.FALSE)
                 else:
@@ -399,9 +422,17 @@ class EncodingContext:
                     branches.append(self._compare((s, a), rel, ctx, ((k, True),)))
             # both roots kept: compare heads, guard every kept argument of t
             branches.append(self._roots_branch(s, t, rel, ctx))
+            x = None
+        elif t in self._variables_of(s):
+            # s exceeds a variable only through arguments that contain it
+            x = t
+        else:
+            return b.FALSE
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
+            if x is not None and x not in self._variables_of(a):
+                continue
             if ctx >> 2 * k & 3 == 2:
                 branches.append(b.FALSE)
             else:
@@ -414,6 +445,8 @@ class EncodingContext:
         kept_parts, kept_ctx = entered
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
+            if x is not None and x not in self._variables_of(a):
+                continue
             if kept_ctx >> 2 * k & 3 == 2:
                 kept.append(b.FALSE)
             else:
@@ -482,28 +515,20 @@ class EncodingContext:
         return rest
 
     def _symbols_of(self, t: Term) -> frozenset[Symbol]:
-        """Function symbols of ``t``, each subterm's set built once from its
-        arguments' sets, by an explicit post-order walk."""
-        memo = self._term_symbols
-        syms = memo.get(t)
-        if syms is not None:
-            return syms
-        stack = [t]
-        while stack:
-            u = stack[-1]
-            if u in memo:
-                stack.pop()
-            elif isinstance(u, Var):
-                memo[u] = _NO_SYMBOLS
-                stack.pop()
-            else:
-                missing = [a for a in u.args if a not in memo]
-                if missing:
-                    stack += missing
-                else:
-                    memo[u] = frozenset((u.fun,)).union(*[memo[a] for a in u.args])
-                    stack.pop()
-        return memo[t]
+        """Function symbols of ``t``."""
+        syms = self._term_symbols.get(t)
+        if syms is None:
+            syms = _collect(t, self._term_symbols, lambda v: _NO_SYMBOLS,
+                            lambda u: frozenset((u.fun,)))
+        return syms
+
+    def _variables_of(self, t: Term) -> frozenset[Var]:
+        """Variables of ``t``."""
+        xs = self._term_variables.get(t)
+        if xs is None:
+            xs = _collect(t, self._term_variables, lambda v: frozenset((v,)),
+                          lambda u: frozenset())
+        return xs
 
     def _build_lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx) -> Formula:
         """Lexicographic comparison of the arguments of ``s`` from ``i`` on
@@ -544,6 +569,28 @@ class EncodingContext:
         return b.or_(branches)
 
 
+def _collect(t: Term, memo: dict[Term, frozenset], of_var, of_app) -> frozenset:
+    """The set ``memo`` keeps for ``t``: ``of_var(v)`` for a variable, and
+    ``of_app(u)`` joined with its arguments' sets for an application.  Each
+    subterm's set is built once, by an explicit post-order walk."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+        elif isinstance(u, Var):
+            memo[u] = of_var(u)
+            stack.pop()
+        else:
+            missing = [a for a in u.args if a not in memo]
+            if missing:
+                stack += missing
+            else:
+                memo[u] = of_app(u).union(*[memo[a] for a in u.args])
+                stack.pop()
+    return memo[t]
+
+
 @dataclass(frozen=True)
 class RpEncoding:
     """A reduction-pair search problem as a single formula.  ``symbols``
@@ -560,7 +607,7 @@ class RpEncoding:
 
 def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
                       mode: str = "strict", *, simplify: bool = True, share: bool = True,
-                      propagate: bool = True) -> RpEncoding:
+                      propagate: bool = True, deadline: float | None = None) -> RpEncoding:
     """Formula whose models are the orderings accepted by the reduction pair
     processor: every pair weakly decreasing, at least one strictly, and the
     usable rules weakly decreasing.
@@ -576,16 +623,26 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     their orientation is required outright.  With ``processor="thm12"`` rule
     orientation is conditional on per-symbol usability flags that track which
     rules survive under the chosen filtering.
+
+    Past ``deadline``, a ``time.monotonic`` value, encoding gives up with
+    ``_OutOfTime`` within ``DEADLINE_BUILDS`` builds; with no deadline it
+    never reads the clock.
     """
     from . import usable as U
 
     if processor not in ("thm5", "thm12"):
         raise ValueError(f"processor must be 'thm5' or 'thm12', got {processor!r}")
-    ctx = EncodingContext(mode, simplify=simplify, share=share, propagate=propagate)
+    ctx = EncodingContext(mode, simplify=simplify, share=share, propagate=propagate,
+                          deadline=deadline)
     b = ctx.builder
     pairs = problem.pairs.rules
     usable = U.usable_rules(problem.pairs, problem.rules)
     usable_syms: tuple[Symbol, ...] = ()
+    # pruned branches read no atom, so the round meets up front every
+    # symbol that the model replay and the proof read
+    for f in sorted(_NO_SYMBOLS.union(*[ctx._symbols_of(side) for r in pairs + usable
+                                        for side in (r.lhs, r.rhs)]), key=symbol_key):
+        ctx._meet(f)
 
     parts: list[Formula] = []
     if processor == "thm5":

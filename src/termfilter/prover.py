@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cnf import tseitin_cnf, write_dimacs
 from .dp import DpProblem, dependency_pairs, scc_decompose
-from .encoder import encode_rp_formula
+from .encoder import _OutOfTime, encode_rp_formula
 from .formula import dump
 from .lowering import (DecodedModel, VarMap, decode_model, lower_atoms,
                        structural_constraints)
@@ -101,13 +101,18 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
                              session: _Session | None = None) -> RpOutcome:
     """One SAT round: encode, solve, decode, verify, and drop the strictly
     decreasing pairs.  ``unsat`` and ``timeout`` outcomes leave the problem
-    untouched; an encoding that ends past the deadline is neither lowered
-    nor solved, and a CNF whose lowering ends past it is not solved."""
+    untouched; an encoding that runs past the deadline gives up, one that
+    ends past it is neither lowered nor solved, and a CNF whose lowering
+    ends past it is not solved."""
     session = session or _Session(config)
     if not problem.pairs.rules:
         return RpOutcome("empty")
 
-    enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode)
+    try:
+        enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode,
+                                deadline=session.deadline)
+    except _OutOfTime:
+        return RpOutcome("timeout")
     if session.out_of_time():
         return RpOutcome("timeout")
     vm = VarMap(enc.symbols, len(problem.pairs.rules), enc.usable_symbols)

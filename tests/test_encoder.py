@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 
@@ -6,11 +7,14 @@ import pytest
 
 from termfilter import atoms as A
 from termfilter.cnf import write_dimacs
-from termfilter.encoder import EMPTY_CTX, GE, GT, EncodingContext, encode_rp_formula
+from termfilter import encoder
+from termfilter.encoder import (DEADLINE_BUILDS, EMPTY_CTX, GE, GT, EncodingContext,
+                                encode_rp_formula)
 from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.formula import dag_size, dump
 from termfilter.lowering import VarMap
 from termfilter.orders import lpo_af_ge, lpo_af_gt
+from termfilter.prover import ProverConfig, Timeout, prove
 from termfilter.terms import App, Rule, Symbol, Trs, Var
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
@@ -204,6 +208,41 @@ def test_encoder_matches_oracle_exhaustively(mode, propagate):
         f_ge = ctx.tau_ge(s, t)
         for prec in precs[:: 3]:
             for pi in pis[:: 5]:
+                env = concrete_atom_value(prec, pi)
+                assert evaluate(f_gt, env) == lpo_af_gt(prec, pi, mode, s, t), \
+                    (mode, str(s), str(t), prec, pi)
+                assert evaluate(f_ge, env) == lpo_af_ge(prec, pi, mode, s, t), \
+                    (mode, str(s), str(t), prec, pi)
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+@pytest.mark.parametrize("propagate", [True, False])
+@pytest.mark.parametrize("simplify", [True, False])
+def test_occurrence_pruning_matches_oracle_exhaustively(mode, propagate, simplify):
+    """Comparisons with a variable on one side, which the encoder answers
+    through the arguments that contain the variable only, against the
+    filtered order under every precedence and filtering of c, g and h."""
+    c, g, h = Symbol("c", 0), Symbol("g", 1), Symbol("h", 2)
+    cc = mk(c)
+    terms = [
+        mk(h, mk(g, X), Y),
+        mk(g, mk(h, X, cc)),
+        mk(h, cc, mk(g, mk(g, Y))),
+        mk(h, mk(h, cc, X), mk(g, cc)),
+        mk(h, mk(g, Y), mk(h, X, Y)),
+    ]
+    cases = [pair for t in terms for v in (X, Y) for pair in ((t, v), (v, t))]
+    # the variable is met below the root, in a kept or a collapsed argument
+    cases += [(terms[0], mk(g, X)), (terms[1], mk(h, Y, X)), (mk(g, X), terms[2]),
+              (terms[4], mk(g, X)), (mk(h, X, Y), terms[3])]
+    precs = list(all_precedences([c, g, h]))
+    pis = list(all_filterings([c, g, h]))
+    for s, t in cases:
+        ctx = EncodingContext(mode, simplify=simplify, propagate=propagate)
+        f_gt = ctx.tau_gt(s, t)
+        f_ge = ctx.tau_ge(s, t)
+        for prec in precs:
+            for pi in pis:
                 env = concrete_atom_value(prec, pi)
                 assert evaluate(f_gt, env) == lpo_af_gt(prec, pi, mode, s, t), \
                     (mode, str(s), str(t), prec, pi)
@@ -506,11 +545,11 @@ def test_tower_skips_collapsed_levels(monkeypatch, mode):
 
 
 ROT_QUASI = [
-    (3, 184, "eed948cd3cca53dca6300385c211045c5255e74ac400d41dcb60ccaae9b102ec"),
-    (4, 252, "a9c563dfcf59ae487ab82f3d4058ac78d2f74a3f3fcd8c8db6e6252ab148016b"),
-    (5, 332, "db7335c8d2c74b2a93737ed994d73b0e9f77e59dd69e0ef8b38fbbd330db37c5"),
-    (6, 424, "74a89399fedda573ceca9e53924f9142e89d0883f14b8f3d5f4bc10fc2612de9"),
-    (7, 528, "d4384bf431bc94ad51042dd57b10944c053f69f4643168d776abea7c85caa592"),
+    (3, 184, "3d9784feee9d85567693528ab202a0e459d10deb0fae639ac86e3dc2d8846420"),
+    (4, 252, "fedff49f8d14a5eb02076ca7a211198075bca0409c8298ba3d27287cdff0ac31"),
+    (5, 332, "794493591fa16fcbc43ffcc7c4a4d7b203ca33536523753e09878a04f25a4cbd"),
+    (6, 424, "5ff237155c79ed01ba5e7117f9d74a2ec3f4df22d681ffe2e335351db7b4f984"),
+    (7, 528, "0b0f3c494391328eaf59210ecbaf664e9079c0836dd8291a10811e49c2b50514"),
 ]
 
 
@@ -583,15 +622,20 @@ def test_encoder_descends_at_most_two_frames_per_level(mode):
         sys.setrecursionlimit(limit)
 
 
+def _wide_problem(n):
+    # f(s(x1), x2, ..., xn) -> f(x1, ..., xn)
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    trs = parse_trs(f"(VAR {' '.join(xs)})(RULES f(s(x1),{','.join(xs[1:])}) -> "
+                    f"f({','.join(xs)}))")
+    return DpProblem(dependency_pairs(trs), trs)
+
+
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 def test_encoder_descends_no_frame_per_argument_position(mode):
     # f(s(x1), x2, ..., x200) -> f(x1, ..., x200) with 60 frames to spare;
     # a lexicographic comparison that recurses once per argument position
     # needs 200 more and fails here
-    xs = [f"x{i}" for i in range(1, 201)]
-    trs = parse_trs(f"(VAR {' '.join(xs)})(RULES f(s(x1),{','.join(xs[1:])}) -> "
-                    f"f({','.join(xs)}))")
-    problem = DpProblem(dependency_pairs(trs), trs)
+    problem = _wide_problem(200)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 60)
     try:
@@ -600,12 +644,69 @@ def test_encoder_descends_no_frame_per_argument_position(mode):
         sys.setrecursionlimit(limit)
 
 
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+def test_wide_pair_compares_each_variable_through_its_argument(monkeypatch, mode):
+    # f(s(x1), x2, ..., x200) -> f(x1, ..., x200) takes 2,809 comparisons in
+    # strict mode and 2,815 in quasi mode; an encoder that compares the left
+    # side's every argument with each x_i takes about 123,600
+    calls = 0
+    inner = EncodingContext._compare
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return inner(self, *args)
+
+    monkeypatch.setattr(EncodingContext, "_compare", counted)
+    encode_rp_formula(_wide_problem(200), "thm12", mode)
+    assert 0 < calls <= 4000
+
+
+def _count_builds(monkeypatch):
+    """Count the builds of every context: the calls of both builders."""
+    builds = [0]
+    for name in ("_build_tau", "_build_lex_two"):
+        def counted(self, *args, inner=getattr(EncodingContext, name)):
+            builds[0] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(EncodingContext, name, counted)
+    return builds
+
+
+def test_encoder_gives_up_within_a_clock_period_past_the_deadline(monkeypatch):
+    # a clock that runs out after the 300th build; rot7 quasi makes 651
+    builds = _count_builds(monkeypatch)
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            return math.inf if builds[0] >= 300 else -math.inf
+
+    monkeypatch.setattr(encoder, "time", Clock)
+    verdict = prove(_rot_problem(7).rules, ProverConfig(mode="quasi", timeout=60))
+    assert isinstance(verdict, Timeout)
+    assert 300 <= builds[0] <= 300 + DEADLINE_BUILDS
+
+
+def test_encoder_without_deadline_never_reads_the_clock(monkeypatch):
+    builds = _count_builds(monkeypatch)
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            raise AssertionError("clock read")
+
+    monkeypatch.setattr(encoder, "time", Clock)
+    encode_rp_formula(_rot_problem(7), "thm12", "quasi")
+    assert builds[0] > DEADLINE_BUILDS
+
+
 ABLATION_DIGESTS = {
-    "EX2": "3bc8a445f5d3ef2d9bb71d8b7aba80fd3676de74b94226d388749a972688cb0b",
-    "EX13": "82a78b634a51a12c49981bd8f57a027d3a726faa0884c7fa7ab6678bde8aeabd",
-    "ACKERMANN": "043c696ccfa02a62c426dd5ebfdbdc5f370946af82bbcee47b108ca7e9301459",
-    "REVERSE": "03eb332b23d0d4fba0f719dc60787a24515e99fc44bf7e67898a0bd001109a7f",
-    "SHUFFLE": "fb424c5ecbd93861a8f3a1337661340e492a3e10275cac942cdc056e375c2867",
+    "EX2": "027fea28d06c2609a6bdd9b9e1ca34cf2424af960b8addcd83092858c8526399",
+    "EX13": "1ee5e14a661f13562bc6d5b2d21fd37e4b10a5615f3259cc92021bb5f96f014d",
+    "ACKERMANN": "7da095ee5eeb898559901278eed97edba9134cba351ee58c730a3ab175f18b8e",
+    "REVERSE": "118eec6c3d9a3b9653aa37bf79f0e7a283a87bd91d88df12e8a0ef266b2c3c52",
+    "SHUFFLE": "8172b67f9ee66ea3e5f7c6c50da8bccb5a3e2fb9437156a67daa4425b102cb45",
 }
 
 
@@ -613,11 +714,11 @@ ABLATION_DIGESTS = {
 # lowers them; under some settings Tseitin's raw clauses hold repeated
 # literals and tautologies, so these also pin what ``Cnf`` drops
 CNF_DIGESTS = {
-    "EX2": "0e2e39c6b5bfd1d5d65af85ad92987abc198c9f06c65b872e7ff37b3556acb7c",
-    "EX13": "8638152a30a23efa452d0f4b8242a86a9ce3c7e5f5857a9de0e0cf12d3d701de",
-    "ACKERMANN": "54ef8d2535b0b54e3aa6f795ce38241381362b16f6d9e920dc1fb03f078592e1",
-    "REVERSE": "c52bd6f07a81390e81252692550ef84458f7a3db15fd48b60b32a13ad1ceda62",
-    "SHUFFLE": "fe459fde7d0e1e3e8f349a6aa40aa202677503e5cfc3d910f260b11351c9c104",
+    "EX2": "53f252e1c28de4696d917e3149d20cf0c3c4250c403ecfaf957d3ed3522cb4c6",
+    "EX13": "db05c67dc0119dc87f70fb958111f678abb10cffbbdeda6f61bbc4660948b662",
+    "ACKERMANN": "8cc90e0665a303f231d30143285265d6455f563f5f1a1553ae21b5b2c9f2a42a",
+    "REVERSE": "fe283b301b09ffb02b048e7ea5b4ba3184d5ce77cbc1dc52ac25f630d0eb08ca",
+    "SHUFFLE": "9753a0199561c165e18d63578ca422833799d895bd944bfc3cbbad04dbce2587",
 }
 
 
@@ -625,16 +726,16 @@ CNF_DIGESTS = {
 # default switches, over both modes and both processors; these hold while a
 # change of the encoder moves only the ablation settings
 DEFAULT_DIGESTS = {
-    "EX2": ("4e91e655ec0788ad927bb6f6c1577ac64dbd170f39ec21733c6f8da89ed6bb0a",
-            "935cf0f85b7f1a17021e52dc6b106c4746b0d3b4f678fb16ed6acec5b6d018bb"),
-    "EX13": ("29d967357692d4380487461b8937a0209c5e5583b32b332da18ce3f292b38109",
-             "ed82bd42b972fdcef49fa507ac2dfce47cd064084e75b338060164a59353985d"),
-    "ACKERMANN": ("363014a213be6da407ee5bb995594247809b47b7fae15f219b35ffa644f8cb7f",
-                  "61b68ceb9ca7c71a350419e8b4294d5872a9433bafe9943c60174dd6282ea609"),
-    "REVERSE": ("2f5abc7ef05c238b62a3ba285a0c18e6a624ea469c7464596f427f90d31896b7",
-                "0d7f7259bf56f3bc44ea1504c8b1b46eca9461d942edf4fcf2fda13b9dbcef21"),
-    "SHUFFLE": ("6167a308fc7290f43c3e62edc905ac23887f882c4e2e7c2edfb0324559d415f6",
-                "ba8e9436f18afa40b9b0be71403b7f2355aca8300dd753b13f288dead13bbd95"),
+    "EX2": ("3d36c22ca4ae0bcf097f263d208165c59392fc52120df53819e74c973df13b1f",
+            "296a6e9d8bf8344761fc7880599a4dd2518e15e72f7c33c1224695ba48ecea9c"),
+    "EX13": ("cd5c945983079aca36bd7d48cf784c2b4e6cce8cadf95fd5a18e254d28d82191",
+             "ab4c6a02cfe153f35f740c9987fc1b73c67742055dd1c0e00acfd3162c5c5296"),
+    "ACKERMANN": ("d61882551329926cb792e2b8b8ec419a4e4299d453a1be9cf9859710881753a7",
+                  "f10ef28b296202856e9c11caee82e7a992b0d6f0fa25fc7049520ad7d6fc8a47"),
+    "REVERSE": ("9981e72579839efbc8a1f11e92585998cf594e4b980a249c9771d0d9ffa596e2",
+                "73d736b0b675692f5aa75f194e2e027753224a8c0af9d6e785444eac23f8563f"),
+    "SHUFFLE": ("9ce333b3941d3494c8b1b4013d0f8f2e64727274e3a7bd9d48d995dfde927a04",
+                "914e0586d13f98cc8d6fadd4602ae5d909cd7e3dd6b93cefa9016405b4620b8f"),
 }
 
 
