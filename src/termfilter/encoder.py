@@ -31,8 +31,8 @@ context with the guard assumed.  No helper takes a body to call back, and
 ``_compare`` picks its builder in its own frame, so descending one level of
 a term costs two frames, ``_compare`` and ``_build_tau``.  The order in
 which nodes are made fixes their ids, so a branch makes its literal nodes
-before its body, and a guard known false or true still leaves its constant
-among the branches.
+before its body, and a guard tested in place leaves the constant the call
+would have returned among the branches.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
 produces, in one cell per memoized comparison.  Terms and symbols are
@@ -46,10 +46,10 @@ these images (``_image``), which it looks for only when the context knows
 some collapse.  Lex keys need none: ``_roots_branch`` enters the list
 flags of both heads before it makes one.  A key holding the whole branch
 context would miss almost always, because every path to a comparison fixes
-different literals elsewhere.  So the cell keeps a mask
-of the atoms the comparison can read, made the first time a non-empty
-context reaches it, and its results keyed on the relation and the context
-cut down by that mask.  Each result is built under the cut-down context:
+different literals elsewhere.  So the cell keeps a mask of the atoms the
+comparison can read, made the first time a non-empty context reaches it,
+and its results keyed on the relation and the context cut down by that
+mask.  Each result is built under the cut-down context:
 every read answers as before, and hash-consing returns the same node the
 full context would have given.  The one mask rule (``_mask``): a
 comparison reads and assumes only atoms over the function symbols of the
@@ -60,6 +60,21 @@ the filtering atoms of the two heads at those positions and later.
 For a mask to stay complete, meeting a symbol numbers at once every atom
 over it alone and every precedence atom between it and the symbols met
 before.
+
+Occurrence pruning.  A filtering only deletes, and the LPO's variable
+condition says ``s ≥ x`` for a variable ``x`` only if ``x`` occurs in the
+filtered ``s``.  So ``x ≥ f(t1, ..., tn)`` holds only through a collapse of
+``f`` onto an argument that contains ``x``, and ``s > x`` and ``s ≥ x``
+only through arguments of ``s`` that contain ``x``; ``_build_tau`` skips
+every other argument, by variable sets memoized per term
+(``_variables_of``).  A skipped argument meets no symbol, so
+``encode_rp_formula`` meets every symbol of the round's pairs and
+classically usable rules up front, in ``symbol_key`` order: the model
+replay and the proof read them all.
+
+Given a deadline, the miss path of ``_compare`` reads the clock once per
+``DEADLINE_BUILDS`` builds and, past the deadline, unwinds the whole
+encoding with ``_OutOfTime``.
 """
 
 from __future__ import annotations
