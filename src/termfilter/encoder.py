@@ -24,8 +24,10 @@ test per literal (``FALSE`` when one is known false), builds or looks up
 the body under the extended context and conjoins it to the nodes of the
 literals not yet known.  A loop over such branches tests each one's guard
 before the call, and appends the ``FALSE`` itself when the guard is known
-false.  The implications ``guard -> body`` of ``_roots_branch`` and
-``_lex_same`` open their guards in place too; other branches call
+false.  The kept branch of ``_build_tau`` enters its ``list_p`` literal,
+and ``_roots_branch`` its head literals, the same way, and the
+implications ``guard -> body`` of ``_roots_branch`` and ``_lex_same``
+open their guards in place too; other branches call
 ``_enter``, and other implications ``_open``, for the guard node and the
 context with the guard assumed.  No helper takes a body to call back, and
 ``_compare`` picks its builder in its own frame, so descending one level of
@@ -452,12 +454,18 @@ class EncodingContext:
                 branches.append(b.FALSE)
             else:
                 branches.append(self._compare((a, t), rel, ctx, ((k, True),)))
-        # source kept: some kept argument already weakly exceeds t
-        entered = self._enter(ctx, ((f.list_p, True),))
-        if entered is None:
+        # source kept: some kept argument already weakly exceeds t; its
+        # literal entered in place, as ``_compare`` enters its own
+        kept_parts: list[Formula] = []
+        kept_ctx = ctx
+        bits = ctx >> 2 * f.list_p & 3
+        if bits == 2:
             branches.append(b.FALSE)
             return b.or_(branches)
-        kept_parts, kept_ctx = entered
+        if not bits:
+            kept_parts.append(self._nodes[f.list_p] or self._node(f.list_p))
+            if self.propagate:
+                kept_ctx |= self._implied[2 * f.list_p]
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
             if x is not None and x not in self._variables_of(a):
@@ -474,15 +482,21 @@ class EncodingContext:
         b = self.builder
         f, g = s.fun, t.fun
         g_atoms = self._meet(g)
-        literals = [(self._meet(f).list_p, True)]
+        heads = [self._meet(f).list_p]
         if f != g:
-            literals.append((g_atoms.list_p, True))
+            heads.append(g_atoms.list_p)
             if self.mode == "strict":
-                literals.append((self._precedence[f, g][0], True))
-        entered = self._enter(ctx, literals)
-        if entered is None:
-            return b.FALSE
-        parts, ctx = entered
+                heads.append(self._precedence[f, g][0])
+        # the head literals, all positive, entered in place
+        parts: list[Formula] = []
+        for k in heads:
+            bits = ctx >> 2 * k & 3
+            if not bits:
+                parts.append(self._nodes[k] or self._node(k))
+                if self.propagate:
+                    ctx |= self._implied[2 * k]
+            elif bits == 2:
+                return b.FALSE
         if f == g:
             parts.append(self._lex_same(f, s.args, t.args, rel, ctx))
         elif self.mode == "quasi":
