@@ -739,6 +739,24 @@ DEFAULT_DIGESTS = {
 }
 
 
+# per system, the digests of the formulas and of their DIMACS text under the
+# four settings with ``simplify`` off, over both modes and both processors.
+# Without folding, the encoder builds every branch: a change that stops a
+# disjunction or a conjunction early must leave these as they are
+RAW_DIGESTS = {
+    "EX2": ("e550bef89d304bf48b0fae05806d9c2111977b261d42df9db5f2237db815cd30",
+            "08bd970a961c8ce581bc7558ef337a2afec47445377c80105b9b57abcd03c918"),
+    "EX13": ("69981aa7613cb10db2c044b436c3cedc3da55d6bd288291c7db1121d2b99002e",
+             "3370357ec5eeed9b0aefdf5845dd136253865aa3157f428d07f2aff835b97b42"),
+    "ACKERMANN": ("0c2a649863aa5dd384ebca4877528c380d60ce8e21bd70d36960bb688ffc14b6",
+                  "9db7b6803450939b2b11ce40bd87459652c395d06fb285658dc2a9dee52cd3a9"),
+    "REVERSE": ("7807bf8b3040a45dbce4f365e878ab0ebfde36387b4c72de46733185ca9f3b74",
+                "ba089b5aec55fd2a82fe7477f25847bb7046218b0c24a41be8ebb564941f09a1"),
+    "SHUFFLE": ("784ed5fbdfb7092f52f4b007c03d42cb716d3043eaaeb26fb13c0dcd3a3b5330",
+                "1c39a12f862db719db0b8c990be800c31db5670e74b52dd37098a676f576fda9"),
+}
+
+
 def _pinned_digests(problem, settings):
     import hashlib
     digest = hashlib.sha256()
@@ -773,3 +791,12 @@ def test_encoder_output_pinned_under_every_ablation(name, text):
     problem = DpProblem(dependency_pairs(trs), trs)
     assert _pinned_digests(problem, list(itertools.product((True, False), repeat=3))) == \
         (ABLATION_DIGESTS[name], CNF_DIGESTS[name])
+
+
+@pytest.mark.parametrize("name,text", zip(RAW_DIGESTS, PAPER_SYSTEMS), ids=list(RAW_DIGESTS))
+def test_encoder_output_pinned_without_simplification(name, text):
+    trs = parse_trs(text)
+    problem = DpProblem(dependency_pairs(trs), trs)
+    settings = [(False, share, propagate)
+                for share, propagate in itertools.product((True, False), repeat=2)]
+    assert _pinned_digests(problem, settings) == RAW_DIGESTS[name]
