@@ -148,6 +148,11 @@ class EncodingContext:
             raise ValueError(f"mode must be 'strict' or 'quasi', got {mode!r}")
         self.mode = mode
         self.builder = FormulaBuilder(simplify=simplify, share=share)
+        # the constants at which construction stops a disjunction and a
+        # conjunction, which the builder folds to them whatever the other
+        # parts are; ``None`` when it keeps constants as children
+        self._decides_or = self.builder.TRUE if simplify else None
+        self._decides_and = self.builder.FALSE if simplify else None
         self.propagate = propagate
         # a ``time.monotonic`` value, and the builds made so far
         self.deadline = deadline
@@ -366,7 +371,7 @@ class EncodingContext:
             else:
                 result = self._build_lex_two(key[0], key[1], key[2], key[3], rel, ctx)
             results[rel, ctx] = result
-        if not literals:
+        if not literals or result is self._decides_and:
             return result
         parts.append(result)
         return b.and_(parts)
@@ -408,8 +413,10 @@ class EncodingContext:
         # level of a term costs two frames.  Plain loops, not comprehensions,
         # make the calls: a comprehension is one more frame per level.  Each
         # loop tests its guard first and, when it is known false, appends
-        # the FALSE that ``_compare`` would return.
+        # the FALSE that ``_compare`` would return.  Each disjunction stops
+        # at its first branch that decides it.
         b = self.builder
+        decides_or = self._decides_or
         branches: list[Formula] = []
         if isinstance(s, Var):
             if rel == GT:
@@ -425,8 +432,11 @@ class EncodingContext:
                     continue
                 if ctx >> 2 * k & 3 == 2:
                     branches.append(b.FALSE)
-                else:
-                    branches.append(self._compare((s, a), GE, ctx, ((k, True),)))
+                    continue
+                branch = self._compare((s, a), GE, ctx, ((k, True),))
+                if branch is decides_or:
+                    return branch
+                branches.append(branch)
             return b.or_(branches)
 
         f = self._meet(s.fun)
@@ -435,10 +445,16 @@ class EncodingContext:
             for k, a in zip(self._meet(t.fun).collapses_to, t.args):
                 if ctx >> 2 * k & 3 == 2:
                     branches.append(b.FALSE)
-                else:
-                    branches.append(self._compare((s, a), rel, ctx, ((k, True),)))
+                    continue
+                branch = self._compare((s, a), rel, ctx, ((k, True),))
+                if branch is decides_or:
+                    return branch
+                branches.append(branch)
             # both roots kept: compare heads, guard every kept argument of t
-            branches.append(self._roots_branch(s, t, rel, ctx))
+            branch = self._roots_branch(s, t, rel, ctx)
+            if branch is decides_or:
+                return branch
+            branches.append(branch)
             x = None
         elif t in self._variables_of(s):
             # s exceeds a variable only through arguments that contain it
@@ -452,8 +468,11 @@ class EncodingContext:
                 continue
             if ctx >> 2 * k & 3 == 2:
                 branches.append(b.FALSE)
-            else:
-                branches.append(self._compare((a, t), rel, ctx, ((k, True),)))
+                continue
+            branch = self._compare((a, t), rel, ctx, ((k, True),))
+            if branch is decides_or:
+                return branch
+            branches.append(branch)
         # source kept: some kept argument already weakly exceeds t; its
         # literal entered in place, as ``_compare`` enters its own
         kept_parts: list[Formula] = []
@@ -472,14 +491,22 @@ class EncodingContext:
                 continue
             if kept_ctx >> 2 * k & 3 == 2:
                 kept.append(b.FALSE)
-            else:
-                kept.append(self._compare((a, t), GE, kept_ctx, ((k, True),)))
+                continue
+            branch = self._compare((a, t), GE, kept_ctx, ((k, True),))
+            kept.append(branch)
+            if branch is decides_or:
+                if not kept_parts:
+                    # list_p known: the kept branch, and so the whole, holds
+                    return branch
+                break
         kept_parts.append(b.or_(kept))
         branches.append(b.and_(kept_parts))
         return b.or_(branches)
 
     def _roots_branch(self, s: App, t: App, rel: str, ctx: Ctx) -> Formula:
+        # a conjunction: FALSE at its first part that is FALSE
         b = self.builder
+        decides_and = self._decides_and
         f, g = s.fun, t.fun
         g_atoms = self._meet(g)
         heads = [self._meet(f).list_p]
@@ -498,19 +525,28 @@ class EncodingContext:
             elif bits == 2:
                 return b.FALSE
         if f == g:
-            parts.append(self._lex_same(f, s.args, t.args, rel, ctx))
+            part = self._lex_same(f, s.args, t.args, rel, ctx)
         elif self.mode == "quasi":
             gt, eq = self._precedence[f, g]
             lex = self._compare((s, t, 1, 1), rel, ctx, ((eq, True),))
             # the lex branch is built before the precedence atom's node
-            parts.append(b.or_([self._atom(ctx, gt), lex]))
+            part = b.or_([self._atom(ctx, gt), lex])
+        else:
+            part = None
+        if part is not None:
+            if part is decides_and:
+                return part
+            parts.append(part)
         # each kept argument of t: ``_open``, inline
         for k, a in zip(g_atoms.arg_in, t.args):
             bits = ctx >> 2 * k & 3
             if bits == 2:
                 parts.append(b.TRUE)
             elif bits:
-                parts.append(self._compare((s, a), GT, ctx))
+                part = self._compare((s, a), GT, ctx)
+                if part is decides_and:
+                    return part
+                parts.append(part)
             else:
                 guard = self._nodes[k] or self._node(k)
                 parts.append(b.implies(guard, self._compare(
@@ -523,22 +559,30 @@ class EncodingContext:
         skipping positions the filtering drops.  Each position's "greater
         here" and "equal here" parts are built in order, then folded from
         the last position back, which makes nodes in the order a recursion
-        over the positions would, with no frame per position."""
+        over the positions would, with no frame per position.  A position
+        whose "greater here" is TRUE, or whose "equal here" is FALSE, decides
+        the fold from there on, so the loop stops at it."""
         b = self.builder
         steps: list[tuple[Formula, Formula]] = []
+        rest = b.FALSE if rel == GT else b.TRUE
         for k, s_i, t_i in zip(self._meet(f).arg_in, ss, ts):
             bits = ctx >> 2 * k & 3
             if bits == 2:
                 steps.append((b.FALSE, b.TRUE))
                 continue
             first = self._compare((s_i, t_i), GT, ctx, ((k, True),))
+            if first is self._decides_or:
+                rest = first
+                break
             if bits:
                 hold = self._compare((s_i, t_i), GE, ctx)
             else:
                 hold = b.implies(self._nodes[k] or self._node(k), self._compare(
                     (s_i, t_i), GE, self._assume(ctx, k, True)))
+            if hold is self._decides_and:
+                rest = first
+                break
             steps.append((first, hold))
-        rest = b.FALSE if rel == GT else b.TRUE
         for first, hold in reversed(steps):
             rest = b.or_([first, b.and_([hold, rest])])
         return rest
@@ -589,11 +633,14 @@ class EncodingContext:
         else:
             parts, c = entered
             s_i, t_j = ss[i - 1], ts[j - 1]
-            parts.append(b.or_([
-                self._compare((s_i, t_j), GT, c),
-                b.and_([self._compare((s_i, t_j), GE, c),
-                        self._compare((s, t, i + 1, j + 1), rel, c)]),
-            ]))
+            # s_i > t_j decides here when TRUE, and s_i >= t_j when FALSE
+            here = self._compare((s_i, t_j), GT, c)
+            if here is not self._decides_or:
+                hold = self._compare((s_i, t_j), GE, c)
+                if hold is not self._decides_and:
+                    here = b.or_([here, b.and_([
+                        hold, self._compare((s, t, i + 1, j + 1), rel, c)])])
+            parts.append(here)
             branches.append(b.and_(parts))
         return b.or_(branches)
 

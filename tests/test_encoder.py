@@ -250,6 +250,64 @@ def test_occurrence_pruning_matches_oracle_exhaustively(mode, propagate, simplif
                     (mode, str(s), str(t), prec, pi)
 
 
+def _short_circuit_cases():
+    """Per signature, comparisons that branches decide early: a TRUE
+    disjunct or a FALSE conjunct below the root, after which the encoder
+    builds no sibling."""
+    f, g, s1, h, k = (Symbol("f", 2), Symbol("g", 2), Symbol("s", 1), Symbol("h", 2),
+                      Symbol("k", 1))
+    Z = Var("z")
+    # quasi lex of two distinct symbols over variables, as in the rotations:
+    # some argument pairs are two distinct variables (s_i >= t_j FALSE),
+    # some one variable twice (s_i >= t_j TRUE, s_i > t_j not)
+    rot = [(mk(f, mk(s1, X), Y), mk(g, Y, X)), (mk(g, Y, X), mk(f, mk(s1, X), Y)),
+           (mk(f, X, mk(s1, Y)), mk(g, X, Y)), (mk(f, mk(s1, X), X), mk(g, X, Y))]
+    # one symbol on both sides: under the guard of t's first argument,
+    # position 1 of the inner lex is known kept and decides it, by a
+    # "greater here" of TRUE (h(x, y) > x along a known kept path) or by an
+    # "equal here" of FALSE (two distinct variables); an "equal here" of
+    # TRUE (x against x) must not stop the walk
+    same = [(mk(h, mk(h, X, Y), Z), mk(h, mk(h, X, Z), Y)),
+            (mk(h, X, mk(k, Y)), mk(h, mk(h, Y, Z), X)),
+            (mk(h, X, mk(k, Y)), mk(h, X, Y)),
+            (mk(h, mk(k, X), Y), mk(h, mk(k, Y), X)),
+            (mk(h, mk(h, X, Y), mk(k, Z)), mk(h, Z, mk(k, X))),
+            (mk(h, mk(k, mk(h, X, Y)), Y), X)]
+    # branches that are FALSE, or TRUE, under a known context while their
+    # siblings are neither: x >= h(k(x), x) with k known kept, and
+    # comparisons where the roots branch or one of its parts is decided
+    same += [(mk(k, X), mk(k, mk(h, mk(k, X), X))),
+             (mk(h, Y, mk(h, mk(k, X), Y)), mk(h, X, X)),
+             (mk(h, mk(k, mk(k, X)), mk(k, mk(h, Z, Z))), mk(h, Y, Z)),
+             (mk(h, mk(k, mk(k, Z)), mk(h, Y, X)), mk(k, mk(h, Z, mk(k, Y))))]
+    return [([f, g, s1], rot), ([h, k], same)]
+
+
+@pytest.mark.parametrize("mode", ["strict", "quasi"])
+@pytest.mark.parametrize("simplify,share,propagate",
+                         list(itertools.product((True, False), repeat=3)))
+def test_short_circuits_match_oracle_exhaustively(mode, simplify, share, propagate):
+    """Comparisons that the encoder stops building at a deciding branch
+    (with ``simplify`` on) or builds in full (off), against the filtered
+    order under every filtering and every precedence up to equal orders."""
+    for symbols, pairs in _short_circuit_cases():
+        # one precedence per weak order: ranks 1..m, each taken
+        precs = [p for p in all_precedences(symbols)
+                 if {p.rank(f) for f in symbols} == set(range(1, len(
+                     {p.rank(f) for f in symbols}) + 1))]
+        worlds = [(prec, pi, concrete_atom_value(prec, pi))
+                  for prec in precs for pi in all_filterings(symbols)]
+        for s, t in pairs:
+            ctx = EncodingContext(mode, simplify=simplify, share=share, propagate=propagate)
+            f_gt = ctx.tau_gt(s, t)
+            f_ge = ctx.tau_ge(s, t)
+            for prec, pi, env in worlds:
+                assert evaluate(f_gt, env) == lpo_af_gt(prec, pi, mode, s, t), \
+                    (mode, str(s), str(t), prec, pi)
+                assert evaluate(f_ge, env) == lpo_af_ge(prec, pi, mode, s, t), \
+                    (mode, str(s), str(t), prec, pi)
+
+
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 def test_simplification_preserves_models(mode):
     """Raw and optimized encodings agree under every concrete assignment."""
@@ -545,11 +603,11 @@ def test_tower_skips_collapsed_levels(monkeypatch, mode):
 
 
 ROT_QUASI = [
-    (3, 184, "3d9784feee9d85567693528ab202a0e459d10deb0fae639ac86e3dc2d8846420"),
-    (4, 252, "fedff49f8d14a5eb02076ca7a211198075bca0409c8298ba3d27287cdff0ac31"),
-    (5, 332, "794493591fa16fcbc43ffcc7c4a4d7b203ca33536523753e09878a04f25a4cbd"),
-    (6, 424, "5ff237155c79ed01ba5e7117f9d74a2ec3f4df22d681ffe2e335351db7b4f984"),
-    (7, 528, "0b0f3c494391328eaf59210ecbaf664e9079c0836dd8291a10811e49c2b50514"),
+    (3, 184, "bc462da3b6bf5c2740d3d4de3fae88f1ed842adec08852f9c2c0f87be4bf81ac"),
+    (4, 252, "d842c05cca21add553deb0674e686f024f3bf30c6cd471d4c1c084ec0f4971e8"),
+    (5, 332, "c2d2a263d945a918cfe4272a79f6ec45463a10a7a1563fc0b8349e6c595c6d65"),
+    (6, 424, "43111db4e82267e6d12a417012a7f05326df9891ff337809d9c49ad9a51c2fe7"),
+    (7, 528, "da6a52c72e5c979a53ce4a5792198142382c049a5a71befa9c443d0d636fa0af"),
 ]
 
 
@@ -577,6 +635,22 @@ def test_lex_two_calls_grow_polynomially(monkeypatch):
     monkeypatch.setattr(EncodingContext, "_compare", counted)
     encode_rp_formula(_rot_problem(9), "thm12", "quasi")
     assert 0 < calls <= 3000
+
+
+def test_rot_quasi_builds_nothing_beside_a_deciding_branch(monkeypatch):
+    # rot7 quasi takes 1,423 comparisons and 1,470 n-ary builder calls; an
+    # encoder that builds every sibling of a TRUE disjunct or a FALSE
+    # conjunct before the builder folds it away takes 2,013 and 2,434
+    from termfilter.formula import FormulaBuilder
+    calls = {"_compare": 0, "_nary": 0}
+    for cls, name in ((EncodingContext, "_compare"), (FormulaBuilder, "_nary")):
+        def counted(self, *args, inner=getattr(cls, name), name=name):
+            calls[name] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    encode_rp_formula(_rot_problem(7), "thm12", "quasi")
+    assert 0 < calls["_compare"] <= 1600
+    assert 0 < calls["_nary"] <= 1700
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +748,7 @@ def _count_builds(monkeypatch):
 
 
 def test_encoder_gives_up_within_a_clock_period_past_the_deadline(monkeypatch):
-    # a clock that runs out after the 300th build; rot7 quasi makes 651
+    # a clock that runs out after the 300th build; rot7 quasi makes 543
     builds = _count_builds(monkeypatch)
 
     class Clock:
@@ -702,11 +776,11 @@ def test_encoder_without_deadline_never_reads_the_clock(monkeypatch):
 
 
 ABLATION_DIGESTS = {
-    "EX2": "027fea28d06c2609a6bdd9b9e1ca34cf2424af960b8addcd83092858c8526399",
-    "EX13": "1ee5e14a661f13562bc6d5b2d21fd37e4b10a5615f3259cc92021bb5f96f014d",
-    "ACKERMANN": "7da095ee5eeb898559901278eed97edba9134cba351ee58c730a3ab175f18b8e",
-    "REVERSE": "118eec6c3d9a3b9653aa37bf79f0e7a283a87bd91d88df12e8a0ef266b2c3c52",
-    "SHUFFLE": "8172b67f9ee66ea3e5f7c6c50da8bccb5a3e2fb9437156a67daa4425b102cb45",
+    "EX2": "09b938117e6441ea54fd22defed55b33cb5dfd08173560848fcceedec7a7a33c",
+    "EX13": "3c9d1dcabf0e6c611515ade3c4f845ff6dd700771b6520c6756308f4674fee54",
+    "ACKERMANN": "9312be1b11894365f4e5e48a46e70176c0d2c53f01ff411850d6b09c81070841",
+    "REVERSE": "4a8072765ba2ee853be36e8dee5bbc8e3880bf11ec822d503eea5fdbb29c1bd5",
+    "SHUFFLE": "f883165b613ac005f2d26ea210feb185aa6ef7712a1bc0a75fa2ef7a487a3bee",
 }
 
 
@@ -728,13 +802,13 @@ CNF_DIGESTS = {
 DEFAULT_DIGESTS = {
     "EX2": ("3d36c22ca4ae0bcf097f263d208165c59392fc52120df53819e74c973df13b1f",
             "296a6e9d8bf8344761fc7880599a4dd2518e15e72f7c33c1224695ba48ecea9c"),
-    "EX13": ("cd5c945983079aca36bd7d48cf784c2b4e6cce8cadf95fd5a18e254d28d82191",
+    "EX13": ("259b9a4e2c8ac662f29069e5a0a3c0c559b859d40eacf510a369f96305316593",
              "ab4c6a02cfe153f35f740c9987fc1b73c67742055dd1c0e00acfd3162c5c5296"),
     "ACKERMANN": ("d61882551329926cb792e2b8b8ec419a4e4299d453a1be9cf9859710881753a7",
                   "f10ef28b296202856e9c11caee82e7a992b0d6f0fa25fc7049520ad7d6fc8a47"),
-    "REVERSE": ("9981e72579839efbc8a1f11e92585998cf594e4b980a249c9771d0d9ffa596e2",
+    "REVERSE": ("1ee364d9feaf587b4e534f84da4363994952d0db28c7c1c001f1cfa297e956dd",
                 "73d736b0b675692f5aa75f194e2e027753224a8c0af9d6e785444eac23f8563f"),
-    "SHUFFLE": ("9ce333b3941d3494c8b1b4013d0f8f2e64727274e3a7bd9d48d995dfde927a04",
+    "SHUFFLE": ("6dafb9f91d6f3c3abfacea9dd3a27948110a32c76b64445d73b24ef307557ea9",
                 "914e0586d13f98cc8d6fadd4602ae5d909cd7e3dd6b93cefa9016405b4620b8f"),
 }
 
