@@ -293,8 +293,7 @@ def test_short_circuits_match_oracle_exhaustively(mode, simplify, share, propaga
     for symbols, pairs in _short_circuit_cases():
         # one precedence per weak order: ranks 1..m, each taken
         precs = [p for p in all_precedences(symbols)
-                 if {p.rank(f) for f in symbols} == set(range(1, len(
-                     {p.rank(f) for f in symbols}) + 1))]
+                 if len({p.rank(f) for f in symbols}) == max(map(p.rank, symbols))]
         worlds = [(prec, pi, concrete_atom_value(prec, pi))
                   for prec in precs for pi in all_filterings(symbols)]
         for s, t in pairs:
