@@ -74,6 +74,20 @@ every other argument, by variable sets memoized per term
 classically usable rules up front, in ``symbol_key`` order: the model
 replay and the proof read them all.
 
+Short-circuits.  With ``simplify`` on, the builder folds a disjunction with
+a ``TRUE`` branch to ``TRUE`` and a conjunction with a ``FALSE`` part to
+``FALSE``, whatever the siblings are, so construction stops there, in the
+order the branches are built: the branch loops of ``_build_tau`` at their
+first ``TRUE``, ``_roots_branch`` at its first ``FALSE`` part,
+``_lex_same`` at the first position whose "greater here" is ``TRUE`` or
+whose "equal here" is ``FALSE``, ``_build_lex_two`` before ``s_i ≥ t_j``
+when ``s_i > t_j`` is ``TRUE`` and before the next cell when ``s_i ≥ t_j``
+is ``FALSE``, and ``_compare`` returns a ``FALSE`` body without the
+conjunction with its literal nodes.  A skipped sibling makes no nodes, so
+the ids of later nodes shift; otherwise the formula is the one a full
+build gives.  With ``simplify`` off the builder keeps constants as
+children, and every branch is built.
+
 Given a deadline, the miss path of ``_compare`` reads the clock once per
 ``DEADLINE_BUILDS`` builds and, past the deadline, unwinds the whole
 encoding with ``_OutOfTime``.
