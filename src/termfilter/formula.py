@@ -6,10 +6,14 @@ and a formula is a DAG rather than a tree.  Interning, de-duplication and
 the walks below are keyed by the node itself: ids, which two builders share,
 only order children and rendering.  With simplification enabled the
 builder folds constants, flattens nested conjunctions/disjunctions, removes
-duplicate children, and collapses complementary ones.  Both switches can be
-turned off to measure what they buy.  Besides the constants and atoms there
-are three node kinds, ``not``, ``and`` and ``or``: ``implies`` and ``iff``
-build their formulas from these.
+duplicate children, and collapses complementary ones; when two children
+remain after flattening, as they mostly do, two identity tests (a repeat, a
+complement) and one id comparison take the place of the de-duplicating copy
+and the sort.  Both switches can be turned off to measure what they buy.
+Besides the constants and atoms there are three node kinds, ``not``, ``and``
+and ``or``: ``implies`` and ``iff`` build their formulas from these.  Each
+kind has its own intern table, keyed by an atom's payload and by the
+children of the other kinds.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class FormulaBuilder:
     def __init__(self, simplify: bool = True, share: bool = True):
         self.simplify = simplify
         self.share = share
-        self._intern: dict[tuple, Formula] = {}
+        self._tables: dict[str, dict] = {ATOM: {}, NOT: {}, AND: {}, OR: {}}
         self._count = 0
         self.TRUE = self._fresh(TRUE, None, ())
         self.FALSE = self._fresh(FALSE, None, ())
@@ -62,11 +66,11 @@ class FormulaBuilder:
     def _node(self, kind: str, payload: Hashable, children: tuple[Formula, ...]) -> Formula:
         if not self.share:
             return self._fresh(kind, payload, children)
-        key = (kind, payload, children)
-        node = self._intern.get(key)
+        table = self._tables[kind]
+        key = payload if kind == ATOM else children
+        node = table.get(key)
         if node is None:
-            node = self._fresh(kind, payload, children)
-            self._intern[key] = node
+            node = table[key] = self._fresh(kind, payload, children)
         return node
 
     def atom(self, payload: Hashable) -> Formula:
@@ -83,16 +87,15 @@ class FormulaBuilder:
         return self._node(NOT, None, (a,))
 
     def and_(self, children: Iterable[Formula]) -> Formula:
-        return self._nary(AND, children)
+        return self._nary(AND, children, self.FALSE, self.TRUE)
 
     def or_(self, children: Iterable[Formula]) -> Formula:
-        return self._nary(OR, children)
+        return self._nary(OR, children, self.TRUE, self.FALSE)
 
-    def _nary(self, kind: str, children: Iterable[Formula]) -> Formula:
+    def _nary(self, kind: str, children: Iterable[Formula], absorbing: Formula,
+              neutral: Formula) -> Formula:
         if not self.simplify:
             return self._node(kind, None, tuple(children))
-        absorbing = self.FALSE if kind == AND else self.TRUE
-        neutral = self.TRUE if kind == AND else self.FALSE
         flat: list[Formula] = []
         for c in children:
             if c is absorbing:
@@ -103,8 +106,16 @@ class FormulaBuilder:
                 flat += c.children
             else:
                 flat.append(c)
-        if len(flat) < 2:
+        n = len(flat)
+        if n < 2:
             return flat[0] if flat else neutral
+        if n == 2:
+            a, c = flat
+            if a is c:
+                return a
+            if (a.kind == NOT and a.children[0] is c) or (c.kind == NOT and c.children[0] is a):
+                return absorbing
+            return self._node(kind, None, (a, c) if a.id < c.id else (c, a))
         uniq = dict.fromkeys(flat)
         if len(uniq) < 2:
             return flat[0]

@@ -21,26 +21,51 @@ def test_constant_folding():
     assert b.not_(b.not_(x)) is x
 
 
+def _shape(n):
+    return n.kind, n.id, n.payload, [c.id for c in n.children]
+
+
+def _draw_children(rng, size, pairs):
+    """A child list of ``(pool index, negated)`` entries.  The mixed draw
+    takes up to five children with repeats; the pair draw mostly takes two:
+    a node and itself, a node and its negation, or two nodes."""
+    if pairs and rng.random() < 0.8:
+        x = rng.randrange(size)
+        drawn = [(x, False), rng.choice(((x, False), (x, True), (rng.randrange(size), False)))]
+        return drawn if rng.random() < 0.5 else drawn[::-1]
+    drawn = [(rng.randrange(size), False) for _ in range(rng.randrange(6))]
+    if drawn and rng.random() < 0.3:
+        drawn.append(rng.choice(drawn))
+    return drawn
+
+
 @pytest.mark.parametrize("simplify", [True, False])
 def test_nary_matches_the_reference(simplify):
-    # child lists drawn from the constants, atoms, their negations and
-    # nested conjunctions and disjunctions, with repeats; the builder must
-    # return the very node the copying reference returns
-    rng = random.Random(12)
-    b = FormulaBuilder(simplify=simplify)
-    atoms = [b.atom(name) for name in "pqrs"]
-    pool = [b.TRUE, b.FALSE] + atoms + [b.not_(a) for a in atoms]
-    for _ in range(3000):
-        children = [rng.choice(pool) for _ in range(rng.randrange(6))]
-        if children and rng.random() < 0.3:
-            children.append(rng.choice(children))
-        kind = rng.choice((AND, OR))
-        expected = reference_nary(b, kind, children)
-        got = b.and_(children) if kind == AND else b.or_(children)
-        assert got is expected, (kind, children)
-        if len(pool) < 60 and got.kind in (AND, OR):
-            pool.append(got)
-            pool.append(b.not_(got))
+    # two builders make the same draws, one through ``and_``/``or_`` and one
+    # through the copying reference; every result must agree in kind, id,
+    # payload and children ids, under both sharing settings, and the two
+    # builders must end with the same count, so that no node id drifts
+    for share, pairs in itertools.product((True, False), (False, True)):
+        rng = random.Random(12)
+        b, r = FormulaBuilder(simplify, share), FormulaBuilder(simplify, share)
+        pools = []
+        for builder in (b, r):
+            atoms = [builder.atom(name) for name in "pqrs"]
+            pools.append([builder.TRUE, builder.FALSE] + atoms
+                         + [builder.not_(a) for a in atoms])
+        for _ in range(3000):
+            drawn = _draw_children(rng, len(pools[0]), pairs)
+            mine, theirs = ([builder.not_(pool[k]) if negated else pool[k]
+                             for k, negated in drawn]
+                            for builder, pool in zip((b, r), pools))
+            kind = rng.choice((AND, OR))
+            got = b.and_(mine) if kind == AND else b.or_(mine)
+            expected = reference_nary(r, kind, theirs)
+            assert _shape(got) == _shape(expected), (share, kind, drawn)
+            if len(pools[0]) < 60 and got.kind in (AND, OR):
+                pools[0] += [got, b.not_(got)]
+                pools[1] += [expected, r.not_(expected)]
+        assert b._count == r._count
 
 
 def test_flattening_and_dedup():
