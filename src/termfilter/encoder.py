@@ -24,17 +24,18 @@ test per literal (``FALSE`` when one is known false), builds or looks up
 the body under the extended context and conjoins it to the nodes of the
 literals not yet known.  A loop over such branches tests each one's guard
 before the call, and appends the ``FALSE`` itself when the guard is known
-false.  The kept branch of ``_build_tau`` enters its ``list_p`` literal,
-and ``_roots_branch`` its head literals, the same way, and the
+false.  The kept branch of ``_build_tau``, ``_roots_branch`` and
+``_build_lex_two`` enter their other literals the same way, and the
 implications ``guard -> body`` of ``_roots_branch`` and ``_lex_same``
-open their guards in place too; other branches call
-``_enter``, and other implications ``_open``, for the guard node and the
-context with the guard assumed.  No helper takes a body to call back, and
-``_compare`` picks its builder in its own frame, so descending one level of
-a term costs two frames, ``_compare`` and ``_build_tau``.  The order in
-which nodes are made fixes their ids, so a branch makes its literal nodes
-before its body, and a guard tested in place leaves the constant the call
-would have returned among the branches.
+open their guards in place too; ``_enter`` and ``_open`` are left to
+``usable``.  A symbol's atom numbers are read in place as well, as
+``self._own.get(f) or self._meet(f)``: ``encode_rp_formula`` meets every
+symbol up front.  No helper takes a body to call back, and ``_compare``
+picks its builder in its own frame, so descending one level of a term
+costs two frames, ``_compare`` and ``_build_tau``.  The order in which
+nodes are made fixes their ids, so a branch makes its literal nodes before
+its body, and a guard tested in place leaves the constant the call would
+have returned among the branches.
 
 With sharing on, construction is memoized so that its cost tracks the DAG it
 produces, in one cell per memoized comparison.  Terms and symbols are
@@ -279,26 +280,16 @@ class EncodingContext:
             self._masks[symbols] = mask
         return mask
 
-    def _known(self, ctx: Ctx, k: int) -> bool | None:
-        bits = ctx >> 2 * k
-        if bits & 1:
-            return True
-        if bits & 2:
-            return False
-        return None
-
     def _assume(self, ctx: Ctx, k: int, positive: bool) -> Ctx:
         if not self.propagate:
             return ctx
         return ctx | self._implied[2 * k + (not positive)]
 
     def _atom(self, ctx: Ctx, k: int) -> Formula:
-        known = self._known(ctx, k)
-        if known is True:
-            return self.builder.TRUE
-        if known is False:
-            return self.builder.FALSE
-        return self._node(k)
+        bits = ctx >> 2 * k & 3
+        if not bits:
+            return self._node(k)
+        return self.builder.TRUE if bits & 1 else self.builder.FALSE
 
     def _enter(self, ctx: Ctx, literals: Sequence[tuple[int, bool]]
                ) -> tuple[list[Formula], Ctx] | None:
@@ -309,12 +300,12 @@ class EncodingContext:
         b = self.builder
         parts: list[Formula] = []
         for k, positive in literals:
-            known = self._known(ctx, k)
-            if known is None:
+            bits = ctx >> 2 * k & 3
+            if not bits:
                 node = self._node(k)
                 parts.append(node if positive else b.not_(node))
                 ctx = self._assume(ctx, k, positive)
-            elif known != positive:
+            elif (bits == 2) == positive:
                 return None
         return parts, ctx
 
@@ -322,12 +313,10 @@ class EncodingContext:
         """Opening ``atom k -> body``: the guard node (``None`` when the
         guard is known true) and the context with the guard assumed;
         ``None`` when the guard is known false and the implication holds."""
-        known = self._known(ctx, k)
-        if known is None:
+        bits = ctx >> 2 * k & 3
+        if not bits:
             return self._node(k), self._assume(ctx, k, True)
-        if known:
-            return None, ctx
-        return None
+        return (None, ctx) if bits & 1 else None
 
     # ------------------------------------------------------------------
     # inequality encodings
@@ -441,7 +430,7 @@ class EncodingContext:
             # an argument that contains the variable
             if s not in self._variables_of(t):
                 return b.FALSE
-            for k, a in zip(self._meet(t.fun).collapses_to, t.args):
+            for k, a in zip((self._own.get(t.fun) or self._meet(t.fun)).collapses_to, t.args):
                 if s not in self._variables_of(a):
                     continue
                 if ctx >> 2 * k & 3 == 2:
@@ -453,10 +442,10 @@ class EncodingContext:
                 branches.append(branch)
             return b.or_(branches)
 
-        f = self._meet(s.fun)
+        f = self._own.get(s.fun) or self._meet(s.fun)
         if isinstance(t, App):
             # target root collapsed away
-            for k, a in zip(self._meet(t.fun).collapses_to, t.args):
+            for k, a in zip((self._own.get(t.fun) or self._meet(t.fun)).collapses_to, t.args):
                 if ctx >> 2 * k & 3 == 2:
                     branches.append(b.FALSE)
                     continue
@@ -522,8 +511,8 @@ class EncodingContext:
         b = self.builder
         decides_and = self._decides_and
         f, g = s.fun, t.fun
-        g_atoms = self._meet(g)
-        heads = [self._meet(f).list_p]
+        g_atoms = self._own.get(g) or self._meet(g)
+        heads = [(self._own.get(f) or self._meet(f)).list_p]
         if f != g:
             heads.append(g_atoms.list_p)
             if self.mode == "strict":
@@ -579,7 +568,7 @@ class EncodingContext:
         b = self.builder
         steps: list[tuple[Formula, Formula]] = []
         rest = b.FALSE if rel == GT else b.TRUE
-        for k, s_i, t_i in zip(self._meet(f).arg_in, ss, ts):
+        for k, s_i, t_i in zip((self._own.get(f) or self._meet(f)).arg_in, ss, ts):
             bits = ctx >> 2 * k & 3
             if bits == 2:
                 steps.append((b.FALSE, b.TRUE))
@@ -623,13 +612,21 @@ class EncodingContext:
         independent filterings (quasi mode)."""
         b = self.builder
         ss, ts = s.args, t.args
-        f_in, g_in = self._meet(s.fun).arg_in, self._meet(t.fun).arg_in
+        f_in = (self._own.get(s.fun) or self._meet(s.fun)).arg_in
+        g_in = (self._own.get(t.fun) or self._meet(t.fun)).arg_in
         if i > len(ss):
             if rel == GT:
                 return b.FALSE
-            # weak: nothing may remain on the right either
-            entered = self._enter(ctx, [(k, False) for k in g_in[j - 1:len(ts)]])
-            return b.FALSE if entered is None else b.and_(entered[0])
+            # weak: nothing may remain on the right either; no such literal
+            # implies another, so each one is a bit test
+            parts: list[Formula] = []
+            for k in g_in[j - 1:len(ts)]:
+                bits = ctx >> 2 * k & 3
+                if bits & 1:
+                    return b.FALSE
+                if not bits:
+                    parts.append(b.not_(self._nodes[k] or self._node(k)))
+            return b.and_(parts)
         if j > len(ts):
             if rel == GE:
                 return b.TRUE
@@ -641,21 +638,27 @@ class EncodingContext:
         branches.append(self._compare((s, t, i + 1, j), rel, ctx, ((left, False),)))
         branches.append(self._compare((s, t, i, j + 1), rel, ctx,
                                       ((left, True), (right, False))))
-        entered = self._enter(ctx, ((left, True), (right, True)))
-        if entered is None:
-            branches.append(b.FALSE)
-        else:
-            parts, c = entered
-            s_i, t_j = ss[i - 1], ts[j - 1]
-            # s_i > t_j decides here when TRUE, and s_i >= t_j when FALSE
-            here = self._compare((s_i, t_j), GT, c)
-            if here is not self._decides_or:
-                hold = self._compare((s_i, t_j), GE, c)
-                if hold is not self._decides_and:
-                    here = b.or_([here, b.and_([
-                        hold, self._compare((s, t, i + 1, j + 1), rel, c)])])
-            parts.append(here)
-            branches.append(b.and_(parts))
+        # the compare-both literals, entered in place
+        parts = []
+        for k in (left, right):
+            bits = ctx >> 2 * k & 3
+            if not bits:
+                parts.append(self._nodes[k] or self._node(k))
+                if self.propagate:
+                    ctx |= self._implied[2 * k]
+            elif bits == 2:
+                branches.append(b.FALSE)
+                return b.or_(branches)
+        s_i, t_j = ss[i - 1], ts[j - 1]
+        # s_i > t_j decides here when TRUE, and s_i >= t_j when FALSE
+        here = self._compare((s_i, t_j), GT, ctx)
+        if here is not self._decides_or:
+            hold = self._compare((s_i, t_j), GE, ctx)
+            if hold is not self._decides_and:
+                here = b.or_([here, b.and_([
+                    hold, self._compare((s, t, i + 1, j + 1), rel, ctx)])])
+        parts.append(here)
+        branches.append(b.and_(parts))
         return b.or_(branches)
 
 
