@@ -39,6 +39,10 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
+DEADLINE_PROPAGATIONS = 4096
+"""A solver with a deadline also looks at the clock at the first decision
+past each this many propagations, not only every 64 conflicts."""
+
 
 @dataclass
 class SolveResult:
@@ -297,6 +301,7 @@ class _Cdcl:
         analyze = self._analyze
         backtrack = self._backtrack
         decide = self._decide
+        clock_at = DEADLINE_PROPAGATIONS    # propagations at the next decision-path read
         restart = 0
         while True:
             restart += 1
@@ -337,6 +342,10 @@ class _Cdcl:
                 if v == 0:
                     model = {u: val[u] > 0 for u in range(1, self.n + 1)}
                     return SolveResult(SAT, model)
+                if deadline is not None and self.propagations >= clock_at:
+                    if time.monotonic() > deadline:
+                        return SolveResult(UNKNOWN)
+                    clock_at = self.propagations + DEADLINE_PROPAGATIONS
                 self.decisions += 1
                 trail_lim.append(len(trail))
                 lit = phase[v]

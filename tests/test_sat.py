@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from termfilter import atoms as A
 from termfilter import cnf as cnf_module
-from termfilter import prover
+from termfilter import prover, solver
 from termfilter.cnf import Cnf, tseitin_cnf, write_dimacs
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import encode_rp_formula
@@ -20,7 +21,7 @@ from termfilter.formula import ATOM, FormulaBuilder, iter_nodes
 from termfilter.lowering import (EncodingError, VarMap, _bit_eq, _bit_gt,
                                  decode_model, lower_atoms, structural_constraints)
 from termfilter.orders import Collapse, Keep, lpo_af_ge, lpo_af_gt
-from termfilter.solver import SAT, UNKNOWN, UNSAT, _Cdcl, solve
+from termfilter.solver import DEADLINE_PROPAGATIONS, SAT, UNKNOWN, UNSAT, _Cdcl, solve
 from termfilter.terms import Symbol
 from termfilter.tpdb import parse_trs
 from termfilter.usable import usable_rules
@@ -610,10 +611,57 @@ def test_solver_deterministic():
 def test_solver_deadline_unknown():
     import time
     # the deadline is read every 64 conflicts: pigeonhole 5 needs 166 of
-    # them, pigeonhole 4 only 28
+    # them, pigeonhole 4 only 28, and 272 propagations, fewer than the
+    # decision path's budget
     past = time.monotonic() - 1
     assert solve(_pigeonhole_cnf(5), deadline=past).status == UNKNOWN
     assert solve(_pigeonhole_cnf(4), deadline=past).status == UNSAT
+
+
+CHAIN = 16
+
+
+def _chains_cnf(chains):
+    """``chains`` implication chains of ``CHAIN`` variables each, in index
+    order: every decision sets the first variable of the next chain false,
+    which propagates along that chain, and no clause ever conflicts."""
+    clauses = []
+    for first in range(1, chains * CHAIN, CHAIN):
+        clauses += [(v, -v - 1) for v in range(first, first + CHAIN - 1)]
+    return Cnf(chains * CHAIN, tuple(clauses))
+
+
+def test_solver_gives_up_on_the_decision_path_past_the_deadline(monkeypatch):
+    # a clock that runs out at its second read, in a search with no
+    # conflict, so only the decision path reads it
+    reads = []
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            reads.append(None)
+            return math.inf if len(reads) >= 2 else -math.inf
+
+    monkeypatch.setattr(solver, "time", Clock)
+    s = _Cdcl(_chains_cnf(4 * DEADLINE_PROPAGATIONS // CHAIN), deadline=0.0)
+    assert s.solve().status == UNKNOWN
+    assert len(reads) == 2 and s.conflicts == 0
+    assert 2 * DEADLINE_PROPAGATIONS <= s.propagations < 2 * (DEADLINE_PROPAGATIONS + CHAIN)
+
+
+def test_solver_without_deadline_never_reads_the_clock(monkeypatch):
+    class Clock:
+        @staticmethod
+        def monotonic():
+            raise AssertionError("clock read")
+
+    monkeypatch.setattr(solver, "time", Clock)
+    s = _Cdcl(_chains_cnf(4 * DEADLINE_PROPAGATIONS // CHAIN), None)
+    assert s.solve().status == SAT
+    assert s.propagations > 2 * DEADLINE_PROPAGATIONS
+    s = _Cdcl(_pigeonhole_cnf(5), None)
+    assert s.solve().status == UNSAT
+    assert s.conflicts > 64
 
 
 class _CountingReference(ReferenceCdcl):
