@@ -14,9 +14,10 @@ number of each atom a comparison needs, and a literal is a pair ``(k,
 positive)``.  The branch context is one int, ``Ctx``: atom ``k`` owns a
 "known true" and a "known false" bit.  Looking an atom up tests a bit.  What
 each literal implies in every actual precedence and filtering is fixed, as a
-bit mask, when ``_meet`` numbers its atoms, so assuming a literal is one OR.
-The formula node of an atom is made from its object when first needed, and
-kept per number when the builder shares nodes.
+bit mask, when ``_meet`` numbers its atoms, so assuming a literal is one OR;
+with ``propagate`` off, ``_meet`` leaves every mask empty.  The formula node
+of an atom is made from its object when first needed, and kept per number
+when the builder shares nodes.
 
 A branch whose body is one memoized comparison hands its guard literals
 to that comparison: ``_compare`` takes them, enters them in place, a bit
@@ -78,16 +79,21 @@ replay and the proof read them all.
 Short-circuits.  With ``simplify`` on, the builder folds a disjunction with
 a ``TRUE`` branch to ``TRUE`` and a conjunction with a ``FALSE`` part to
 ``FALSE``, whatever the siblings are, so construction stops there, in the
-order the branches are built: the branch loops of ``_build_tau`` at their
-first ``TRUE``, ``_roots_branch`` at its first ``FALSE`` part,
-``_lex_same`` at the first position whose "greater here" is ``TRUE`` or
-whose "equal here" is ``FALSE``, ``_build_lex_two`` before ``s_i ≥ t_j``
-when ``s_i > t_j`` is ``TRUE`` and before the next cell when ``s_i ≥ t_j``
-is ``FALSE``, and ``_compare`` returns a ``FALSE`` body without the
-conjunction with its literal nodes.  A skipped sibling makes no nodes, so
-the ids of later nodes shift; otherwise the formula is the one a full
-build gives.  With ``simplify`` off the builder keeps constants as
-children, and every branch is built.
+order the branches are built: ``_build_tau`` at a ``TRUE`` roots branch,
+and at a ``TRUE`` kept argument when the list flag of ``s``'s root is
+known, ``_roots_branch`` at its first ``FALSE`` part, ``_lex_same`` at the
+first position whose "greater here" is ``TRUE`` or whose "equal here" is
+``FALSE``, ``_build_lex_two`` before ``s_i ≥ t_j`` when ``s_i > t_j`` is
+``TRUE`` and before the next cell when ``s_i ≥ t_j`` is ``FALSE``, and
+``_compare`` returns a ``FALSE`` body without the conjunction with its
+literal nodes.  A skipped sibling makes no nodes, so the ids of later nodes
+shift; otherwise the formula is the one a full build gives.  With
+``simplify`` off the builder keeps constants as children, and every branch
+is built.  No collapse branch of ``_build_tau`` decides, by the imaging
+invariant: ``_compare`` keys τ on the images under every collapse the
+context knows, so no collapse guard of either root is known true in a
+build, and an ``ArgIn`` of ``s``'s root is known true only with its
+``ListP``.
 
 Given a deadline, the miss path of ``_compare`` reads the clock once per
 ``DEADLINE_BUILDS`` builds and, past the deadline, unwinds the whole
@@ -178,10 +184,9 @@ class EncodingContext:
         # literal 2k + (not positive) -> the bits that assuming it sets
         self._implied: list[int] = []
         self._own: dict[Symbol, SymbolAtoms] = {}
-        # (f, g) -> numbers of PoGt(f, g) and of the PoEq atom of f and g
-        self._precedence: dict[tuple[Symbol, Symbol], tuple[int, int]] = {}
-        # (f, g) -> both bits of each precedence atom between f and g
-        self._between: dict[tuple[Symbol, Symbol], int] = {}
+        # (f, g) -> numbers of PoGt(f, g) and of the PoEq atom of f and g,
+        # and both bits of each precedence atom between f and g
+        self._precedence: dict[tuple[Symbol, Symbol], tuple[int, int, int]] = {}
         # the "known true" bits of every CollapsesTo atom
         self._collapse_bits = 0
         # symbol set -> both bits of each atom over those symbols
@@ -212,12 +217,13 @@ class EncodingContext:
         met, together with the precedence atoms between ``f`` and every
         symbol met before.  A mask taken over met symbols then already holds
         every atom over them that can ever get a bit.  Numbering fixes what
-        each literal implies in every actual precedence and filtering."""
+        each literal implies in every actual precedence and filtering (with
+        ``propagate`` off: nothing, not even itself)."""
         own = self._own.get(f)
         if own is not None:
             return own
         others = list(self._own)
-        first = len(self._atoms)
+        start = first = len(self._atoms)
         list_p = self._number(A.ListP(f))
         usable = self._number(A.Usable(f))
         arg_in, collapses_to = [], []
@@ -245,14 +251,15 @@ class EncodingContext:
             fg = self._number(A.PoGt(f, g))
             gf = self._number(A.PoGt(g, f))
             eq = self._number(_poeq(f, g))
-            self._precedence[f, g] = (fg, eq)
-            self._precedence[g, f] = (gf, eq)
-            self._between[f, g] = self._between[g, f] = \
-                (1 << 2 * len(self._atoms)) - (1 << 2 * first)
+            between = (1 << 2 * len(self._atoms)) - (1 << 2 * first)
+            self._precedence[f, g] = (fg, eq, between)
+            self._precedence[g, f] = (gf, eq, between)
             # at most one of f > g, g > f and f ~ g holds
             implied[2 * fg] |= 2 << 2 * gf | 2 << 2 * eq
             implied[2 * gf] |= 2 << 2 * fg | 2 << 2 * eq
             implied[2 * eq] |= 2 << 2 * fg | 2 << 2 * gf
+        if not self.propagate:
+            implied[2 * start:] = [0] * (len(implied) - 2 * start)
         return own
 
     def _node(self, k: int) -> Formula:
@@ -276,13 +283,11 @@ class EncodingContext:
             for f in symbols:
                 mask |= self._meet(f).mask
             for f, g in combinations(symbols, 2):
-                mask |= self._between[f, g]
+                mask |= self._precedence[f, g][2]
             self._masks[symbols] = mask
         return mask
 
     def _assume(self, ctx: Ctx, k: int, positive: bool) -> Ctx:
-        if not self.propagate:
-            return ctx
         return ctx | self._implied[2 * k + (not positive)]
 
     def _atom(self, ctx: Ctx, k: int) -> Formula:
@@ -346,8 +351,7 @@ class EncodingContext:
                 if not bits:
                     node = self._nodes[k] or self._node(k)
                     parts.append(node if positive else b.not_(node))
-                    if self.propagate:
-                        ctx |= self._implied[2 * k + (not positive)]
+                    ctx |= self._implied[2 * k + (not positive)]
                 elif (bits == 2) == positive:
                     return b.FALSE
         if ctx & self._collapse_bits and len(key) == 2:
@@ -416,54 +420,45 @@ class EncodingContext:
         # level of a term costs two frames.  Plain loops, not comprehensions,
         # make the calls: a comprehension is one more frame per level.  Each
         # loop tests its guard first and, when it is known false, appends
-        # the FALSE that ``_compare`` would return.  Each disjunction stops
-        # at its first branch that decides it.
+        # the FALSE that ``_compare`` would return.  By the imaging
+        # invariant, only the roots branch and, with ``list_p`` known, a
+        # kept argument can decide the disjunction.
         b = self.builder
-        decides_or = self._decides_or
         branches: list[Formula] = []
         if isinstance(s, Var):
-            if rel == GT:
+            # a variable only weakly exceeds itself, or an application
+            # collapsed onto an argument that contains the variable
+            if rel == GT or s not in self._variables_of(t):
                 return b.FALSE
             if isinstance(t, Var):
-                return b.TRUE if s == t else b.FALSE
-            # a variable only weakly exceeds an application collapsed onto
-            # an argument that contains the variable
-            if s not in self._variables_of(t):
+                return b.TRUE
+            x = s
+        else:
+            f = self._own.get(s.fun) or self._meet(s.fun)
+            if isinstance(t, App):
+                x = None
+            elif t in self._variables_of(s):
+                # s exceeds a variable only through arguments that contain it
+                x = t
+            else:
                 return b.FALSE
-            for k, a in zip((self._own.get(t.fun) or self._meet(t.fun)).collapses_to, t.args):
-                if s not in self._variables_of(a):
-                    continue
-                if ctx >> 2 * k & 3 == 2:
-                    branches.append(b.FALSE)
-                    continue
-                branch = self._compare((s, a), GE, ctx, ((k, True),))
-                if branch is decides_or:
-                    return branch
-                branches.append(branch)
-            return b.or_(branches)
 
-        f = self._own.get(s.fun) or self._meet(s.fun)
         if isinstance(t, App):
             # target root collapsed away
             for k, a in zip((self._own.get(t.fun) or self._meet(t.fun)).collapses_to, t.args):
+                if x is not None and x not in self._variables_of(a):
+                    continue
                 if ctx >> 2 * k & 3 == 2:
                     branches.append(b.FALSE)
                     continue
-                branch = self._compare((s, a), rel, ctx, ((k, True),))
-                if branch is decides_or:
-                    return branch
-                branches.append(branch)
+                branches.append(self._compare((s, a), rel, ctx, ((k, True),)))
+            if x is s:
+                return b.or_(branches)
             # both roots kept: compare heads, guard every kept argument of t
             branch = self._roots_branch(s, t, rel, ctx)
-            if branch is decides_or:
+            if branch is self._decides_or:
                 return branch
             branches.append(branch)
-            x = None
-        elif t in self._variables_of(s):
-            # s exceeds a variable only through arguments that contain it
-            x = t
-        else:
-            return b.FALSE
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
@@ -472,10 +467,7 @@ class EncodingContext:
             if ctx >> 2 * k & 3 == 2:
                 branches.append(b.FALSE)
                 continue
-            branch = self._compare((a, t), rel, ctx, ((k, True),))
-            if branch is decides_or:
-                return branch
-            branches.append(branch)
+            branches.append(self._compare((a, t), rel, ctx, ((k, True),)))
         # source kept: some kept argument already weakly exceeds t; its
         # literal entered in place, as ``_compare`` enters its own
         kept_parts: list[Formula] = []
@@ -486,8 +478,7 @@ class EncodingContext:
             return b.or_(branches)
         if not bits:
             kept_parts.append(self._nodes[f.list_p] or self._node(f.list_p))
-            if self.propagate:
-                kept_ctx |= self._implied[2 * f.list_p]
+            kept_ctx |= self._implied[2 * f.list_p]
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
             if x is not None and x not in self._variables_of(a):
@@ -496,12 +487,10 @@ class EncodingContext:
                 kept.append(b.FALSE)
                 continue
             branch = self._compare((a, t), GE, kept_ctx, ((k, True),))
+            if branch is self._decides_or and not kept_parts:
+                # list_p known: the kept branch, and so the whole, holds
+                return branch
             kept.append(branch)
-            if branch is decides_or:
-                if not kept_parts:
-                    # list_p known: the kept branch, and so the whole, holds
-                    return branch
-                break
         kept_parts.append(b.or_(kept))
         branches.append(b.and_(kept_parts))
         return b.or_(branches)
@@ -523,14 +512,13 @@ class EncodingContext:
             bits = ctx >> 2 * k & 3
             if not bits:
                 parts.append(self._nodes[k] or self._node(k))
-                if self.propagate:
-                    ctx |= self._implied[2 * k]
+                ctx |= self._implied[2 * k]
             elif bits == 2:
                 return b.FALSE
         if f == g:
             part = self._lex_same(f, s.args, t.args, rel, ctx)
         elif self.mode == "quasi":
-            gt, eq = self._precedence[f, g]
+            gt, eq, _ = self._precedence[f, g]
             lex = self._compare((s, t, 1, 1), rel, ctx, ((eq, True),))
             # the lex branch is built before the precedence atom's node
             part = b.or_([self._atom(ctx, gt), lex])
@@ -644,8 +632,7 @@ class EncodingContext:
             bits = ctx >> 2 * k & 3
             if not bits:
                 parts.append(self._nodes[k] or self._node(k))
-                if self.propagate:
-                    ctx |= self._implied[2 * k]
+                ctx |= self._implied[2 * k]
             elif bits == 2:
                 branches.append(b.FALSE)
                 return b.or_(branches)

@@ -21,7 +21,7 @@ from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, concrete_atom_value, evaluate, ex13,
                   ex2, identity_filtering, lowered_cnf, problem_signature,
-                  random_signature, random_term, stack_depth, tree_size)
+                  random_signature, random_term, random_trs, stack_depth, tree_size)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -582,6 +582,37 @@ def test_collapsed_root_compares_as_its_kept_argument(mode):
         assert ctx._compare((s, t), rel, known) is ctx._compare((kept, t), rel, known)
         assert ctx._compare((t, s), rel, known) is ctx._compare((t, kept), rel, known)
         assert (s, t) not in ctx._cells and (t, s) not in ctx._cells
+
+
+def test_no_build_sees_a_known_collapse_of_either_root(monkeypatch):
+    # the imaging invariant, which leaves the collapse loops of _build_tau
+    # no branch that decides: no CollapsesTo atom of either root is known
+    # true in a build, and an ArgIn of s's root only with its ListP
+    builds = 0
+    inner = EncodingContext._build_tau
+
+    def checked(self, s, t, rel, ctx):
+        nonlocal builds
+        builds += 1
+        for u in (s, t):
+            if isinstance(u, App):
+                for k in self._own[u.fun].collapses_to:
+                    assert not ctx >> 2 * k & 1, (str(s), rel, str(t), self._atoms[k])
+        if isinstance(s, App):
+            own = self._own[s.fun]
+            if not ctx >> 2 * own.list_p & 1:
+                for k in own.arg_in:
+                    assert not ctx >> 2 * k & 1, (str(s), rel, str(t), self._atoms[k])
+        return inner(self, s, t, rel, ctx)
+
+    monkeypatch.setattr(EncodingContext, "_build_tau", checked)
+    rng = random.Random(4242)
+    systems = [parse_trs(text) for text in PAPER_SYSTEMS] + [random_trs(rng) for _ in range(400)]
+    for trs in systems:
+        for mode in ("strict", "quasi"):
+            for processor in ("thm5", "thm12"):
+                prove(trs, ProverConfig(mode=mode, processor=processor))
+    assert builds > 40_000
 
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])

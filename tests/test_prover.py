@@ -152,6 +152,18 @@ def test_verify_rejects_a_pair_that_is_not_weakly_decreasing():
 
 
 @pytest.mark.parametrize("processor,mode", CONFIGS)
+def test_verify_rejects_a_usable_rule_that_is_not_weakly_decreasing(processor, mode):
+    # with s above every other symbol both pairs decrease strictly, but the
+    # usable rule h(x) -> s(s(x)) does not decrease at all
+    problem, decoded = _hand_model("(VAR x)(RULES f(s(x)) -> f(h(x))  h(x) -> s(s(x)))",
+                                   "f#(s(x)) -> f#(h(x))")
+    ranks = {f: 2 if f.display == "s" else 1 for f in problem_signature(problem)}
+    decoded = DecodedModel(Precedence(ranks), decoded.filtering, decoded.strict_pairs)
+    with pytest.raises(prover.VerificationError, match="usable rule not weakly decreasing"):
+        prover._verify(problem, ProverConfig(mode=mode, processor=processor), decoded)
+
+
+@pytest.mark.parametrize("processor,mode", CONFIGS)
 def test_processor_keeps_exactly_the_pairs_not_removed(processor, mode):
     # the witness removes every strictly oriented pair, marked or not, and
     # the processor keeps the rest
@@ -229,6 +241,41 @@ def test_cnf_past_the_deadline_is_not_solved(monkeypatch):
     monkeypatch.setattr(prover, "solve", recorded_solve)
     verdict = prove(ex2(), ProverConfig(timeout=0.05))
     assert isinstance(verdict, Timeout) and not solved
+
+
+def test_an_unknown_answer_is_a_timeout(monkeypatch):
+    from termfilter.solver import UNKNOWN, SolveResult
+    solved = []
+
+    def unknown(cnf, *, deadline=None):
+        solved.append(cnf)
+        return SolveResult(UNKNOWN)
+
+    monkeypatch.setattr(prover, "solve", unknown)
+    verdict = prove(ex2())
+    assert isinstance(verdict, Timeout) and len(solved) == 1
+    assert [step.processor for step in verdict.steps] == ["dependency_graph"]
+
+
+def test_deadline_checked_before_each_sub_problem(monkeypatch):
+    # division has two components; the first round ends past the deadline,
+    # so the second is never started
+    rounds = []
+    processor = prover.reduction_pair_processor
+
+    def late_round(sub, config, session):
+        outcome = processor(sub, config, session)
+        rounds.append(sub)
+        time.sleep(max(0.0, session.deadline - time.monotonic()) + 0.01)
+        return outcome
+
+    monkeypatch.setattr(prover, "reduction_pair_processor", late_round)
+    verdict = prove(ex2(), ProverConfig(timeout=0.5))
+    assert isinstance(verdict, Timeout) and len(rounds) == 1
+    assert verdict.steps[0].processor == "dependency_graph"
+    assert len(verdict.steps[0].results) == 2
+    last = verdict.steps[-1]
+    assert last.processor == "reduction_pair" and last.problem is rounds[0]
 
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])

@@ -16,8 +16,8 @@ from termfilter.terms import (App, Rule, Symbol, Trs, Var, defined_symbols,
                               format_trs, functions, subterms, unify, variables)
 from termfilter.tpdb import ParseError, UnsupportedBlockError, parse_trs
 
-from util import (EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term, stack_depth,
-                  substitute)
+from util import (EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term, random_trs,
+                  stack_depth, substitute)
 
 
 def test_parse_division_system():
@@ -160,6 +160,13 @@ def test_cli_exits_0_to_3_on_any_file(text, raw):
 def test_roundtrip(text):
     trs = parse_trs(text)
     assert parse_trs(format_trs(trs)) == trs
+
+
+def test_printed_systems_parse_back():
+    rng = random.Random(77)
+    for trs in [Trs.of([])] + [random_trs(rng) for _ in range(200)]:
+        assert parse_trs(str(trs)).rules == trs.rules, str(trs)
+    assert str(Trs.of([])).startswith("(VAR )")
 
 
 def test_defined_symbols_division():
