@@ -28,8 +28,9 @@ before the call, and appends the ``FALSE`` itself when the guard is known
 false.  The kept branch of ``_build_tau``, ``_roots_branch`` and
 ``_build_lex_two`` enter their other literals the same way, and the
 implications ``guard -> body`` of ``_roots_branch`` and ``_lex_same``
-open their guards in place too; ``_enter`` and ``_open`` are left to
-``usable``.  A symbol's atom numbers are read in place as well, as
+open their guards in place too, and so does the usable-flag walk
+(``usable_flags``, ``if_usable``), so no other module reads the branch
+context.  A symbol's atom numbers are read in place as well, as
 ``self._own.get(f) or self._meet(f)``: ``encode_rp_formula`` meets every
 symbol up front.  No helper takes a body to call back, and ``_compare``
 picks its builder in its own frame, so descending one level of a term
@@ -97,7 +98,7 @@ build, and an ``ArgIn`` of ``s``'s root is known true only with its
 
 Given a deadline, the miss path of ``_compare`` reads the clock once per
 ``DEADLINE_BUILDS`` builds and, past the deadline, unwinds the whole
-encoding with ``_OutOfTime``.
+encoding with ``OutOfTime``, which the prover reports as a timeout.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ from typing import Sequence
 from . import atoms as A
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
-from .terms import App, Symbol, Term, Var, symbol_key
+from .terms import App, Rule, Symbol, Term, Var, symbol_key
 
 GT = "gt"
 GE = "ge"
@@ -130,7 +131,7 @@ DEADLINE_BUILDS = 256
 """A context with a deadline looks at the clock once per this many builds."""
 
 
-class _OutOfTime(Exception):
+class OutOfTime(Exception):
     """Raised by a build past the context's deadline; the caller reports a
     timeout."""
 
@@ -287,41 +288,11 @@ class EncodingContext:
             self._masks[symbols] = mask
         return mask
 
-    def _assume(self, ctx: Ctx, k: int, positive: bool) -> Ctx:
-        return ctx | self._implied[2 * k + (not positive)]
-
     def _atom(self, ctx: Ctx, k: int) -> Formula:
         bits = ctx >> 2 * k & 3
         if not bits:
             return self._node(k)
         return self.builder.TRUE if bits & 1 else self.builder.FALSE
-
-    def _enter(self, ctx: Ctx, literals: Sequence[tuple[int, bool]]
-               ) -> tuple[list[Formula], Ctx] | None:
-        """Entering a branch on the literals ``(k, positive)``: the nodes of
-        those not yet known, and the context extended by them; ``None`` when
-        one is known false.  The caller conjoins its body, built under the
-        returned context, to the nodes."""
-        b = self.builder
-        parts: list[Formula] = []
-        for k, positive in literals:
-            bits = ctx >> 2 * k & 3
-            if not bits:
-                node = self._node(k)
-                parts.append(node if positive else b.not_(node))
-                ctx = self._assume(ctx, k, positive)
-            elif (bits == 2) == positive:
-                return None
-        return parts, ctx
-
-    def _open(self, ctx: Ctx, k: int) -> tuple[Formula | None, Ctx] | None:
-        """Opening ``atom k -> body``: the guard node (``None`` when the
-        guard is known true) and the context with the guard assumed;
-        ``None`` when the guard is known false and the implication holds."""
-        bits = ctx >> 2 * k & 3
-        if not bits:
-            return self._node(k), self._assume(ctx, k, True)
-        return (None, ctx) if bits & 1 else None
 
     # ------------------------------------------------------------------
     # inequality encodings
@@ -343,8 +314,8 @@ class EncodingContext:
         those not yet known."""
         b = self.builder
         if literals:
-            # ``_enter``, inline: a literal's two bits are 1 when its atom is
-            # known true, 2 when known false only, 0 when not known
+            # the literals entered in place: a literal's two bits are 1 when
+            # its atom is known true, 2 when known false only, 0 when not known
             parts: list[Formula] = []
             for k, positive in literals:
                 bits = ctx >> 2 * k & 3
@@ -372,7 +343,7 @@ class EncodingContext:
             if self.deadline is not None:
                 self._builds += 1
                 if not self._builds % DEADLINE_BUILDS and time.monotonic() > self.deadline:
-                    raise _OutOfTime
+                    raise OutOfTime
             if len(key) == 2:
                 result = self._build_tau(key[0], key[1], rel, ctx)
             else:
@@ -528,7 +499,7 @@ class EncodingContext:
             if part is decides_and:
                 return part
             parts.append(part)
-        # each kept argument of t: ``_open``, inline
+        # each kept argument of t, its guard opened in place
         for k, a in zip(g_atoms.arg_in, t.args):
             bits = ctx >> 2 * k & 3
             if bits == 2:
@@ -541,7 +512,7 @@ class EncodingContext:
             else:
                 guard = self._nodes[k] or self._node(k)
                 parts.append(b.implies(guard, self._compare(
-                    (s, a), GT, self._assume(ctx, k, True))))
+                    (s, a), GT, ctx | self._implied[2 * k])))
         return b.and_(parts)
 
     def _lex_same(self, f: Symbol, ss: tuple[Term, ...], ts: tuple[Term, ...],
@@ -569,7 +540,7 @@ class EncodingContext:
                 hold = self._compare((s_i, t_i), GE, ctx)
             else:
                 hold = b.implies(self._nodes[k] or self._node(k), self._compare(
-                    (s_i, t_i), GE, self._assume(ctx, k, True)))
+                    (s_i, t_i), GE, ctx | self._implied[2 * k]))
             if hold is self._decides_and:
                 rest = first
                 break
@@ -648,6 +619,48 @@ class EncodingContext:
         branches.append(b.and_(parts))
         return b.or_(branches)
 
+    # ------------------------------------------------------------------
+    # usable-rule flags
+
+    def usable_flags(self, t: Term, defined: frozenset[Symbol],
+                     ctx: Ctx = EMPTY_CTX) -> Formula:
+        """The flags ``Usable(f)`` of the ``defined`` symbols ``f`` of ``t``,
+        descending only into kept argument positions: the root's flag,
+        entered in place (``FALSE`` when known false), and per argument the
+        implication ``ArgIn -> flags below``, its guard opened in place."""
+        b = self.builder
+        if isinstance(t, Var):
+            return b.TRUE
+        f = self._own.get(t.fun) or self._meet(t.fun)
+        parts: list[Formula] = []
+        if t.fun in defined:
+            bits = ctx >> 2 * f.usable & 3
+            if bits == 2:
+                return b.FALSE
+            if not bits:
+                parts.append(self._nodes[f.usable] or self._node(f.usable))
+                ctx |= self._implied[2 * f.usable]
+        for k, a in zip(f.arg_in, t.args):
+            bits = ctx >> 2 * k & 3
+            if bits:
+                parts.append(b.TRUE if bits == 2 else self.usable_flags(a, defined, ctx))
+            else:
+                parts.append(b.implies(self._nodes[k] or self._node(k), self.usable_flags(
+                    a, defined, ctx | self._implied[2 * k])))
+        return b.and_(parts)
+
+    def if_usable(self, f: Symbol, rules: Sequence[Rule],
+                  defined: frozenset[Symbol]) -> Formula:
+        """``Usable(f) -> body``, where ``body`` orients ``rules``, the rules
+        of ``f``, weakly and asserts the flags of their right-hand sides
+        under the guard, so ``f``'s own flag, reached again, folds to true."""
+        b = self.builder
+        k = (self._own.get(f) or self._meet(f)).usable
+        ctx = self._implied[2 * k]
+        return b.implies(self._nodes[k] or self._node(k), b.and_(
+            [self.tau_ge(r.lhs, r.rhs) for r in rules]
+            + [self.usable_flags(r.rhs, defined, ctx) for r in rules]))
+
 
 def _collect(t: Term, memo: dict[Term, frozenset], of_var, of_app) -> frozenset:
     """The set ``memo`` keeps for ``t``: ``of_var(v)`` for a variable, and
@@ -705,7 +718,7 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     rules survive under the chosen filtering.
 
     Past ``deadline``, a ``time.monotonic`` value, encoding gives up with
-    ``_OutOfTime`` within ``DEADLINE_BUILDS`` builds; with no deadline it
+    ``OutOfTime`` within ``DEADLINE_BUILDS`` builds; with no deadline it
     never reads the clock.
     """
     from . import usable as U

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cnf import tseitin_cnf, write_dimacs
 from .dp import DpProblem, dependency_pairs, scc_decompose
-from .encoder import _OutOfTime, encode_rp_formula
+from .encoder import OutOfTime, encode_rp_formula
 from .formula import dump
 from .lowering import (DecodedModel, VarMap, decode_model, lower_atoms,
                        structural_constraints)
@@ -111,7 +111,7 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
     try:
         enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode,
                                 deadline=session.deadline)
-    except _OutOfTime:
+    except OutOfTime:
         return RpOutcome("timeout")
     if session.out_of_time():
         return RpOutcome("timeout")

@@ -1,11 +1,13 @@
 """Usable rules: one worklist walk that finds the classical closure or, under
 an argument filtering, the filtered variant (which checks models), and the
 propositional encoding that lets the SAT search pick the usable set itself,
-with one implication per defined symbol."""
+with one implication per defined symbol.  The encoding's flag walk lives on
+``EncodingContext``, which owns the branch context it prunes with; ``omega``
+composes it."""
 
 from __future__ import annotations
 
-from .encoder import EMPTY_CTX, Ctx, EncodingContext
+from .encoder import EncodingContext
 from .formula import Formula
 from .orders import ArgumentFiltering
 from .terms import Rule, Symbol, Term, Trs, Var, defined_symbols
@@ -54,45 +56,15 @@ def omega(pairs: Trs, rules: Trs, ctx: EncodingContext,
     """Propositional usable-rules tracking, one implication per defined symbol.
 
     Every pair's right-hand side asserts the flag ``u_f`` of each defined
-    symbol ``f`` reached through kept argument positions.  Each flag of a
-    classically usable symbol implies the weak orientation of that symbol's
-    rules, and the flags their right-hand sides reach in the same way.  A
-    flag reached again inside its own implication folds to true.
+    symbol ``f`` reached through kept argument positions
+    (``ctx.usable_flags``).  Each flag of a classically usable symbol implies
+    the weak orientation of that symbol's rules, and the flags their
+    right-hand sides reach in the same way (``ctx.if_usable``).  A flag
+    reached again inside its own implication folds to true.
     ``usable_symbols`` are the classically usable symbols, the ``roots`` of
     ``usable_rules(pairs, rules)``, which the caller has already walked.
     """
-    b = ctx.builder
     defined = defined_symbols(rules)
-    parts = [_omega_term(p.rhs, defined, ctx, EMPTY_CTX) for p in pairs.rules]
-    for f in usable_symbols:
-        own = rules.rules_for(f)
-        # nothing is known in the empty context, so the guard stays open
-        guard, c = ctx._open(EMPTY_CTX, ctx._meet(f).usable)
-        body = b.and_([ctx.tau_ge(r.lhs, r.rhs) for r in own]
-                      + [_omega_term(r.rhs, defined, ctx, c) for r in own])
-        parts.append(b.implies(guard, body))
-    return b.and_(parts)
-
-
-def _omega_term(t: Term, defined: frozenset[Symbol], ctx: EncodingContext,
-                ectx: Ctx) -> Formula:
-    """Flags of the defined symbols of ``t``, descending only into kept
-    argument positions."""
-    b = ctx.builder
-    if isinstance(t, Var):
-        return b.TRUE
-    f = ctx._meet(t.fun)
-    flag = ((f.usable, True),) if t.fun in defined else ()
-    entered = ctx._enter(ectx, flag)
-    if entered is None:
-        return b.FALSE
-    parts, c = entered
-    for k, a in zip(f.arg_in, t.args):
-        opened = ctx._open(c, k)
-        if opened is None:
-            parts.append(b.TRUE)
-            continue
-        guard, inner = opened
-        below = _omega_term(a, defined, ctx, inner)
-        parts.append(below if guard is None else b.implies(guard, below))
-    return b.and_(parts)
+    return ctx.builder.and_([ctx.usable_flags(p.rhs, defined) for p in pairs.rules]
+                            + [ctx.if_usable(f, rules.rules_for(f), defined)
+                               for f in usable_symbols])

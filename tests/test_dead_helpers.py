@@ -3,8 +3,9 @@ referenced by some module there, other than from inside its own body; every
 name a module there assigns at its top level is read by some module there;
 and every public name a module there defines or assigns at its top level is
 read by some module under ``src`` or ``bench``, exported in ``__all__`` or an
-entry point of ``pyproject.toml``; and every module there imports only from
-the package itself or the standard library."""
+entry point of ``pyproject.toml``; every module there imports only from
+the package itself or the standard library; and no module there reaches
+for another module's private names."""
 
 import ast
 import sys
@@ -110,6 +111,38 @@ def non_stdlib_imports(paths) -> list[str]:
     return sorted(found)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_reads(paths) -> list[str]:
+    """Private names a module takes from another module of the package, as
+    ``module:line: name``: an attribute read through an object other than
+    ``self`` or ``cls`` whose name the module itself does not define, and a
+    private name imported from a sibling module."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                names = [] if owner in ("self", "cls") or node.attr in defined else [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}: {name}" for name in names if _private(name)]
+    return sorted(found)
+
+
 def entry_points() -> set[str]:
     """The ``[project.scripts]`` targets, as ``module.name``."""
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
@@ -191,3 +224,25 @@ def test_guard_flags_a_third_party_import(tmp_path):
         "def f():\n    import termfilter\n")
     assert non_stdlib_imports([m]) == \
         ["m: hypothesis", "m: numpy.linalg", "m: termfilter"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert foreign_private_reads(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_flags_a_foreign_private_name(tmp_path):
+    m = tmp_path / "m.py"
+    m.write_text(
+        "from . import _sibling\n"
+        "from .other import Public, _Hidden, __version__\n"
+        "class C:\n"
+        "    def __init__(self, peer):\n"
+        "        self._own = peer._theirs\n"
+        "        peer._set = 1\n"
+        "    def _mine(self, other):\n"
+        "        return other._mine(), other._own, self._inherited, other.__class__\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._factory()\n")
+    assert foreign_private_reads([m]) == \
+        ["m:1: _sibling", "m:2: _Hidden", "m:5: _theirs"]

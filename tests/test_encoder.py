@@ -100,7 +100,7 @@ def test_tau_gt_identical_terms_unsatisfiable():
 def test_context_pruning_kills_contradictory_branch():
     from termfilter.encoder import EMPTY_CTX
     ctx = EncodingContext("strict")
-    banned = ctx._assume(EMPTY_CTX, ctx._meet(MINUS).list_p, False)
+    banned = EMPTY_CTX | ctx._implied[2 * ctx._meet(MINUS).list_p + 1]
     got = ctx.tau_gt(mk(MINUS, mk(S1, X), mk(S1, Y)), mk(MINUS, X, Y), banned)
     # with minus collapsed, the same-root branch is gone; what remains must
     # not mention the list flag of minus positively
@@ -157,7 +157,7 @@ def test_every_literal_implies_exactly_its_facts(mode):
             expected = 0
             for a, v in facts.items():
                 expected |= (1 if v else 2) << 2 * number[a]
-            assert ctx._assume(EMPTY_CTX, k, positive) == expected, (atom, positive)
+            assert EMPTY_CTX | ctx._implied[2 * k + (not positive)] == expected, (atom, positive)
             for world in worlds if k < len(small) else ():
                 if world[k] == positive:
                     for a, v in facts.items():
@@ -578,7 +578,7 @@ def test_collapsed_root_compares_as_its_kept_argument(mode):
     s, kept, t = mk(f, X, mk(S1, Y)), mk(S1, Y), mk(MINUS, Y, X)
     for rel in (GT, GE):
         ctx = EncodingContext(mode)
-        _, known = ctx._enter(EMPTY_CTX, ((ctx._meet(f).collapses_to[1], True),))
+        known = EMPTY_CTX | ctx._implied[2 * ctx._meet(f).collapses_to[1]]
         assert ctx._compare((s, t), rel, known) is ctx._compare((kept, t), rel, known)
         assert ctx._compare((t, s), rel, known) is ctx._compare((t, kept), rel, known)
         assert (s, t) not in ctx._cells and (t, s) not in ctx._cells

@@ -357,6 +357,21 @@ def test_cli_timeout(tmp_path, capsys):
     assert "TIMEOUT" in capsys.readouterr().out
 
 
+def test_cli_keeps_a_timeout_that_falls_inside_encoding(tmp_path, capsys):
+    # rot96 in quasi mode, the system of test_encoder's _rot_problem: untimed
+    # it gives MAYBE after about 6 s, most of them encoding its first round,
+    # so an encoder that never reads the clock overruns 0.2 s by seconds
+    xs = [f"x{i}" for i in range(1, 97)]
+    path = tmp_path / "rot96.trs"
+    path.write_text(f"(VAR {' '.join(xs)})(RULES "
+                    f"f(s(x1),{','.join(xs[1:])}) -> g({','.join(xs[1:] + xs[:1])}) "
+                    f"g({','.join(xs)}) -> f({','.join(xs)}))")
+    start = time.monotonic()
+    assert cli_main([str(path), "--order", "qlpo", "--timeout", "0.2"]) == 2
+    assert time.monotonic() - start < 0.7
+    assert "TIMEOUT" in capsys.readouterr().out
+
+
 def test_cli_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.trs"
     path.write_text("(VAR x)(RULES x -> x)")

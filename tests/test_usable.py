@@ -292,18 +292,17 @@ def _dense_family(n):
 def test_omega_calls_grow_polynomially(monkeypatch):
     """Building the usable-rule formula walks each right-hand side once per
     symbol, not once per call path (233,031 walks on the path-wise form)."""
-    from termfilter import usable
     from termfilter.prover import ProverConfig, Terminating, prove
 
     calls = 0
-    inner = usable._omega_term
+    inner = EncodingContext.usable_flags
 
-    def counted(*args):
+    def counted(self, *args):
         nonlocal calls
         calls += 1
-        return inner(*args)
+        return inner(self, *args)
 
-    monkeypatch.setattr(usable, "_omega_term", counted)
+    monkeypatch.setattr(EncodingContext, "usable_flags", counted)
     verdict = prove(_dense_family(8), ProverConfig(processor="thm12"))
     assert isinstance(verdict, Terminating)
     assert 0 < calls <= 1000
