@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Rule, Symbol, Term, Trs, Var, defined_symbols, subterms, unifiable, variables
+from .terms import App, Rule, Symbol, Term, Trs, Var, defined_symbols, subterms, unifiable
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def estimate_dependency_graph(problem: DpProblem,
     for j, p in enumerate(pairs):
         by_root.setdefault(p.root, []).append(j)
     defined = defined_symbols(problem.rules)
-    prefix = " " * max((len(v.name) for p in pairs for v in variables(p.lhs)), default=0) + " "
+    prefix = " " * max((len(v.name) for p in pairs for v in p.lhs.variables), default=0) + " "
     graph: dict[int, tuple[int, ...]] = {}
     for i, p in enumerate(pairs):
         targets = by_root.get(p.rhs.fun, ())

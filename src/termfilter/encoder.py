@@ -71,8 +71,8 @@ condition says ``s ≥ x`` for a variable ``x`` only if ``x`` occurs in the
 filtered ``s``.  So ``x ≥ f(t1, ..., tn)`` holds only through a collapse of
 ``f`` onto an argument that contains ``x``, and ``s > x`` and ``s ≥ x``
 only through arguments of ``s`` that contain ``x``; ``_build_tau`` skips
-every other argument, by variable sets memoized per term
-(``_variables_of``).  A skipped argument meets no symbol, so
+every other argument, by the variable sets each term carries
+(``Term.variables``).  A skipped argument meets no symbol, so
 ``encode_rp_formula`` meets every symbol of the round's pairs and
 classically usable rules up front, in ``symbol_key`` order: the model
 replay and the proof read them all.
@@ -109,6 +109,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import atoms as A
+from . import usable as U
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
 from .terms import App, Rule, Symbol, Term, Var, symbol_key
@@ -154,7 +155,7 @@ class SymbolAtoms:
 
 def _poeq(f: Symbol, g: Symbol) -> A.PoEq:
     # a total order, so that both argument orders give the one atom
-    if (g.name, g.is_tuple, g.arity) < (f.name, f.is_tuple, f.arity):
+    if symbol_key(g) < symbol_key(f):
         f, g = g, f
     return A.PoEq(f, g)
 
@@ -194,9 +195,6 @@ class EncodingContext:
         self._masks: dict[frozenset[Symbol], int] = {}
         # (symbols of s, symbols of t) -> the mask of a τ key (s, t)
         self._pair_masks: dict[tuple[frozenset[Symbol], frozenset[Symbol]], int] = {}
-        # term -> its function symbols, and term -> its variables
-        self._term_symbols: dict[Term, frozenset[Symbol]] = {}
-        self._term_variables: dict[Term, frozenset[Var]] = {}
         # one cell per memoized comparison, keyed (s, t) or (s, t, i, j):
         # [the bits it can read, or None until a non-empty context reaches
         # it; {(rel, cut context): formula}]
@@ -372,14 +370,14 @@ class EncodingContext:
         """The bits the comparison at ``key`` can read, by the one mask rule
         of the module docstring."""
         if len(key) == 2:
-            pair = (self._symbols_of(key[0]), self._symbols_of(key[1]))
+            pair = (key[0].symbols, key[1].symbols)
             mask = self._pair_masks.get(pair)
             if mask is None:
                 mask = self._pair_masks[pair] = self._readable(pair[0] | pair[1])
             return mask
         s, t, i, j = key
         mask = self._readable(_NO_SYMBOLS.union(
-            *map(self._symbols_of, s.args[i - 1:] + t.args[j - 1:])))
+            *[a.symbols for a in s.args[i - 1:] + t.args[j - 1:]]))
         for h, start in ((s.fun, i), (t.fun, j)):
             for k in self._meet(h).arg_in[start - 1:]:
                 mask |= 3 << 2 * k
@@ -399,7 +397,7 @@ class EncodingContext:
         if isinstance(s, Var):
             # a variable only weakly exceeds itself, or an application
             # collapsed onto an argument that contains the variable
-            if rel == GT or s not in self._variables_of(t):
+            if rel == GT or s not in t.variables:
                 return b.FALSE
             if isinstance(t, Var):
                 return b.TRUE
@@ -408,7 +406,7 @@ class EncodingContext:
             f = self._own.get(s.fun) or self._meet(s.fun)
             if isinstance(t, App):
                 x = None
-            elif t in self._variables_of(s):
+            elif t in s.variables:
                 # s exceeds a variable only through arguments that contain it
                 x = t
             else:
@@ -417,7 +415,7 @@ class EncodingContext:
         if isinstance(t, App):
             # target root collapsed away
             for k, a in zip((self._own.get(t.fun) or self._meet(t.fun)).collapses_to, t.args):
-                if x is not None and x not in self._variables_of(a):
+                if x is not None and x not in a.variables:
                     continue
                 if ctx >> 2 * k & 3 == 2:
                     branches.append(b.FALSE)
@@ -433,7 +431,7 @@ class EncodingContext:
 
         # source root collapsed onto one argument
         for k, a in zip(f.collapses_to, s.args):
-            if x is not None and x not in self._variables_of(a):
+            if x is not None and x not in a.variables:
                 continue
             if ctx >> 2 * k & 3 == 2:
                 branches.append(b.FALSE)
@@ -452,7 +450,7 @@ class EncodingContext:
             kept_ctx |= self._implied[2 * f.list_p]
         kept: list[Formula] = []
         for k, a in zip(f.arg_in, s.args):
-            if x is not None and x not in self._variables_of(a):
+            if x is not None and x not in a.variables:
                 continue
             if kept_ctx >> 2 * k & 3 == 2:
                 kept.append(b.FALSE)
@@ -548,22 +546,6 @@ class EncodingContext:
         for first, hold in reversed(steps):
             rest = b.or_([first, b.and_([hold, rest])])
         return rest
-
-    def _symbols_of(self, t: Term) -> frozenset[Symbol]:
-        """Function symbols of ``t``."""
-        syms = self._term_symbols.get(t)
-        if syms is None:
-            syms = _collect(t, self._term_symbols, lambda v: _NO_SYMBOLS,
-                            lambda u: frozenset((u.fun,)))
-        return syms
-
-    def _variables_of(self, t: Term) -> frozenset[Var]:
-        """Variables of ``t``."""
-        xs = self._term_variables.get(t)
-        if xs is None:
-            xs = _collect(t, self._term_variables, lambda v: frozenset((v,)),
-                          lambda u: frozenset())
-        return xs
 
     def _build_lex_two(self, s: App, t: App, i: int, j: int, rel: str, ctx: Ctx) -> Formula:
         """Lexicographic comparison of the arguments of ``s`` from ``i`` on
@@ -662,28 +644,6 @@ class EncodingContext:
             + [self.usable_flags(r.rhs, defined, ctx) for r in rules]))
 
 
-def _collect(t: Term, memo: dict[Term, frozenset], of_var, of_app) -> frozenset:
-    """The set ``memo`` keeps for ``t``: ``of_var(v)`` for a variable, and
-    ``of_app(u)`` joined with its arguments' sets for an application.  Each
-    subterm's set is built once, by an explicit post-order walk."""
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-        elif isinstance(u, Var):
-            memo[u] = of_var(u)
-            stack.pop()
-        else:
-            missing = [a for a in u.args if a not in memo]
-            if missing:
-                stack += missing
-            else:
-                memo[u] = of_app(u).union(*[memo[a] for a in u.args])
-                stack.pop()
-    return memo[t]
-
-
 @dataclass(frozen=True)
 class RpEncoding:
     """A reduction-pair search problem as a single formula.  ``symbols``
@@ -721,8 +681,6 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     ``OutOfTime`` within ``DEADLINE_BUILDS`` builds; with no deadline it
     never reads the clock.
     """
-    from . import usable as U
-
     if processor not in ("thm5", "thm12"):
         raise ValueError(f"processor must be 'thm5' or 'thm12', got {processor!r}")
     ctx = EncodingContext(mode, simplify=simplify, share=share, propagate=propagate,
@@ -733,7 +691,7 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     usable_syms: tuple[Symbol, ...] = ()
     # pruned branches read no atom, so the round meets up front every
     # symbol that the model replay and the proof read
-    for f in sorted(_NO_SYMBOLS.union(*[ctx._symbols_of(side) for r in pairs + usable
+    for f in sorted(_NO_SYMBOLS.union(*[side.symbols for r in pairs + usable
                                         for side in (r.lhs, r.rhs)]), key=symbol_key):
         ctx._meet(f)
 

@@ -6,6 +6,10 @@ a value's key to a weak reference to its live instance; building a value
 that is already in the table returns that object, so structurally equal
 terms are the same object.  A hit takes no lock.  A dead instance's entry
 is dropped unless its key was built again first.
+Terms are immutable, so each application's function symbols and variables
+(``symbols``, ``variables``) are computed once, from its arguments' sets,
+when its table misses; a variable answers with no symbols and itself.
+``repr`` and pickles use the constructor fields alone (``_fields``).
 The classes define no ``__eq__`` or ``__hash__``: equality is identity and
 hashing is CPython's identity hash, so a lookup keyed on terms runs no
 Python code and comparing two terms never walks them.  The order of a set
@@ -42,6 +46,7 @@ class _Interned:
 
     __slots__ = ("__weakref__",)
     _table: dict[object, _Entry]
+    _fields: tuple[str, ...]  # the constructor's arguments, in order
 
     @classmethod
     def _intern(cls, key, fields: dict):
@@ -64,10 +69,10 @@ class _Interned:
 
     def __reduce__(self):
         # unpickling builds through the table of the loading process
-        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -85,7 +90,7 @@ class Symbol(_Interned):
     collide with a user symbol; the trailing ``#`` is display only.
     """
 
-    __slots__ = ("name", "arity", "is_tuple")
+    __slots__ = _fields = ("name", "arity", "is_tuple")
     _table = {}
     name: str
     arity: int
@@ -113,15 +118,19 @@ def symbol_key(f: Symbol) -> tuple[str, bool]:
 
 
 class Term(_Interned):
-    """A first-order term; concrete instances are ``Var`` or ``App``."""
+    """A first-order term; concrete instances are ``Var`` or ``App``.
+    ``symbols`` and ``variables`` are its function symbols and variables."""
 
     __slots__ = ()
+    symbols: frozenset[Symbol]
+    variables: frozenset[Var]
 
 
 class Var(Term):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
     _table = {}
     name: str
+    symbols = frozenset()
 
     def __new__(cls, name: str) -> Var:
         self = cls._table.get(name, _NO_ENTRY)()
@@ -129,15 +138,21 @@ class Var(Term):
             self = cls._intern(name, {"name": name})
         return self
 
+    @property
+    def variables(self) -> frozenset[Var]:
+        return frozenset((self,))  # made per call: a stored one would be a cycle
+
     def __str__(self) -> str:
         return self.name
 
 
 class App(Term):
-    """Application of ``fun`` to ``args``.  The arity is checked when the
-    application is first built; a later build finds it in the table."""
+    """Application of ``fun`` to ``args``.  The arity is checked, and the
+    symbol and variable sets are made, when the application is first built;
+    a later build finds it in the table."""
 
-    __slots__ = ("fun", "args")
+    _fields = ("fun", "args")
+    __slots__ = _fields + ("symbols", "variables")
     _table = {}
     fun: Symbol
     args: tuple[Term, ...]
@@ -149,7 +164,10 @@ class App(Term):
             if len(args) != fun.arity:
                 raise ValueError(
                     f"symbol {fun.display}/{fun.arity} applied to {len(args)} arguments")
-            self = cls._intern(key, {"fun": fun, "args": args})
+            self = cls._intern(key, {
+                "fun": fun, "args": args,
+                "symbols": frozenset((fun,)).union(*[a.symbols for a in args]),
+                "variables": frozenset().union(*[a.variables for a in args])})
         return self
 
     def __str__(self) -> str:
@@ -183,18 +201,6 @@ def variables(t: Term) -> tuple[Var, ...]:
             out.setdefault(u)
         else:
             stack.extend(reversed(u.args))  # type: ignore[union-attr]
-    return tuple(out)
-
-
-def functions(t: Term) -> tuple[Symbol, ...]:
-    """Function symbols of ``t`` in order of first occurrence."""
-    out: dict[Symbol, None] = {}
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App):
-            out.setdefault(u.fun)
-            stack.extend(reversed(u.args))
     return tuple(out)
 
 
@@ -245,10 +251,9 @@ class Rule:
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise ValueError("left-hand side is a variable")
-        bound = set(variables(self.lhs))
-        missing = [v for v in variables(self.rhs) if v not in bound]
-        if missing:
-            names = ", ".join(v.name for v in missing)
+        bound = self.lhs.variables
+        if not self.rhs.variables <= bound:
+            names = ", ".join(v.name for v in variables(self.rhs) if v not in bound)
             raise ValueError(f"right-hand side variables not bound on the left: {names}")
 
     @property
@@ -276,14 +281,11 @@ class Trs:
         rules = tuple(rules)
         sig: dict[tuple[str, bool], Symbol] = {}
         for rule in rules:
-            for t in (rule.lhs, rule.rhs):
-                for f in functions(t):
-                    prev = sig.setdefault(symbol_key(f), f)
-                    if prev is not f:
-                        raise ValueError(
-                            f"symbol {f.display} used with arities "
-                            f"{prev.arity} and {f.arity}"
-                        )
+            for f in rule.lhs.symbols | rule.rhs.symbols:
+                prev = sig.setdefault(symbol_key(f), f)
+                if prev is not f:
+                    low, high = sorted((prev.arity, f.arity))
+                    raise ValueError(f"symbol {f.display} used with arities {low} and {high}")
         return Trs(rules, frozenset(sig.values()))
 
     def rules_for(self, f: Symbol) -> tuple[Rule, ...]:

@@ -7,10 +7,14 @@ composes it."""
 
 from __future__ import annotations
 
-from .encoder import EncodingContext
+from typing import TYPE_CHECKING
+
 from .formula import Formula
 from .orders import ArgumentFiltering
 from .terms import Rule, Symbol, Term, Trs, Var, defined_symbols
+
+if TYPE_CHECKING:
+    from .encoder import EncodingContext
 
 
 def _reachable(pairs: Trs, rules: Trs, pi: ArgumentFiltering | None) -> tuple[Rule, ...]:

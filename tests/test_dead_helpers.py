@@ -4,8 +4,9 @@ name a module there assigns at its top level is read by some module there;
 and every public name a module there defines or assigns at its top level is
 read by some module under ``src`` or ``bench``, exported in ``__all__`` or an
 entry point of ``pyproject.toml``; every module there imports only from
-the package itself or the standard library; and no module there reaches
-for another module's private names."""
+the package itself or the standard library; no module there reaches
+for another module's private names; and no module there imports inside a
+function body."""
 
 import ast
 import sys
@@ -143,6 +144,26 @@ def foreign_private_reads(paths) -> list[str]:
     return sorted(found)
 
 
+def function_body_imports(paths) -> list[str]:
+    """Imports made inside a function or method body, as ``module:line:
+    name``; an import at module or class level, or under ``if
+    TYPE_CHECKING:``, is not one."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Import):
+                    names = [alias.name for alias in inner.names]
+                elif isinstance(inner, ast.ImportFrom):
+                    names = ["." * inner.level + (inner.module or "")]
+                else:
+                    continue
+                found.update(f"{path.stem}:{inner.lineno}: {name}" for name in names)
+    return sorted(found)
+
+
 def entry_points() -> set[str]:
     """The ``[project.scripts]`` targets, as ``module.name``."""
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
@@ -246,3 +267,22 @@ def test_guard_flags_a_foreign_private_name(tmp_path):
         "        return cls._factory()\n")
     assert foreign_private_reads([m]) == \
         ["m:1: _sibling", "m:2: _Hidden", "m:5: _theirs"]
+
+
+def test_no_module_imports_inside_a_function():
+    assert function_body_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_flags_an_import_inside_a_function(tmp_path):
+    m = tmp_path / "m.py"
+    m.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "import os\n"
+        "if TYPE_CHECKING:\n    from .encoder import EncodingContext\n"
+        "class C:\n"
+        "    import json\n"
+        "    def method(self):\n        from . import usable as U\n"
+        "def outer():\n"
+        "    def inner():\n        import sys, re\n"
+        "    return inner\n")
+    assert function_body_imports([m]) == ["m:11: re", "m:11: sys", "m:8: ."]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from termfilter import dp
 from termfilter.dp import (DpProblem, dependency_pairs, estimate_dependency_graph,
                            scc_decompose)
-from termfilter.terms import App, Rule, Symbol, Trs, Var, functions, unifiable, variables
+from termfilter.terms import App, Rule, Symbol, Trs, Var, unifiable, variables
 from termfilter.tpdb import parse_trs
 
 from util import ex13, ex2, random_trs, reference_dependency_graph, substitute
@@ -46,8 +46,7 @@ def test_pairs_use_tuple_roots_only():
         assert isinstance(p.rhs, App) and p.rhs.fun.is_tuple
         for t in (p.lhs, p.rhs):
             for a in t.args:
-                from termfilter.terms import functions
-                assert all(not f.is_tuple for f in functions(a))
+                assert all(not f.is_tuple for f in a.symbols)
 
 
 def test_division_graph_arcs():
@@ -285,7 +284,7 @@ def _chains_found(problem, steps=2):
     most ``steps`` steps to an instance of pair j's left side."""
     pairs, rules = problem.pairs.rules, problem.rules.rules
     symbols = sorted(problem.rules.signature
-                     | {f for p in pairs for a in p.rhs.args for f in functions(a)},
+                     | {f for p in pairs for a in p.rhs.args for f in a.symbols},
                      key=lambda f: (f.name, f.arity))
     constants = [App(f) for f in symbols if f.arity == 0] or [App(Symbol("c", 0))]
     ground = constants + [App(f, args) for f in symbols if f.arity > 0

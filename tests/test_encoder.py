@@ -21,7 +21,8 @@ from termfilter.usable import usable_rules
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, concrete_atom_value, evaluate, ex13,
                   ex2, identity_filtering, lowered_cnf, problem_signature,
-                  random_signature, random_term, random_trs, stack_depth, tree_size)
+                  random_signature, random_term, random_trs, rot_text, stack_depth,
+                  tree_size)
 
 S1 = Symbol("s", 1)
 MINUS = Symbol("minus", 2)
@@ -405,12 +406,8 @@ def test_tau_lex_binary_satisfied_by_known_assignment():
 # the memo of the quasi lexicographic comparison
 
 def _rot_problem(k):
-    xs = [f"x{i}" for i in range(1, k + 1)]
-    text = (f"(VAR {' '.join(xs)})(RULES "
-            f"f(s(x1),{','.join(xs[1:])}) -> g({','.join(xs[1:] + xs[:1])}) "
-            f"g({','.join(xs)}) -> f({','.join(xs)}))")
     from termfilter.tpdb import parse_trs
-    trs = parse_trs(text)
+    trs = parse_trs(rot_text(k))
     return DpProblem(dependency_pairs(trs), trs)
 
 

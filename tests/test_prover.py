@@ -8,7 +8,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from termfilter import prover
 from termfilter.cli import main as cli_main
@@ -23,7 +23,7 @@ from termfilter.usable import usable_rules, usable_rules_mod_pi
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
                   all_filterings, all_precedences, ex13, ex2, problem_signature,
-                  random_trs)
+                  random_trs, rot_text)
 
 
 CONFIGS = [(proc, mode) for proc in ("thm5", "thm12") for mode in ("strict", "quasi")]
@@ -357,19 +357,26 @@ def test_cli_timeout(tmp_path, capsys):
     assert "TIMEOUT" in capsys.readouterr().out
 
 
-def test_cli_keeps_a_timeout_that_falls_inside_encoding(tmp_path, capsys):
-    # rot96 in quasi mode, the system of test_encoder's _rot_problem: untimed
-    # it gives MAYBE after about 6 s, most of them encoding its first round,
-    # so an encoder that never reads the clock overruns 0.2 s by seconds
-    xs = [f"x{i}" for i in range(1, 97)]
-    path = tmp_path / "rot96.trs"
-    path.write_text(f"(VAR {' '.join(xs)})(RULES "
-                    f"f(s(x1),{','.join(xs[1:])}) -> g({','.join(xs[1:] + xs[:1])}) "
-                    f"g({','.join(xs)}) -> f({','.join(xs)}))")
+# no shrink phase: a failing draw would be rerun for minutes, one slow
+# proof per step, to find a smaller k that says nothing more
+@settings(database=None, derandomize=True, max_examples=8, deadline=None,
+          phases=[Phase.explicit, Phase.generate],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(64, 128), timeout=st.floats(0.05, 0.4))
+@example(k=96, timeout=0.2)
+def test_cli_keeps_a_timeout_that_falls_inside_encoding(tmp_path, k, timeout):
+    # rot-k (see rot_text) in quasi mode: untimed, rot64 gives MAYBE after about 2 s and
+    # rot96 after about 6 s, most of them encoding the first round, so every
+    # draw times out, and an encoder that never reads the clock overruns
+    # the timeout by seconds
+    path = tmp_path / "rot.trs"
+    path.write_text(rot_text(k))
+    out = io.StringIO()
     start = time.monotonic()
-    assert cli_main([str(path), "--order", "qlpo", "--timeout", "0.2"]) == 2
-    assert time.monotonic() - start < 0.7
-    assert "TIMEOUT" in capsys.readouterr().out
+    with contextlib.redirect_stdout(out):
+        code = cli_main([str(path), "--order", "qlpo", "--timeout", repr(timeout)])
+    assert code == 2 and time.monotonic() - start < timeout + 0.5
+    assert "TIMEOUT" in out.getvalue()
 
 
 def test_cli_parse_error(tmp_path, capsys):

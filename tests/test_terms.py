@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termfilter.terms import (App, Rule, Symbol, Trs, Var, defined_symbols,
-                              format_trs, functions, subterms, unify, variables)
+                              format_trs, subterms, unify, variables)
 from termfilter.tpdb import ParseError, UnsupportedBlockError, parse_trs
 
 from util import (EX13_TEXT, EX2_TEXT, ex2, random_signature, random_term, random_trs,
@@ -257,8 +258,50 @@ def test_trs_of_rejects_inconsistent_arity():
     a = Symbol("a", 0)
     r1 = Rule(App(f1, (Var("x"),)), Var("x"))
     r2 = Rule(App(f2, (Var("x"), Var("y"))), App(a, ()))
-    with pytest.raises(ValueError):
-        Trs.of([r1, r2])
+    # the arities in ascending order, whichever the system meets first
+    for rules in ([r1, r2], [r2, r1]):
+        with pytest.raises(ValueError, match="^symbol f used with arities 1 and 2$"):
+            Trs.of(rules)
+
+
+def test_rule_names_unbound_variables_in_order_of_first_occurrence():
+    f, g = Symbol("f", 1), Symbol("g", 4)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    with pytest.raises(ValueError, match="^right-hand side variables not bound "
+                                         "on the left: z, y$"):
+        Rule(App(f, (x,)), App(g, (z, x, y, z)))
+
+
+def _walked(t):
+    """The function symbols and variables of ``t``, by an explicit walk."""
+    found = list(subterms(t))
+    return ({u.fun for u in found if isinstance(u, App)},
+            {u for u in found if isinstance(u, Var)})
+
+
+def _reference_repr(t):
+    if isinstance(t, Var):
+        return f"Var(name={t.name!r})"
+    args = ", ".join(map(_reference_repr, t.args)) + ("," if len(t.args) == 1 else "")
+    f = t.fun
+    return (f"App(fun=Symbol(name={f.name!r}, arity={f.arity!r}, is_tuple={f.is_tuple!r}), "
+            f"args=({args}))")
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_terms_carry_their_symbols_and_variables(seed):
+    rng = random.Random(seed)
+    trs = random_trs(rng, max_symbols=5, max_arity=3, depth=3)
+    symbols = random_signature(rng, max_symbols=4, max_arity=3)
+    terms = [side for rule in trs.rules for side in (rule.lhs, rule.rhs)]
+    terms += [random_term(rng, symbols, ["x", "y", "z"], 4) for _ in range(4)]
+    for t in terms:
+        for u in subterms(t):
+            assert (u.symbols, u.variables) == _walked(u)
+            assert type(u.symbols) is type(u.variables) is frozenset
+            assert repr(u) == _reference_repr(u)
+            assert pickle.loads(pickle.dumps(u)) is u
 
 
 def test_variables_first_occurrence_order():
@@ -287,19 +330,22 @@ def test_deep_towers_built_apart_are_one_object():
 
 
 def test_functions_and_variables_of_deep_tower():
-    # built directly, not parsed, so nothing but the two walks sees the depth
+    # built directly, not parsed, so nothing but the sets and the walk sees
+    # the depth
     s = Symbol("s", 1)
     t = Var("x")
     for _ in range(5000):
         t = App(s, (t,))
-    assert functions(t) == (s,)
+    assert t.symbols == {s}
+    assert t.variables == {Var("x")}
     assert variables(t) == (Var("x"),)
 
 
 def test_functions_first_occurrence_order():
     f, g, c = Symbol("f", 3), Symbol("g", 1), Symbol("c", 0)
     t = App(f, (App(g, (App(c),)), Var("x"), App(f, (App(c), Var("y"), App(g, (Var("x"),))))))
-    assert functions(t) == (f, g, c)
+    assert t.symbols == {f, g, c}
+    assert t.variables == {Var("x"), Var("y")}
     assert variables(t) == (Var("x"), Var("y"))
 
 

@@ -53,9 +53,8 @@ def test_usable_closure_invariant():
     trs = ex13()
     pairs = dependency_pairs(trs)
     chosen = set(usable_rules(pairs, trs))
-    from termfilter.terms import functions
     for rule in chosen:
-        for f in functions(rule.rhs):
+        for f in rule.rhs.symbols:
             for r2 in trs.rules_for(f):
                 assert r2 in chosen
 

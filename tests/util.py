@@ -71,6 +71,15 @@ SHUFFLE_TEXT = REVERSE_TEXT + """
 """
 
 
+def rot_text(k: int) -> str:
+    """``f(s(x1),x2,…,xk) -> g(x2,…,xk,x1)`` and ``g(x1,…,xk) -> f(x1,…,xk)``:
+    its quasi encoding grows fast with k."""
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    return (f"(VAR {' '.join(xs)})(RULES "
+            f"f(s(x1),{','.join(xs[1:])}) -> g({','.join(xs[1:] + xs[:1])}) "
+            f"g({','.join(xs)}) -> f({','.join(xs)}))")
+
+
 def stack_depth() -> int:
     """Number of frames on the caller's stack, the caller's included."""
     frame, depth = sys._getframe(1), 0
