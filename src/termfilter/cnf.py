@@ -3,26 +3,13 @@
 ``Cnf`` is the one place where clause normal form is decided: whatever
 builds a clause set (Tseitin, a test) hands over clauses as they come, and
 whatever reads one (the solver, ``write_dimacs``) takes them as they are.
-
-``tseitin_cnf`` is polarity-aware: it defines each node only in the
-direction the formula uses it in (Plaisted & Greenbaum 1986).  It also
-gives no variable to two kinds of node, whose variables resolution would
-remove without adding a clause: a node whose definition would be one
-clause (an ``or`` used positively, an ``and`` used negatively) is spliced
-into the clauses that use it, and a conjunction that only one clause uses
-is distributed into that clause.  Definition variables therefore bound
-their nodes rather than equal them, and only the original variables of a
-model carry meaning: a model projects onto them, and each of their
-assignments that satisfies the formula extends to a model.  The formulas
-have no implication or equivalence node: ``FormulaBuilder.implies``
-builds a disjunction and ``FormulaBuilder.iff`` a conjunction of two, so
-an asserted implication, like any asserted disjunction, is one clause,
-and the walk defines only ``and`` and ``or``.
+``tseitin_cnf`` converts a formula DAG polarity-aware (Plaisted & Greenbaum
+1986); its docstring says which nodes get a definition and how it is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .formula import ATOM, AND, FALSE, NOT, OR, TRUE, Formula
@@ -64,7 +51,7 @@ class Cnf:
 @dataclass
 class TseitinResult:
     cnf: Cnf
-    definitions: dict[int, str] = field(default_factory=dict)
+    definitions: dict[int, str]
 
 
 def _parent_counts(phi: Formula) -> dict[Formula, int]:
@@ -94,7 +81,8 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
     variable; any other atom is translated by ``lower`` into a formula over
     variables the first time the walk reaches its node, once per node, and
     stands for that formula.  ``and`` and ``or``, the only other kinds
-    besides the constants, go by their kind under the sign:
+    besides the constants (``FormulaBuilder.implies`` and ``iff`` build
+    them too), go by their kind under the sign:
 
     - Disjunction-like (an ``or`` with sign +1, an ``and`` with -1): its
       definition would be one clause, so it gets no variable and stands
@@ -106,12 +94,13 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
       per child with the child in the node's place.  This repeats through
       single-parent descendants (through ``not`` too, and from an atom to
       its translation's root), but only the first such node of a clause is
-      distributed, so no clause is added.  Otherwise the node gets a
-      definition variable ``v``, defined in the one direction the sign
-      needs by one clause (or more, by distribution) per child: ``v -> n``
-      for an ``and``, ``n -> v`` for an ``or``.  A node with several
-      parents, one below a spliced node and one inside a translation are
-      defined so.
+      distributed, so no clause is added.  Otherwise (a node with several
+      parents, one below a spliced node, one inside a translation) ``lits``
+      gives the node a definition variable ``v`` where it first names it,
+      and writes the definition there, in the one direction the sign
+      needs: ``v -> n`` for an ``and``, ``n -> v`` for an ``or``.  That is
+      one clause per child, ``-v`` or ``v`` with the child's literals, or
+      more where a single-parent child is distributed into it.
 
     So an ``or`` never gets a definition ``v -> n``, nor an ``and`` one
     ``n -> v``, and no node is defined twice.
@@ -138,13 +127,6 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
         counter[0] += 1
         defs[counter[0]] = desc
         return counter[0]
-
-    def true_lit() -> int:
-        if not const_lit:
-            v = fresh("constant-true")
-            const_lit.append(v)
-            clauses.append((v,))
-        return const_lit[0]
 
     def translation(n: Formula) -> Formula:
         low = lowered.get(n)
@@ -173,25 +155,22 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
                 spliced += lits(c, s)
             out = tuple(spliced)
         elif k == TRUE or k == FALSE:
-            t = true_lit()
+            if not const_lit:
+                const_lit.append(fresh("constant-true"))
+                clauses.append((const_lit[0],))
+            t = const_lit[0]
             out = (t if (k == TRUE) == (s > 0) else -t,)
         else:
-            v = define(n, s)
+            v = fresh(f"def({k})")
+            head = (-v,) if s > 0 else (v,)
+            for c in n.children:
+                if parents.get(c) == 1:
+                    emit(head, c, s, True)
+                else:
+                    clauses.append(head + lits(c, s))
             out = (v if s > 0 else -v,)
         memo[n] = out
         return out
-
-    def define(n: Formula, s: int) -> int:
-        """A fresh variable for the conjunction-like ``n``, defined in the
-        direction that sign ``s`` uses; ``lits`` asks once per node."""
-        v = fresh(f"def({n.kind})")
-        head = (-v,) if s > 0 else (v,)
-        for c in n.children:
-            if parents.get(c) == 1:
-                emit(head, c, s, True)
-            else:
-                clauses.append(head + lits(c, s))
-        return v
 
     def emit(base: tuple[int, ...], n: Formula, s: int, own: bool) -> None:
         """Emit the clauses ``base or n`` for ``n`` under sign ``s``;
@@ -237,10 +216,10 @@ def tseitin_cnf(phi: Formula, num_reserved: int,
         clauses.append(())
     elif phi.kind != TRUE:
         emit((), phi, 1, True)
-    # the three functions reach each other through their closure cells;
+    # the two functions reach each other through their closure cells;
     # emptying the cells breaks that cycle, so the tables above are freed
     # on return rather than left to the cycle collector
-    del lits, define, emit
+    del lits, emit
     return TseitinResult(Cnf(counter[0], tuple(clauses)), defs)
 
 

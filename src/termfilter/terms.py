@@ -164,10 +164,15 @@ class App(Term):
             if len(args) != fun.arity:
                 raise ValueError(
                     f"symbol {fun.display}/{fun.arity} applied to {len(args)} arguments")
-            self = cls._intern(key, {
-                "fun": fun, "args": args,
-                "symbols": frozenset((fun,)).union(*[a.symbols for a in args]),
-                "variables": frozenset().union(*[a.variables for a in args])})
+            if len(args) == 1:  # shares its argument's sets where the root adds nothing
+                symbols, variables = args[0].symbols, args[0].variables
+                if fun not in symbols:
+                    symbols = symbols | {fun}
+            else:
+                symbols = frozenset((fun,)).union(*[a.symbols for a in args])
+                variables = frozenset().union(*[a.variables for a in args])
+            self = cls._intern(key, {"fun": fun, "args": args,
+                                     "symbols": symbols, "variables": variables})
         return self
 
     def __str__(self) -> str:
@@ -279,14 +284,15 @@ class Trs:
     @staticmethod
     def of(rules: Iterable[Rule]) -> Trs:
         rules = tuple(rules)
-        sig: dict[tuple[str, bool], Symbol] = {}
-        for rule in rules:
-            for f in rule.lhs.symbols | rule.rhs.symbols:
-                prev = sig.setdefault(symbol_key(f), f)
-                if prev is not f:
-                    low, high = sorted((prev.arity, f.arity))
-                    raise ValueError(f"symbol {f.display} used with arities {low} and {high}")
-        return Trs(rules, frozenset(sig.values()))
+        sig = frozenset().union(*[t.symbols for r in rules for t in (r.lhs, r.rhs)])
+        if len({symbol_key(f) for f in sig}) < len(sig):
+            # the first clash in name order, so that the rules alone fix the message
+            ordered = sorted(sig, key=lambda f: (symbol_key(f), f.arity))
+            low, high = next((f, g) for f, g in zip(ordered, ordered[1:])
+                             if symbol_key(f) == symbol_key(g))
+            raise ValueError(
+                f"symbol {low.display} used with arities {low.arity} and {high.arity}")
+        return Trs(rules, sig)
 
     def rules_for(self, f: Symbol) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.root is f)

@@ -14,16 +14,17 @@ from termfilter import prover
 from termfilter.cli import main as cli_main
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.lowering import DecodedModel
-from termfilter.orders import ArgumentFiltering, Keep, Precedence, lpo_af_ge, lpo_af_gt
+from termfilter.orders import (ArgumentFiltering, Collapse, Keep, Precedence,
+                               apply_filtering, lpo_af_ge, lpo_af_gt, lpo_ge, lpo_gt)
 from termfilter.prover import (Maybe, ProverConfig, Terminating, Timeout,
                                reduction_pair_processor, prove, render_proof)
-from termfilter.terms import Trs
+from termfilter.terms import Trs, symbol_key
 from termfilter.tpdb import ParseError, parse_trs
 from termfilter.usable import usable_rules, usable_rules_mod_pi
 
 from util import (ACKERMANN_TEXT, EX13_TEXT, EX2_TEXT, REVERSE_TEXT, SHUFFLE_TEXT,
-                  all_filterings, all_precedences, ex13, ex2, problem_signature,
-                  random_trs, rot_text)
+                  all_filterings, all_precedences, collapse_text, ex13, ex2,
+                  problem_signature, random_trs, ring_text, rot_text)
 
 
 CONFIGS = [(proc, mode) for proc in ("thm5", "thm12") for mode in ("strict", "quasi")]
@@ -379,6 +380,26 @@ def test_cli_keeps_a_timeout_that_falls_inside_encoding(tmp_path, k, timeout):
     assert "TIMEOUT" in out.getvalue()
 
 
+@settings(database=None, derandomize=True, max_examples=8, deadline=None,
+          phases=[Phase.explicit, Phase.generate],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(24, 32), timeout=st.floats(0.05, 0.3))
+@example(n=32, timeout=0.1)
+def test_cli_keeps_a_timeout_that_falls_inside_the_solver(tmp_path, n, timeout):
+    # a refute ring (see ring_text) in quasi mode: untimed, refute24 gives
+    # MAYBE after 0.8 to 1.2 s and refute32 after 2.6 to 3.1 s, at least
+    # 95 % of it solving, so every draw times out inside the solver, and a
+    # solver that never reads the clock runs past the timeout and the slack
+    path = tmp_path / "ring.trs"
+    path.write_text(ring_text(n))
+    out = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        code = cli_main([str(path), "--order", "qlpo", "--timeout", repr(timeout)])
+    assert code == 2 and time.monotonic() - start < timeout + 0.5
+    assert "TIMEOUT" in out.getvalue()
+
+
 def test_cli_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.trs"
     path.write_text("(VAR x)(RULES x -> x)")
@@ -636,20 +657,36 @@ def test_size_preserving_recursion_is_maybe():
     assert "shuffle#" in verdict.reason
 
 
-def _orientable(problem, processor, mode):
+def _orientable(problem, processor, mode, collapse=True):
     """Exhaustive search: does some precedence and filtering make every pair
     weakly decreasing, some pair strictly decreasing, and every usable rule
-    weakly decreasing?"""
-    symbols = list(problem_signature(problem))
-    pairs = problem.pairs.rules
+    weakly decreasing?  It ranges over the symbols of the pairs and their
+    classically usable rules, as no other symbol takes part in a check, and
+    over one rank map per order of the symbols.  With ``collapse=False`` it
+    leaves out the filterings that collapse a symbol."""
     classical = usable_rules(problem.pairs, problem.rules)
+    symbols = sorted(problem.pairs.signature | Trs.of(classical).signature, key=symbol_key)
+    precedences = []
+    for prec in all_precedences(symbols):
+        # only the order of the ranks counts: one rank map per order, the one
+        # with no gaps
+        ranks = {prec.rank(f) for f in symbols}
+        if ranks == set(range(1, len(ranks) + 1)):
+            precedences.append(prec)
     for pi in all_filterings(symbols):
+        if not collapse and any(isinstance(pi.get(f), Collapse) for f in symbols):
+            continue
         usable = (classical if processor == "thm5"
                   else usable_rules_mod_pi(problem.pairs, problem.rules, pi))
-        for prec in all_precedences(symbols):
-            if (all(lpo_af_ge(prec, pi, mode, p.lhs, p.rhs) for p in pairs)
-                    and any(lpo_af_gt(prec, pi, mode, p.lhs, p.rhs) for p in pairs)
-                    and all(lpo_af_ge(prec, pi, mode, r.lhs, r.rhs) for r in usable)):
+        # filtered once per filtering: lpo_af_gt(prec, pi, ...) is lpo_gt of
+        # the filtered terms
+        pairs = [(apply_filtering(pi, p.lhs), apply_filtering(pi, p.rhs))
+                 for p in problem.pairs.rules]
+        rules = [(apply_filtering(pi, r.lhs), apply_filtering(pi, r.rhs)) for r in usable]
+        for prec in precedences:
+            if (all(lpo_ge(prec, mode, s, t) for s, t in pairs)
+                    and any(lpo_gt(prec, mode, s, t) for s, t in pairs)
+                    and all(lpo_ge(prec, mode, l, r) for l, r in rules)):
                 return True
     return False
 
@@ -677,6 +714,27 @@ def test_processor_answers_match_exhaustive_search():
                         (str(sub.pairs), str(sub.rules), mode, processor)
                     answers[sat] += 1
     assert answers[True] >= 4 and answers[False] >= 4, answers
+
+
+def test_components_that_need_a_collapse_match_exhaustive_search():
+    """Random systems this small never need a collapsing filtering; these
+    components do, and the processor finds one in every configuration."""
+    rng = random.Random(12)
+    for _ in range(20):
+        text, f = collapse_text(rng)
+        trs = parse_trs(text)
+        (sub,) = [c for c in scc_decompose(DpProblem(dependency_pairs(trs), trs))
+                  if c.pairs.rules[0].root.name == f]
+        for mode in ("strict", "quasi"):
+            for processor in ("thm5", "thm12"):
+                outcome = reduction_pair_processor(
+                    sub, ProverConfig(mode=mode, processor=processor))
+                assert outcome.status == "progress", (text, mode, processor)
+                w = outcome.witness
+                assert any(isinstance(spec, Collapse) for _, spec in w.filtering.items())
+                assert _orientable(sub, processor, mode)
+                assert not _orientable(sub, processor, mode, collapse=False), \
+                    (text, mode, processor)
 
 
 def test_each_round_numbers_every_symbol_its_checks_read(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -537,6 +538,22 @@ def test_tseitin_iff_children_get_both_directions():
     assert res.cnf.clauses == ((3, -1, -2), (-4, 1), (-4, 2), (4, -3))
 
 
+def test_tseitin_converts_a_deep_chain_of_shared_conjunctions():
+    # each level is a = and(prev, x) with two parents, under
+    # prev' = or(a, and(a, y)): every a gets a definition, and writing it
+    # takes the walk one level further down.  400 levels fit under the
+    # default recursion limit only at two frames per level
+    depth = 400
+    b = FormulaBuilder(simplify=False)
+    prev = b.atom(2 * depth + 1)
+    for i in range(1, depth + 1):
+        a = b.and_([prev, b.atom(i)])
+        prev = b.or_([a, b.and_([a, b.atom(depth + i)])])
+    res = tseitin_cnf(prev, 2 * depth + 1, no_atoms)
+    assert list(res.definitions.values()) == ["def(and)"] * depth
+    assert solve(res.cnf).status == SAT
+
+
 def test_cnf_normal_form():
     # a repeated literal goes, the first occurrence stays in place; a
     # tautology goes; a unit and the empty clause stay
@@ -929,6 +946,24 @@ def test_dimacs_deterministic_across_hash_seeds(tmp_path):
     assert runs[0] == runs[1]
     assert runs[0][0].count("TERMINATING") >= 5
     assert len(runs[0][1]) >= 20
+
+
+def test_fingerprint_is_the_same_under_any_hash_seed():
+    # a smoke test of the byte-identity recipe: two runs of
+    # tests/fingerprint.py on one checkout print the same hashes.  The
+    # prover's output does not depend on the hash seed (see the DIMACS test
+    # above), so this holds with or without the script's re-execution under
+    # PYTHONHASHSEED=0, which is there for checkouts whose output does
+    script = Path(__file__).resolve().parent / "fingerprint.py"
+    outputs = {subprocess.run([sys.executable, str(script), "--workloads", "paper", "shape",
+                               "--passes", "1", "--random", "20"],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+               for seed in ("1", "31337")}
+    assert len(outputs) == 1
+    streams = json.loads(outputs.pop())
+    assert list(streams) == ["paper/0", "shape/0", "random"]
+    assert all(len(digest) == 16 for stream in streams.values() for digest in stream.values())
 
 
 # ----------------------------------------------------------------------

@@ -263,6 +263,35 @@ def test_trs_of_rejects_inconsistent_arity():
         with pytest.raises(ValueError, match="^symbol f used with arities 1 and 2$"):
             Trs.of(rules)
 
+    # Several clashes: the message names the first clashing name in name
+    # order with its two smallest arities, not the clash that set order,
+    # and with it memory addresses, meets first.  Each run allocates a
+    # different number of objects before it builds the terms.
+    script = textwrap.dedent("""
+        import sys
+        pad = [object() for _ in range(int(sys.argv[1]))]
+        from termfilter.terms import App, Rule, Symbol, Trs, Var
+        x = Var("x")
+        def app(name, *args):
+            return App(Symbol(name, len(args)), args)
+        ring = Rule(app("h", *[app(f"a{i}", x) for i in range(8)]),
+                    app("k", *[app(f"a{i}", x, x) for i in range(8)]))
+        fixed = Rule(app("b", x), x)
+        later = Rule(app("g", app("b", x, x), app("b", x, x, x)), x)
+        for rules in ([ring], [fixed, later]):
+            try:
+                Trs.of(rules)
+            except ValueError as e:
+                print(e)
+    """)
+    src = os.path.dirname(os.path.dirname(sys.modules[App.__module__].__file__))
+    outputs = {subprocess.run([sys.executable, "-c", script, str(pad)], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              check=True).stdout
+               for pad in (0, 101, 1000, 5003, 20000, 33333)}
+    assert outputs == {"symbol a0 used with arities 1 and 2\n"
+                       "symbol b used with arities 1 and 2\n"}
+
 
 def test_rule_names_unbound_variables_in_order_of_first_occurrence():
     f, g = Symbol("f", 1), Symbol("g", 4)
@@ -300,6 +329,12 @@ def test_terms_carry_their_symbols_and_variables(seed):
         for u in subterms(t):
             assert (u.symbols, u.variables) == _walked(u)
             assert type(u.symbols) is type(u.variables) is frozenset
+            if isinstance(u, App) and len(u.args) == 1:
+                # a one-argument application holds its argument's sets where
+                # the root adds nothing (a variable makes its set per call)
+                (a,) = u.args
+                assert isinstance(a, Var) or u.variables is a.variables
+                assert (u.symbols is a.symbols) == (u.fun in a.symbols)
             assert repr(u) == _reference_repr(u)
             assert pickle.loads(pickle.dumps(u)) is u
 

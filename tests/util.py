@@ -80,6 +80,19 @@ def rot_text(k: int) -> str:
             f"g({','.join(xs)}) -> f({','.join(xs)}))")
 
 
+def ring_text(n: int) -> str:
+    """The refuting ring of ``bench/corpus.chain_rules`` with fixed names:
+    ``f0 .. f(n-1)`` pass an ``s`` from their first argument to their second
+    around a ring, and the last link swaps the arguments back and keeps the
+    ``s``, so the ring does not terminate and its MAYBE rests on UNSAT
+    answers."""
+    rules = []
+    for i in range(n):
+        rhs = "s(y),x" if i == n - 1 else "x,s(y)"
+        rules += [f"f{i}(s(x),y) -> f{(i + 1) % n}({rhs})", f"f{i}(0,y) -> y"]
+    return "(VAR x y)(RULES " + " ".join(rules) + ")"
+
+
 def stack_depth() -> int:
     """Number of frames on the caller's stack, the caller's included."""
     frame, depth = sys._getframe(1), 0
@@ -336,6 +349,30 @@ def random_trs(rng: random.Random, max_symbols: int = 4, max_rules: int = 3,
         g = Symbol("g0", 1)
         rules = [Rule(App(g, (App(c, ()),)), App(c, ()))]
     return Trs.of(rules)
+
+
+def collapse_text(rng: random.Random) -> tuple[str, str]:
+    """A system built on ``f(s(x)) -> f(m(x))``, ``m(0) -> 0`` and
+    ``m(s(x)) -> s(m(x))``, and the name drawn for ``f``.  The names are
+    drawn; ``f`` gets up to two arguments that it carries through unchanged
+    and ``m`` up to one more argument, and each symbol's recursion argument
+    a drawn position.  Where ``m`` is kept, ``f``'s pair needs ``s > m`` and
+    ``m``'s second rule ``m > s``, so only the filtering that collapses ``m``
+    onto its recursion argument orients ``f``'s component."""
+    f, m, s, zero = rng.sample(["f", "g", "half", "m", "p", "q", "s", "succ", "0", "z"], 4)
+
+    def app(name, main, extra, at):
+        return f"{name}({','.join(extra[:at] + [main] + extra[at:])})"
+
+    ys = [f"y{i}" for i in range(rng.randint(0, 2))]
+    ws = [rng.choice(ys + ["x"]) for _ in range(rng.randint(0, 1))]
+    zs = [f"z{i}" for i in range(len(ws))]
+    at_f, at_m = rng.randint(0, len(ys)), rng.randint(0, len(ws))
+    rules = [f"{app(f, f'{s}(x)', ys, at_f)} -> {app(f, app(m, 'x', ws, at_m), ys, at_f)}",
+             f"{app(m, zero, zs, at_m)} -> {zero}",
+             f"{app(m, f'{s}(x)', zs, at_m)} -> {s}({app(m, 'x', zs, at_m)})"]
+    names = ["x"] + ys + zs
+    return f"(VAR {' '.join(names)})(RULES {' '.join(rules)})", f
 
 
 # ----------------------------------------------------------------------
