@@ -133,7 +133,8 @@ DEADLINE_BUILDS = 256
 
 
 class OutOfTime(Exception):
-    """Raised by a build past the context's deadline; the caller reports a
+    """The deadline has passed.  Raised by a build past the context's
+    deadline and by the prover's own checks; ``prove`` reports it as a
     timeout."""
 
 
@@ -652,8 +653,6 @@ class RpEncoding:
 
     formula: Formula
     context: EncodingContext
-    problem: DpProblem
-    processor: str
     symbols: tuple[Symbol, ...]
     usable_symbols: tuple[Symbol, ...]
 
@@ -714,5 +713,5 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
         strict_atoms.append(marker)
     parts.append(b.or_(strict_atoms))
 
-    return RpEncoding(b.and_(parts), ctx, problem, processor,
-                      tuple(sorted(ctx._own, key=symbol_key)), usable_syms)
+    return RpEncoding(b.and_(parts), ctx, tuple(sorted(ctx._own, key=symbol_key)),
+                      usable_syms)

@@ -11,6 +11,7 @@ before it is trusted; a verdict is never based on the SAT path alone.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,43 +79,36 @@ class Timeout:
 Verdict = Terminating | Maybe | Timeout
 
 
-@dataclass
-class RpOutcome:
-    status: str                     # progress | unsat | timeout | empty
-    problem: DpProblem | None = None
-    witness: ReductionWitness | None = None
-
-
 class _Session:
-    """One proof search: its configuration, deadline and solver calls."""
+    """One proof search: its deadline and solver calls."""
 
     def __init__(self, config: ProverConfig):
-        self.config = config
+        if config.timeout is not None and math.isnan(config.timeout):
+            raise ValueError("timeout must be a number of seconds, not NaN")
         self.deadline = None if config.timeout is None else time.monotonic() + config.timeout
         self.calls = 0
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
+    def check(self) -> None:
+        """Raise ``OutOfTime`` once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise OutOfTime
 
 
 def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
-                             session: _Session | None = None) -> RpOutcome:
+                             session: _Session | None = None) -> ProofStep | None:
     """One SAT round: encode, solve, decode, verify, and drop the strictly
-    decreasing pairs.  ``unsat`` and ``timeout`` outcomes leave the problem
-    untouched; an encoding that runs past the deadline gives up, one that
-    ends past it is neither lowered nor solved, and a CNF whose lowering
-    ends past it is not solved."""
+    decreasing pairs.  Returns the round's proof step, or ``None`` when the
+    problem has no pairs or no ordering orients it.  Past the deadline it
+    raises ``OutOfTime``: an encoding that runs past it gives up, one that
+    ends past it is neither lowered nor solved, a CNF whose lowering ends
+    past it is not solved, and a refutation that ends past it is no answer."""
     session = session or _Session(config)
     if not problem.pairs.rules:
-        return RpOutcome("empty")
+        return None
 
-    try:
-        enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode,
-                                deadline=session.deadline)
-    except OutOfTime:
-        return RpOutcome("timeout")
-    if session.out_of_time():
-        return RpOutcome("timeout")
+    enc = encode_rp_formula(problem, processor=config.processor, mode=config.mode,
+                            deadline=session.deadline)
+    session.check()
     vm = VarMap(enc.symbols, len(problem.pairs.rules), enc.usable_symbols)
     b = enc.context.builder
     ts = tseitin_cnf(b.and_([enc.formula] + structural_constraints(vm, b)),
@@ -125,23 +119,21 @@ def reduction_pair_processor(problem: DpProblem, config: ProverConfig,
         print(f"; formula for solver call {session.calls}")
         print(dump(enc.formula, A.describe))
     if config.emit_dimacs:
-        _emit(ts.cnf, vm, ts.definitions, enc, session)
+        _emit(ts.cnf, vm, ts.definitions, problem, config, session.calls)
 
-    if session.out_of_time():
-        return RpOutcome("timeout")
+    session.check()
     result = solve(ts.cnf, deadline=session.deadline)
     if result.status == UNKNOWN:
-        return RpOutcome("timeout")
+        raise OutOfTime
     if result.status == UNSAT:
         # a refutation that arrives after the deadline is not a verdict in time
-        if session.out_of_time():
-            return RpOutcome("timeout")
-        return RpOutcome("unsat")
+        session.check()
+        return None
 
     witness = _verify(problem, config, decode_model(result.model, vm))
     removed = set(witness.removed)
-    keep = [p for p in problem.pairs.rules if p not in removed]
-    return RpOutcome("progress", DpProblem(Trs.of(keep), problem.rules), witness)
+    keep = Trs.of([p for p in problem.pairs.rules if p not in removed])
+    return ProofStep("reduction_pair", problem, (DpProblem(keep, problem.rules),), witness)
 
 
 def _verify(problem: DpProblem, config: ProverConfig,
@@ -177,14 +169,15 @@ def _verify(problem: DpProblem, config: ProverConfig,
     return ReductionWitness(mode, config.processor, prec, pi, tuple(removed), obligations)
 
 
-def _emit(cnf, vm: VarMap, definitions: dict[int, str], enc, session: _Session) -> None:
-    directory = Path(session.config.emit_dimacs)
+def _emit(cnf, vm: VarMap, definitions: dict[int, str], problem: DpProblem,
+          config: ProverConfig, call: int) -> None:
+    directory = Path(config.emit_dimacs)
     directory.mkdir(parents=True, exist_ok=True)
-    stem = f"problem{session.calls:03d}"
+    stem = f"problem{call:03d}"
     (directory / f"{stem}.cnf").write_text(write_dimacs(cnf))
     manifest = {
-        "processor": enc.processor,
-        "pairs": [str(p) for p in enc.problem.pairs.rules],
+        "processor": config.processor,
+        "pairs": [str(p) for p in problem.pairs.rules],
         "variables": {str(v): desc for v, desc in sorted(vm.descriptions.items())},
         "definitions": {str(v): desc for v, desc in sorted(definitions.items())},
     }
@@ -199,28 +192,25 @@ def prove(trs: Trs, config: ProverConfig | None = None) -> Verdict:
     steps: list[ProofStep] = []
     queue: list[DpProblem] = [DpProblem(dependency_pairs(trs), trs)]
     arcs: dict = {}                 # every problem of the proof has the rules of trs
-    while queue:
-        if session.out_of_time():
-            return Timeout(tuple(steps))
-        problem = queue.pop(0)
-        if not problem.pairs.rules:
-            continue
-        subs = scc_decompose(problem, arcs)
-        steps.append(ProofStep("dependency_graph", problem, tuple(subs)))
-        for sub in subs:
-            if session.out_of_time():
-                return Timeout(tuple(steps))
-            outcome = reduction_pair_processor(sub, config, session)
-            if outcome.status == "timeout":
-                return Timeout(tuple(steps))
-            if outcome.status != "progress":
-                reason = (f"no ordering orients the {len(sub.pairs.rules)}-pair "
-                          f"component rooted at "
-                          f"{', '.join(sorted({p.root.display for p in sub.pairs.rules}))}")
-                return Maybe(reason, tuple(steps))
-            steps.append(ProofStep("reduction_pair", sub, (outcome.problem,),
-                                   outcome.witness))
-            queue.append(outcome.problem)
+    try:
+        while queue:
+            session.check()
+            problem = queue.pop(0)
+            if not problem.pairs.rules:
+                continue
+            subs = scc_decompose(problem, arcs)
+            steps.append(ProofStep("dependency_graph", problem, tuple(subs)))
+            for sub in subs:
+                session.check()
+                step = reduction_pair_processor(sub, config, session)
+                if step is None:
+                    roots = ", ".join(sorted({p.root.display for p in sub.pairs.rules}))
+                    return Maybe(f"no ordering orients the {len(sub.pairs.rules)}-pair "
+                                 f"component rooted at {roots}", tuple(steps))
+                steps.append(step)
+                queue.append(step.results[0])
+    except OutOfTime:
+        return Timeout(tuple(steps))
     return Terminating(tuple(steps))
 
 

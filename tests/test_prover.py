@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, Phase, example, given, settings, strategies 
 from termfilter import prover
 from termfilter.cli import main as cli_main
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
+from termfilter.encoder import OutOfTime
 from termfilter.lowering import DecodedModel
 from termfilter.orders import (ArgumentFiltering, Collapse, Keep, Precedence,
                                apply_filtering, lpo_af_ge, lpo_af_gt, lpo_ge, lpo_gt)
@@ -76,15 +77,13 @@ def test_div_if_witness_excludes_ge_rules():
 def test_processor_empty_problem_no_progress():
     trs = ex2()
     problem = DpProblem(Trs.of([]), trs)
-    outcome = reduction_pair_processor(problem, ProverConfig())
-    assert outcome.status == "empty"
+    assert reduction_pair_processor(problem, ProverConfig()) is None
 
 
 def test_processor_unsat_no_progress():
     trs = parse_trs("(VAR x)(RULES f(x) -> f(x))")
     problem = scc_decompose(DpProblem(dependency_pairs(trs), trs))[0]
-    outcome = reduction_pair_processor(problem, ProverConfig())
-    assert outcome.status == "unsat"
+    assert reduction_pair_processor(problem, ProverConfig()) is None
 
 
 def test_processor_progress_shrinks_pairs():
@@ -92,18 +91,18 @@ def test_processor_progress_shrinks_pairs():
     problem = DpProblem(dependency_pairs(trs), trs)
     subs = scc_decompose(problem)
     for sub in subs:
-        outcome = reduction_pair_processor(sub, ProverConfig(processor="thm12"))
-        assert outcome.status == "progress"
-        assert len(outcome.problem.pairs.rules) < len(sub.pairs.rules)
-        assert set(outcome.problem.pairs.rules) <= set(sub.pairs.rules)
+        step = reduction_pair_processor(sub, ProverConfig(processor="thm12"))
+        assert step is not None
+        assert len(step.results[0].pairs.rules) < len(sub.pairs.rules)
+        assert set(step.results[0].pairs.rules) <= set(sub.pairs.rules)
 
 
 def test_full_problem_processor_thm12():
     trs = ex13()
     problem = DpProblem(dependency_pairs(trs), trs)
-    outcome = reduction_pair_processor(problem, ProverConfig(processor="thm12"))
-    assert outcome.status == "progress"
-    w = outcome.witness
+    step = reduction_pair_processor(problem, ProverConfig(processor="thm12"))
+    assert step is not None
+    w = step.witness
     for rule in w.usable:
         assert lpo_af_ge(w.precedence, w.filtering, "strict", rule.lhs, rule.rhs)
 
@@ -171,11 +170,11 @@ def test_processor_keeps_exactly_the_pairs_not_removed(processor, mode):
     for text in (EX2_TEXT, EX13_TEXT, ACKERMANN_TEXT, SHUFFLE_TEXT):
         trs = parse_trs(text)
         for sub in scc_decompose(DpProblem(dependency_pairs(trs), trs)):
-            outcome = reduction_pair_processor(sub, ProverConfig(mode=mode, processor=processor))
-            if outcome.status != "progress":
+            step = reduction_pair_processor(sub, ProverConfig(mode=mode, processor=processor))
+            if step is None:
                 continue
-            w = outcome.witness
-            kept = outcome.problem.pairs.rules
+            w = step.witness
+            kept = step.results[0].pairs.rules
             assert set(kept) | set(w.removed) == set(sub.pairs.rules)
             assert not set(kept) & set(w.removed)
             for p in kept:
@@ -185,6 +184,22 @@ def test_processor_keeps_exactly_the_pairs_not_removed(processor, mode):
 def test_timeout_verdict():
     verdict = prove(ex13(), ProverConfig(timeout=0.0))
     assert isinstance(verdict, Timeout)
+
+
+def test_a_nan_timeout_is_refused():
+    # a NaN deadline compares false with every clock reading, so no check
+    # would ever trip
+    with pytest.raises(ValueError, match="NaN"):
+        prove(parse_trs("(VAR x)(RULES f(s(x)) -> f(x))"), ProverConfig(timeout=float("nan")))
+
+
+def test_processor_past_the_deadline_raises_and_never_solves(monkeypatch):
+    solved = []
+    monkeypatch.setattr(prover, "solve", lambda cnf, **kwargs: solved.append(cnf))
+    for sub in scc_decompose(DpProblem(dependency_pairs(ex2()), ex2())):
+        with pytest.raises(OutOfTime):
+            reduction_pair_processor(sub, ProverConfig(timeout=0.0))
+    assert not solved
 
 
 def test_refutation_after_the_deadline_is_timeout(monkeypatch):
@@ -277,6 +292,26 @@ def test_deadline_checked_before_each_sub_problem(monkeypatch):
     assert len(verdict.steps[0].results) == 2
     last = verdict.steps[-1]
     assert last.processor == "reduction_pair" and last.problem is rounds[0]
+
+
+def test_a_late_model_in_the_last_round_is_timeout(monkeypatch):
+    # f(s(x)) -> f(x) takes one round; its model arrives past the deadline,
+    # so the proof times out, and the round that found it is its last step
+    models = []
+    solve = prover.solve
+
+    def late_model(cnf, *, deadline=None):
+        result = solve(cnf, deadline=deadline)
+        models.append(result.model)
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return result
+
+    monkeypatch.setattr(prover, "solve", late_model)
+    verdict = prove(parse_trs("(VAR x)(RULES f(s(x)) -> f(x))"), ProverConfig(timeout=0.2))
+    assert isinstance(verdict, Timeout) and len(models) == 1 and models[0] is not None
+    last = verdict.steps[-1]
+    assert last.processor == "reduction_pair" and last.witness is not None
+    assert last.results[0].pairs.rules == ()
 
 
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
@@ -501,6 +536,18 @@ def test_emit_dimacs_numbers_only_the_symbols_of_the_round(tmp_path, capsys):
     assert "TERMINATING" in capsys.readouterr().out
 
 
+def test_a_round_emits_as_its_own_configuration_says(tmp_path):
+    # the round's configuration decides whether, where and under which
+    # processor it writes, even when its session was made from another one
+    trs = parse_trs("(VAR x)(RULES f(s(x)) -> f(x))")
+    (sub,) = scc_decompose(DpProblem(dependency_pairs(trs), trs))
+    config = ProverConfig(processor="thm5", emit_dimacs=str(tmp_path))
+    assert reduction_pair_processor(sub, config, prover._Session(ProverConfig())) is not None
+    import json
+    manifest = json.loads((tmp_path / "problem001.vars.json").read_text())
+    assert manifest["processor"] == "thm5" and manifest["pairs"] == ["f#(s(x)) -> f#(x)"]
+
+
 @pytest.mark.parametrize("args", [["--timeout", "abc"], ["--timeout", "nan"],
                                   ["--timeout", "-1"], ["--timeout", "inf"], [],
                                   ["--solver", "internal"], ["--timeout", "-inf"],
@@ -707,9 +754,9 @@ def test_processor_answers_match_exhaustive_search():
                     if runs == 40:
                         break
                     runs += 1
-                    outcome = reduction_pair_processor(
+                    step = reduction_pair_processor(
                         sub, ProverConfig(mode=mode, processor=processor))
-                    sat = outcome.status == "progress"
+                    sat = step is not None
                     assert sat == _orientable(sub, processor, mode), \
                         (str(sub.pairs), str(sub.rules), mode, processor)
                     answers[sat] += 1
@@ -727,10 +774,10 @@ def test_components_that_need_a_collapse_match_exhaustive_search():
                   if c.pairs.rules[0].root.name == f]
         for mode in ("strict", "quasi"):
             for processor in ("thm5", "thm12"):
-                outcome = reduction_pair_processor(
+                step = reduction_pair_processor(
                     sub, ProverConfig(mode=mode, processor=processor))
-                assert outcome.status == "progress", (text, mode, processor)
-                w = outcome.witness
+                assert step is not None, (text, mode, processor)
+                w = step.witness
                 assert any(isinstance(spec, Collapse) for _, spec in w.filtering.items())
                 assert _orientable(sub, processor, mode)
                 assert not _orientable(sub, processor, mode, collapse=False), \
@@ -747,7 +794,7 @@ def test_each_round_numbers_every_symbol_its_checks_read(monkeypatch):
 
     def record(problem, *args, **kwargs):
         enc = real(problem, *args, **kwargs)
-        encodings.append(enc)
+        encodings.append((problem, enc))
         return enc
 
     monkeypatch.setattr(prover, "encode_rp_formula", record)
@@ -763,13 +810,13 @@ def test_each_round_numbers_every_symbol_its_checks_read(monkeypatch):
                                                   timeout=10))
                 witnesses = {id(step.problem): step.witness for step in verdict.steps
                              if step.witness is not None}
-                for enc in encodings:
-                    pairs, rules = enc.problem.pairs, enc.problem.rules
+                for problem, enc in encodings:
+                    pairs, rules = problem.pairs, problem.rules
                     read = pairs.signature | Trs.of(usable_rules(pairs, rules)).signature
                     assert read <= set(enc.symbols), (str(pairs), str(rules), mode)
                     rounds += 1
-                    smaller += len(enc.symbols) < len(problem_signature(enc.problem))
-                    w = witnesses.get(id(enc.problem))
+                    smaller += len(enc.symbols) < len(problem_signature(problem))
+                    w = witnesses.get(id(problem))
                     if w is not None:
                         assert tuple(f for f, _ in w.filtering.items()) == enc.symbols
                         assert all(w.precedence.rank(f) for f in enc.symbols)
