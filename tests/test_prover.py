@@ -196,7 +196,8 @@ def test_a_nan_timeout_is_refused():
 def test_processor_past_the_deadline_raises_and_never_solves(monkeypatch):
     solved = []
     monkeypatch.setattr(prover, "solve", lambda cnf, **kwargs: solved.append(cnf))
-    for sub in scc_decompose(DpProblem(dependency_pairs(ex2()), ex2())):
+    trs = ex2()
+    for sub in scc_decompose(DpProblem(dependency_pairs(trs), trs)):
         with pytest.raises(OutOfTime):
             reduction_pair_processor(sub, ProverConfig(timeout=0.0))
     assert not solved
