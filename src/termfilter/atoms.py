@@ -2,62 +2,85 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import Symbol
+from .terms import Symbol, Value
 
 
-@dataclass(frozen=True)
-class PoGt:
+class PoGt(Value):
     """``left`` strictly above ``right`` in the precedence."""
 
+    __slots__ = _fields = ("left", "right")
     left: Symbol
     right: Symbol
 
+    def __init__(self, left: Symbol, right: Symbol) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class PoEq:
+
+class PoEq(Value):
     """``left`` and ``right`` equivalent in the precedence (quasi mode only)."""
 
+    __slots__ = _fields = ("left", "right")
     left: Symbol
     right: Symbol
 
+    def __init__(self, left: Symbol, right: Symbol) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class ListP:
+
+class ListP(Value):
     """The filtering keeps ``fun`` as a (possibly empty) argument list."""
 
+    __slots__ = _fields = ("fun",)
     fun: Symbol
 
+    def __init__(self, fun: Symbol) -> None:
+        object.__setattr__(self, "fun", fun)
 
-@dataclass(frozen=True)
-class ArgIn:
+
+class ArgIn(Value):
     """Position ``pos`` of ``fun`` survives the filtering."""
 
+    __slots__ = _fields = ("fun", "pos")
     fun: Symbol
     pos: int
 
+    def __init__(self, fun: Symbol, pos: int) -> None:
+        object.__setattr__(self, "fun", fun)
+        object.__setattr__(self, "pos", pos)
 
-@dataclass(frozen=True)
-class CollapsesTo:
+
+class CollapsesTo(Value):
     """The filtering collapses ``fun`` to its argument at ``pos``."""
 
+    __slots__ = _fields = ("fun", "pos")
     fun: Symbol
     pos: int
 
+    def __init__(self, fun: Symbol, pos: int) -> None:
+        object.__setattr__(self, "fun", fun)
+        object.__setattr__(self, "pos", pos)
 
-@dataclass(frozen=True)
-class Usable:
+
+class Usable(Value):
     """The rules of ``fun`` must be oriented weakly."""
 
+    __slots__ = _fields = ("fun",)
     fun: Symbol
 
+    def __init__(self, fun: Symbol) -> None:
+        object.__setattr__(self, "fun", fun)
 
-@dataclass(frozen=True)
-class StrictPair:
+
+class StrictPair(Value):
     """Marker: pair number ``index`` decreases strictly."""
 
+    __slots__ = _fields = ("index",)
     index: int
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
 
 
 Atom = PoGt | PoEq | ListP | ArgIn | CollapsesTo | Usable | StrictPair

@@ -6,7 +6,6 @@ Exit codes: 0 termination proved, 1 no proof found, 2 timeout, 3 error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import re
 import sys
@@ -83,8 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    # without --proof, only the verdict line that ends every proof
-    print(render_proof(verdict if args.proof else dataclasses.replace(verdict, steps=())))
+    if not args.proof:  # only the verdict line that ends every proof
+        verdict = Maybe(verdict.reason) if isinstance(verdict, Maybe) else type(verdict)(())
+    print(render_proof(verdict))
     if isinstance(verdict, Terminating):
         return 0
     if isinstance(verdict, Maybe):

@@ -9,14 +9,13 @@ whatever reads one (the solver, ``write_dimacs``) takes them as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .formula import ATOM, AND, FALSE, NOT, OR, TRUE, Formula
+from .terms import Mutable, Value
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(Value):
     """A clause set in normal form: no clause repeats a literal or holds a
     literal and its complement.
 
@@ -26,12 +25,13 @@ class Cnf:
     relies on this and checks no clause again.
     """
 
+    __slots__ = _fields = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> None:
         normal = []
-        for clause in self.clauses:
+        for clause in clauses:
             n = len(clause)
             if n == 2:
                 # most clauses are binary: two comparisons decide them
@@ -45,13 +45,18 @@ class Cnf:
                 if len(set(map(abs, clause))) != len(clause):
                     continue  # tautological clause
             normal.append(clause)
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", tuple(normal))
 
 
-@dataclass
-class TseitinResult:
+class TseitinResult(Mutable):
+    __slots__ = _fields = ("cnf", "definitions")
     cnf: Cnf
     definitions: dict[int, str]
+
+    def __init__(self, cnf: Cnf, definitions: dict[int, str]) -> None:
+        self.cnf = cnf
+        self.definitions = definitions
 
 
 def _parent_counts(phi: Formula) -> dict[Formula, int]:

@@ -10,26 +10,27 @@ sub-problem's graph is its parent's, restricted (Hirokawa and Middeldorp 2005).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .terms import (App, Rule, Symbol, Term, Trs, Value, Var, defined_symbols, subterms,
+                    unifiable)
 
-from .terms import App, Rule, Symbol, Term, Trs, Var, defined_symbols, subterms, unifiable
 
-
-@dataclass(frozen=True)
-class DpProblem:
+class DpProblem(Value):
     """A pair of systems (pairs, rules): is there an infinite chain of pairs?"""
 
+    __slots__ = _fields = ("pairs", "rules")
     pairs: Trs
     rules: Trs
 
-    def __post_init__(self) -> None:
-        for p in self.pairs.rules:
+    def __init__(self, pairs: Trs, rules: Trs) -> None:
+        for p in pairs.rules:
             rhs_ok = isinstance(p.rhs, App) and p.rhs.fun.is_tuple
             if not (p.root.is_tuple and rhs_ok):
                 raise ValueError(f"pair roots must be tuple symbols: {p}")
-        for f in self.rules.signature:
+        for f in rules.signature:
             if f.is_tuple:
                 raise ValueError(f"tuple symbol {f.display} occurs in the rules")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "rules", rules)
 
 
 def dependency_pairs(trs: Trs) -> Trs:

@@ -104,7 +104,6 @@ encoding with ``OutOfTime``, which the prover reports as a timeout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -112,7 +111,7 @@ from . import atoms as A
 from . import usable as U
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
-from .terms import App, Rule, Symbol, Term, Var, symbol_key
+from .terms import App, Rule, Symbol, Term, Value, Var, symbol_key
 
 GT = "gt"
 GE = "ge"
@@ -645,16 +644,23 @@ class EncodingContext:
             + [self.usable_flags(r.rhs, defined, ctx) for r in rules]))
 
 
-@dataclass(frozen=True)
-class RpEncoding:
+class RpEncoding(Value):
     """A reduction-pair search problem as a single formula.  ``symbols``
     are the symbols the encoder met, in ``symbol_key`` order: every atom of
     the formula is over them alone."""
 
+    __slots__ = _fields = ("formula", "context", "symbols", "usable_symbols")
     formula: Formula
     context: EncodingContext
     symbols: tuple[Symbol, ...]
     usable_symbols: tuple[Symbol, ...]
+
+    def __init__(self, formula: Formula, context: EncodingContext,
+                 symbols: tuple[Symbol, ...], usable_symbols: tuple[Symbol, ...]) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "usable_symbols", usable_symbols)
 
 
 def encode_rp_formula(problem: DpProblem, processor: str = "thm12",

@@ -9,13 +9,12 @@ translates each atom the first time it reaches it, once per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from . import atoms as A
 from .formula import Formula, FormulaBuilder
 from .orders import ArgumentFiltering, Collapse, Keep, Precedence
-from .terms import Symbol
+from .terms import Symbol, Value
 
 
 class EncodingError(RuntimeError):
@@ -131,13 +130,19 @@ def structural_constraints(vm: VarMap, b: FormulaBuilder) -> list[Formula]:
     return out
 
 
-@dataclass(frozen=True)
-class DecodedModel:
+class DecodedModel(Value):
+    __slots__ = _fields = ("precedence", "filtering", "strict_pairs")
     precedence: Precedence
     filtering: ArgumentFiltering
     # the pairs whose strict marker is true; the encoding makes each of them
     # strictly decreasing, but the prover removes every pair that is
     strict_pairs: tuple[int, ...]
+
+    def __init__(self, precedence: Precedence, filtering: ArgumentFiltering,
+                 strict_pairs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "precedence", precedence)
+        object.__setattr__(self, "filtering", filtering)
+        object.__setattr__(self, "strict_pairs", strict_pairs)
 
 
 def decode_model(model: Mapping[int, bool], vm: VarMap) -> DecodedModel:

@@ -11,12 +11,11 @@ encoder's case split (collapse / kept / lexicographic).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .terms import App, Symbol, Term, Var, symbol_key
+from .terms import App, Symbol, Term, Value, Var, symbol_key
 
 STRICT = "strict"
 QUASI = "quasi"
@@ -58,18 +57,24 @@ class Precedence:
         return f"Precedence({entries})"
 
 
-@dataclass(frozen=True)
-class Keep:
+class Keep(Value):
     """Keep the listed argument positions (1-based, strictly increasing)."""
 
-    positions: tuple[int, ...] = ()
+    __slots__ = _fields = ("positions",)
+    positions: tuple[int, ...]
+
+    def __init__(self, positions: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "positions", positions)
 
 
-@dataclass(frozen=True)
-class Collapse:
+class Collapse(Value):
     """Replace the whole application by the argument at ``position``."""
 
+    __slots__ = _fields = ("position",)
     position: int
+
+    def __init__(self, position: int) -> None:
+        object.__setattr__(self, "position", position)
 
 
 FilterSpec = Keep | Collapse

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cnf import tseitin_cnf, write_dimacs
@@ -24,7 +23,7 @@ from .lowering import (DecodedModel, VarMap, decode_model, lower_atoms,
                        structural_constraints)
 from .orders import ArgumentFiltering, Collapse, Precedence, lpo_af_ge, lpo_af_gt
 from .solver import UNKNOWN, UNSAT, solve
-from .terms import Rule, Symbol, Trs
+from .terms import Mutable, Rule, Symbol, Trs, Value
 from .usable import usable_rules, usable_rules_mod_pi
 from . import atoms as A
 
@@ -33,17 +32,26 @@ class VerificationError(RuntimeError):
     """A model came back from the solver that the order semantics rejects."""
 
 
-@dataclass
-class ProverConfig:
-    mode: str = "strict"            # strict | quasi
-    processor: str = "thm12"        # thm5 | thm12
-    timeout: float | None = None
-    emit_dimacs: str | None = None
-    dump_formula: bool = False
+class ProverConfig(Mutable):
+    __slots__ = _fields = ("mode", "processor", "timeout", "emit_dimacs", "dump_formula")
+    mode: str                       # strict | quasi
+    processor: str                  # thm5 | thm12
+    timeout: float | None
+    emit_dimacs: str | None
+    dump_formula: bool
+
+    def __init__(self, mode: str = "strict", processor: str = "thm12",
+                 timeout: float | None = None, emit_dimacs: str | None = None,
+                 dump_formula: bool = False) -> None:
+        self.mode = mode
+        self.processor = processor
+        self.timeout = timeout
+        self.emit_dimacs = emit_dimacs
+        self.dump_formula = dump_formula
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(Value):
+    __slots__ = _fields = ("mode", "processor", "precedence", "filtering", "removed", "usable")
     mode: str
     processor: str
     precedence: Precedence
@@ -51,38 +59,71 @@ class ReductionWitness:
     removed: tuple[Rule, ...]
     usable: tuple[Rule, ...]
 
+    def __init__(self, mode: str, processor: str, precedence: Precedence,
+                 filtering: ArgumentFiltering, removed: tuple[Rule, ...],
+                 usable: tuple[Rule, ...]) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "processor", processor)
+        object.__setattr__(self, "precedence", precedence)
+        object.__setattr__(self, "filtering", filtering)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "usable", usable)
 
-@dataclass(frozen=True)
-class ProofStep:
+
+class ProofStep(Value):
+    __slots__ = _fields = ("processor", "problem", "results", "witness")
     processor: str                  # "dependency_graph" | "reduction_pair"
     problem: DpProblem
     results: tuple[DpProblem, ...]
-    witness: ReductionWitness | None = None
+    witness: ReductionWitness | None
+
+    def __init__(self, processor: str, problem: DpProblem, results: tuple[DpProblem, ...],
+                 witness: ReductionWitness | None = None) -> None:
+        object.__setattr__(self, "processor", processor)
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class Terminating:
+class Terminating(Value):
+    __slots__ = _fields = ("steps",)
     steps: tuple[ProofStep, ...]
 
+    def __init__(self, steps: tuple[ProofStep, ...]) -> None:
+        object.__setattr__(self, "steps", steps)
 
-@dataclass(frozen=True)
-class Maybe:
+
+class Maybe(Value):
+    __slots__ = _fields = ("reason", "steps")
     reason: str
-    steps: tuple[ProofStep, ...] = ()
+    steps: tuple[ProofStep, ...]
+
+    def __init__(self, reason: str, steps: tuple[ProofStep, ...] = ()) -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class Timeout:
-    steps: tuple[ProofStep, ...] = ()
+class Timeout(Value):
+    __slots__ = _fields = ("steps",)
+    steps: tuple[ProofStep, ...]
+
+    def __init__(self, steps: tuple[ProofStep, ...] = ()) -> None:
+        object.__setattr__(self, "steps", steps)
 
 
 Verdict = Terminating | Maybe | Timeout
 
 
 class _Session:
-    """One proof search: its deadline and solver calls."""
+    """One proof search: its deadline and solver calls.  A configuration
+    that no round could run (an unknown mode or processor, a NaN timeout)
+    is refused here, before the first step."""
 
     def __init__(self, config: ProverConfig):
+        if config.mode not in ("strict", "quasi"):
+            raise ValueError(f"mode must be 'strict' or 'quasi', got {config.mode!r}")
+        if config.processor not in ("thm5", "thm12"):
+            raise ValueError(f"processor must be 'thm5' or 'thm12', got {config.processor!r}")
         if config.timeout is not None and math.isnan(config.timeout):
             raise ValueError("timeout must be a number of seconds, not NaN")
         self.deadline = None if config.timeout is None else time.monotonic() + config.timeout

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
-
 from .cnf import Cnf
+from .terms import Mutable
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -44,10 +43,14 @@ DEADLINE_PROPAGATIONS = 4096
 past each this many propagations, not only every 64 conflicts."""
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Mutable):
+    __slots__ = _fields = ("status", "model")
     status: str
-    model: dict[int, bool] | None = None
+    model: dict[int, bool] | None
+
+    def __init__(self, status: str, model: dict[int, bool] | None = None) -> None:
+        self.status = status
+        self.model = model
 
 
 def _luby(i: int) -> int:

@@ -9,11 +9,20 @@ is dropped unless its key was built again first.
 Terms are immutable, so each application's function symbols and variables
 (``symbols``, ``variables``) are computed once, from its arguments' sets,
 when its table misses; a variable answers with no symbols and itself.
-``repr`` and pickles use the constructor fields alone (``_fields``).
 The classes define no ``__eq__`` or ``__hash__``: equality is identity and
 hashing is CPython's identity hash, so a lookup keyed on terms runs no
 Python code and comparing two terms never walks them.  The order of a set
 of terms follows memory addresses, so no output may depend on it.
+
+Every record class of the package derives from ``Record``, which takes
+``repr``, pickling and the immutability guard from the constructor's
+arguments, named in order by the class's ``_fields``.  The hash-consed
+terms keep ``object``'s identity equality (``_Interned``).  Rules, systems
+and the other modules' records are a ``Value``, equal only to an instance
+of their own class with equal fields and hashed as the tuple of their
+fields, or a ``Mutable`` value, whose fields may be assigned and which has
+no hash.  Each record class writes out its own ``__init__``, so importing
+the package generates and compiles no code.
 
 Every walk over a term uses an explicit stack, so term depth is bounded by
 memory, not by the recursion limit.  Nothing here applies a substitution;
@@ -25,8 +34,8 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 # Taken only when a table misses, so that two threads building the same
 # value get one object.
@@ -39,14 +48,39 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)  # a table entry: a weak reference that knows its key
 
 
-class _Interned:
-    """Base of the hash-consed classes: immutable, weakly referenceable,
-    with ``object``'s identity equality and hash.  A subclass keeps its
+class Record:
+    """Base of the record classes: instances are the values of their
+    constructor's arguments, named in order by ``_fields``.  ``repr`` and
+    pickles use those fields alone, and assigning or deleting an attribute
+    raises ``AttributeError``, so a subclass's ``__init__`` sets its fields
+    with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __reduce__(self):
+        # unpickling calls the constructor: a term is built through the
+        # table of the loading process, and a value's checks run again
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Interned(Record):
+    """Base of the hash-consed classes: weakly referenceable, with
+    ``object``'s identity equality and hash.  A subclass keeps its
     canonical instances in its own ``_table``."""
 
     __slots__ = ("__weakref__",)
     _table: dict[object, _Entry]
-    _fields: tuple[str, ...]  # the constructor's arguments, in order
 
     @classmethod
     def _intern(cls, key, fields: dict):
@@ -67,19 +101,37 @@ class _Interned:
     def _forget(cls, entry: _Entry, remove=_remove_dead_weakref) -> None:
         remove(cls._table, entry.key)  # only while the entry is this dead one
 
-    def __reduce__(self):
-        # unpickling builds through the table of the loading process
-        return (type(self), tuple(getattr(self, name) for name in self._fields))
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+class Value(Record):
+    """A record compared by its fields: equal only to an instance of its own
+    class whose fields are equal, and hashed as the tuple of its fields."""
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __slots__ = ()
+    _values: Callable[[Value], tuple]  # a record class's fields' values, in order
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __init_subclass__(cls) -> None:
+        fields = vars(cls).get("_fields")
+        if fields:  # a record class, not a base such as ``Mutable``
+            get = attrgetter(*fields)  # a tuple for two fields or more
+            cls._values = staticmethod(
+                get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class Mutable(Value):
+    """A value whose fields may be assigned; like a list, it has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
 
 class Symbol(_Interned):
@@ -246,20 +298,22 @@ def _instantiate(t: Term, subst: Mapping[Var, Term], done: dict[Term, Term]) -> 
     return done[t]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A rewrite rule ``lhs -> rhs``."""
 
+    __slots__ = _fields = ("lhs", "rhs")
     lhs: Term
     rhs: Term
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        if isinstance(lhs, Var):
             raise ValueError("left-hand side is a variable")
-        bound = self.lhs.variables
-        if not self.rhs.variables <= bound:
-            names = ", ".join(v.name for v in variables(self.rhs) if v not in bound)
+        bound = lhs.variables
+        if not rhs.variables <= bound:
+            names = ", ".join(v.name for v in variables(rhs) if v not in bound)
             raise ValueError(f"right-hand side variables not bound on the left: {names}")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def root(self) -> Symbol:
@@ -270,16 +324,20 @@ class Rule:
         return f"{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Trs:
+class Trs(Value):
     """An ordered list of rules together with its signature.
 
     All values are immutable, and the intern tables take a lock before they
     add a term, so sharing between threads is safe.
     """
 
+    __slots__ = _fields = ("rules", "signature")
     rules: tuple[Rule, ...]
     signature: frozenset[Symbol]
+
+    def __init__(self, rules: tuple[Rule, ...], signature: frozenset[Symbol]) -> None:
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "signature", signature)
 
     @staticmethod
     def of(rules: Iterable[Rule]) -> Trs:

@@ -4,11 +4,14 @@ name a module there assigns at its top level is read by some module there;
 and every public name a module there defines or assigns at its top level is
 read by some module under ``src`` or ``bench``, exported in ``__all__`` or an
 entry point of ``pyproject.toml``; every module there imports only from
-the package itself or the standard library; no module there reaches
-for another module's private names; and no module there imports inside a
-function body."""
+the package itself or the standard library, and none of them imports
+``dataclasses``; no module there reaches for another module's private
+names; and no module there imports inside a function body.  Importing the
+command line loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
+import os
+import subprocess
 import sys
 import tomllib
 from collections import Counter
@@ -95,21 +98,28 @@ def unread_public_names(paths, readers, exempt=()) -> list[str]:
                   and f"{module}.{name}" not in exempt)
 
 
+def _absolute_imports(path):
+    """The absolute imports of a module, as ``(line, name)``; relative
+    imports are the package's own."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def non_stdlib_imports(paths) -> list[str]:
     """Absolute imports whose top-level name is not a standard-library
-    module, as ``module: name``; relative imports are the package's own."""
-    found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [f"{path.stem}: {name}" for name in names
-                      if name.partition(".")[0] not in sys.stdlib_module_names]
-    return sorted(found)
+    module, as ``module: name``."""
+    return sorted(f"{path.stem}: {name}" for path in paths for _, name in _absolute_imports(path)
+                  if name.partition(".")[0] not in sys.stdlib_module_names)
+
+
+def dataclasses_imports(paths) -> list[str]:
+    """Imports of ``dataclasses``, as ``module:line``: a decorated class
+    generates the source of its methods and compiles it on every import."""
+    return sorted(f"{path.stem}:{line}" for path in paths for line, name in _absolute_imports(path)
+                  if name.partition(".")[0] == "dataclasses")
 
 
 def _private(name: str) -> bool:
@@ -245,6 +255,37 @@ def test_guard_flags_a_third_party_import(tmp_path):
         "def f():\n    import termfilter\n")
     assert non_stdlib_imports([m]) == \
         ["m: hypothesis", "m: numpy.linalg", "m: termfilter"]
+
+
+def test_src_imports_no_dataclasses():
+    assert dataclasses_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def test_guard_flags_a_dataclasses_import(tmp_path):
+    m = tmp_path / "m.py"
+    m.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import json, dataclasses as dc\n"
+        "from . import dataclasses_like\n"
+        "from .dataclasses import local\n"
+        "def f():\n    from dataclasses import replace\n")
+    assert dataclasses_imports([m]) == ["m:1", "m:2", "m:3", "m:7"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses brings inspect, ast, dis and tokenize with it, which
+    # nothing in the package needs; a bare interpreter's own modules pass
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+    def loaded(imports: str) -> set[str]:
+        probe = f"import sys{imports}; print(' '.join(sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split())
+
+    bare, cli = loaded(""), loaded(", termfilter.cli")
+    assert "termfilter.cli" in cli
+    assert {"dataclasses", "inspect"} & (cli - bare) == set()
 
 
 def test_no_module_reads_another_modules_private_names():

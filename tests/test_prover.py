@@ -193,6 +193,24 @@ def test_a_nan_timeout_is_refused():
         prove(parse_trs("(VAR x)(RULES f(s(x)) -> f(x))"), ProverConfig(timeout=float("nan")))
 
 
+@pytest.mark.parametrize("text", ["(VAR x)(RULES f(x) -> x)", "(VAR x)(RULES f(s(x)) -> f(x))"],
+                         ids=["no-pairs", "one-pair"])
+@pytest.mark.parametrize("field, value", [("mode", "bogus"), ("processor", "thm7")])
+def test_an_unknown_mode_or_processor_is_refused(monkeypatch, text, field, value):
+    # refused before the first step, whatever the input: a system with no
+    # pairs runs no reduction-pair round, so no encoder would see the value
+    started = []
+
+    def pairs(trs):
+        started.append(trs)
+        return dependency_pairs(trs)
+
+    monkeypatch.setattr(prover, "dependency_pairs", pairs)
+    with pytest.raises(ValueError, match=f"{field} must be .* got {value!r}"):
+        prove(parse_trs(text), ProverConfig(**{field: value}))
+    assert started == []
+
+
 def test_processor_past_the_deadline_raises_and_never_solves(monkeypatch):
     solved = []
     monkeypatch.setattr(prover, "solve", lambda cnf, **kwargs: solved.append(cnf))
