@@ -93,8 +93,8 @@ shift; otherwise the formula is the one a full build gives.  With
 is built.  No collapse branch of ``_build_tau`` decides, by the imaging
 invariant: ``_compare`` keys τ on the images under every collapse the
 context knows, so no collapse guard of either root is known true in a
-build, and an ``ArgIn`` of ``s``'s root is known true only with its
-``ListP``.
+build, and an ``in`` atom of ``s``'s root is known true only with its
+``list`` atom.
 
 Given a deadline, the miss path of ``_compare`` reads the clock once per
 ``DEADLINE_BUILDS`` builds and, past the deadline, unwinds the whole
@@ -107,7 +107,6 @@ import time
 from itertools import combinations
 from typing import Sequence
 
-from . import atoms as A
 from . import usable as U
 from .dp import DpProblem
 from .formula import Formula, FormulaBuilder
@@ -153,11 +152,11 @@ class SymbolAtoms:
         self.mask = mask
 
 
-def _poeq(f: Symbol, g: Symbol) -> A.PoEq:
+def _poeq(f: Symbol, g: Symbol) -> tuple:
     # a total order, so that both argument orders give the one atom
     if symbol_key(g) < symbol_key(f):
         f, g = g, f
-    return A.PoEq(f, g)
+    return ("eq", f, g)
 
 
 class EncodingContext:
@@ -186,10 +185,10 @@ class EncodingContext:
         # literal 2k + (not positive) -> the bits that assuming it sets
         self._implied: list[int] = []
         self._own: dict[Symbol, SymbolAtoms] = {}
-        # (f, g) -> numbers of PoGt(f, g) and of the PoEq atom of f and g,
+        # (f, g) -> numbers of ("gt", f, g) and of the "eq" atom of f and g,
         # and both bits of each precedence atom between f and g
         self._precedence: dict[tuple[Symbol, Symbol], tuple[int, int, int]] = {}
-        # the "known true" bits of every CollapsesTo atom
+        # the "known true" bits of every "collapse" atom
         self._collapse_bits = 0
         # symbol set -> both bits of each atom over those symbols
         self._masks: dict[frozenset[Symbol], int] = {}
@@ -223,12 +222,12 @@ class EncodingContext:
             return own
         others = list(self._own)
         start = first = len(self._atoms)
-        list_p = self._number(A.ListP(f))
-        usable = self._number(A.Usable(f))
+        list_p = self._number(("list", f))
+        usable = self._number(("usable", f))
         arg_in, collapses_to = [], []
         for i in range(1, f.arity + 1):
-            arg_in.append(self._number(A.ArgIn(f, i)))
-            collapses_to.append(self._number(A.CollapsesTo(f, i)))
+            arg_in.append(self._number(("in", f, i)))
+            collapses_to.append(self._number(("collapse", f, i)))
         mask = (1 << 2 * len(self._atoms)) - (1 << 2 * first)
         own = self._own[f] = SymbolAtoms(list_p, usable, tuple(arg_in),
                                          tuple(collapses_to), mask)
@@ -247,8 +246,8 @@ class EncodingContext:
                                | 2 << 2 * list_p | 1 << 2 * a)
         for g in others:
             first = len(self._atoms)
-            fg = self._number(A.PoGt(f, g))
-            gf = self._number(A.PoGt(g, f))
+            fg = self._number(("gt", f, g))
+            gf = self._number(("gt", g, f))
             eq = self._number(_poeq(f, g))
             between = (1 << 2 * len(self._atoms)) - (1 << 2 * first)
             self._precedence[f, g] = (fg, eq, between)
@@ -606,10 +605,11 @@ class EncodingContext:
 
     def usable_flags(self, t: Term, defined: frozenset[Symbol],
                      ctx: Ctx = EMPTY_CTX) -> Formula:
-        """The flags ``Usable(f)`` of the ``defined`` symbols ``f`` of ``t``,
-        descending only into kept argument positions: the root's flag,
-        entered in place (``FALSE`` when known false), and per argument the
-        implication ``ArgIn -> flags below``, its guard opened in place."""
+        """The flags ``("usable", f)`` of the ``defined`` symbols ``f`` of
+        ``t``, descending only into kept argument positions: the root's
+        flag, entered in place (``FALSE`` when known false), and per
+        argument the implication ``("in", f, i) -> flags below``, its guard
+        opened in place."""
         b = self.builder
         if isinstance(t, Var):
             return b.TRUE
@@ -633,7 +633,7 @@ class EncodingContext:
 
     def if_usable(self, f: Symbol, rules: Sequence[Rule],
                   defined: frozenset[Symbol]) -> Formula:
-        """``Usable(f) -> body``, where ``body`` orients ``rules``, the rules
+        """``("usable", f) -> body``, where ``body`` orients ``rules``, the rules
         of ``f``, weakly and asserts the flags of their right-hand sides
         under the guard, so ``f``'s own flag, reached again, folds to true."""
         b = self.builder
@@ -670,7 +670,7 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
     processor: every pair weakly decreasing, at least one strictly, and the
     usable rules weakly decreasing.
 
-    Pair ``i``'s marker ``StrictPair(i)`` only implies that the pair is
+    Pair ``i``'s marker ``("strict", i)`` only implies that the pair is
     strictly decreasing, and the markers are asked to be true for at least
     one pair.  So τ> occurs in positive polarity only, and a model may leave
     the marker of a strictly decreasing pair false: the pairs a model
@@ -714,7 +714,7 @@ def encode_rp_formula(problem: DpProblem, processor: str = "thm12",
 
     strict_atoms = []
     for i, p in enumerate(pairs):
-        marker = b.atom(A.StrictPair(i))
+        marker = b.atom(("strict", i))
         parts.append(b.implies(marker, ctx.tau_gt(p.lhs, p.rhs)))
         strict_atoms.append(marker)
     parts.append(b.or_(strict_atoms))

@@ -9,9 +9,8 @@ translates each atom the first time it reaches it, once per node.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from . import atoms as A
 from .formula import Formula, FormulaBuilder
 from .orders import ArgumentFiltering, Collapse, Keep, Precedence
 from .terms import Symbol, Value
@@ -90,28 +89,30 @@ def _bit_eq(b: FormulaBuilder, fb: Sequence[int], gb: Sequence[int]) -> Formula:
     return b.and_([b.iff(b.atom(x), b.atom(y)) for x, y in zip(fb, gb)])
 
 
-def lower_atoms(vm: VarMap, mode: str, b: FormulaBuilder) -> Callable[[Any], Formula]:
+def lower_atoms(vm: VarMap, mode: str, b: FormulaBuilder) -> Callable[[tuple], Formula]:
     """The translation of one atom into a formula over integer variables,
-    built with ``b``; ``cnf.tseitin_cnf`` calls it once per atom node."""
-    def lower(payload) -> Formula:
-        if isinstance(payload, A.PoGt):
-            return _bit_gt(b, vm.bits(payload.left), vm.bits(payload.right))
-        if isinstance(payload, A.PoEq):
+    built with ``b``, chosen by the atom's tag (see ``atoms``);
+    ``cnf.tseitin_cnf`` calls it once per atom node."""
+    def lower(atom: tuple) -> Formula:
+        tag = atom[0]
+        if tag == "gt":
+            return _bit_gt(b, vm.bits(atom[1]), vm.bits(atom[2]))
+        if tag == "eq":
             if mode == "strict":
                 raise EncodingError("precedence-equivalence atom in strict mode")
-            return _bit_eq(b, vm.bits(payload.left), vm.bits(payload.right))
-        if isinstance(payload, A.ListP):
-            return b.atom(vm.list_var(payload.fun))
-        if isinstance(payload, A.ArgIn):
-            return b.atom(vm.arg_var(payload.fun, payload.pos))
-        if isinstance(payload, A.CollapsesTo):
-            return b.and_([b.not_(b.atom(vm.list_var(payload.fun))),
-                           b.atom(vm.arg_var(payload.fun, payload.pos))])
-        if isinstance(payload, A.Usable):
-            return b.atom(vm.usable_var(payload.fun))
-        if isinstance(payload, A.StrictPair):
-            return b.atom(vm.strict_var(payload.index))
-        raise EncodingError(f"unknown atom {payload!r}")
+            return _bit_eq(b, vm.bits(atom[1]), vm.bits(atom[2]))
+        if tag == "list":
+            return b.atom(vm.list_var(atom[1]))
+        if tag == "in":
+            return b.atom(vm.arg_var(atom[1], atom[2]))
+        if tag == "collapse":
+            return b.and_([b.not_(b.atom(vm.list_var(atom[1]))),
+                           b.atom(vm.arg_var(atom[1], atom[2]))])
+        if tag == "usable":
+            return b.atom(vm.usable_var(atom[1]))
+        if tag == "strict":
+            return b.atom(vm.strict_var(atom[1]))
+        raise EncodingError(f"unknown atom {atom!r}")
 
     return lower
 

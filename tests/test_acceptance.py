@@ -8,7 +8,6 @@ import itertools
 import random
 import time
 
-from termfilter import atoms as A
 from termfilter.cnf import tseitin_cnf
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import EncodingContext, encode_rp_formula
@@ -196,22 +195,22 @@ def test_criterion_5_golden_formula():
         b = ctx.builder
         mine = ctx.tau_gt(lhs, rhs)
 
-        col_m1 = b.atom(A.CollapsesTo(minus, 1))
-        list_s = b.atom(A.ListP(s1))
-        in_s1 = b.atom(A.ArgIn(s1, 1))
-        list_m = b.atom(A.ListP(minus))
-        gt_sm = b.atom(A.PoGt(s1, minus))
-        in_m1 = b.atom(A.ArgIn(minus, 1))
-        in_m2 = b.atom(A.ArgIn(minus, 2))
+        col_m1 = b.atom(("collapse", minus, 1))
+        list_s = b.atom(("list", s1))
+        in_s1 = b.atom(("in", s1, 1))
+        list_m = b.atom(("list", minus))
+        gt_sm = b.atom(("gt", s1, minus))
+        in_m1 = b.atom(("in", minus, 1))
+        in_m2 = b.atom(("in", minus, 2))
         expected = b.or_([
             b.and_([col_m1, list_s, in_s1]),
             b.and_([list_s, list_m, gt_sm,
                     b.implies(in_m1, b.and_([list_s, in_s1])),
                     b.not_(in_m2)]),
         ])
-        atoms7 = [A.CollapsesTo(minus, 1), A.ListP(s1), A.ArgIn(s1, 1),
-                  A.ListP(minus), A.PoGt(s1, minus), A.ArgIn(minus, 1),
-                  A.ArgIn(minus, 2)]
+        atoms7 = [("collapse", minus, 1), ("list", s1), ("in", s1, 1),
+                  ("list", minus), ("gt", s1, minus), ("in", minus, 1),
+                  ("in", minus, 2)]
         for bits in itertools.product([False, True], repeat=7):
             env = dict(zip(atoms7, bits))
             assert evaluate(mine, env.__getitem__) == \
@@ -261,14 +260,14 @@ def test_criterion_6_omega_golden():
         assert w.kind == "and" and len(w.children) == 4
         children = set(w.children)
         expected = {
-            b.implies(b.atom(A.ArgIn(names["div#"], 1)),
-                      b.atom(A.Usable(names["minus"]))),
-            b.implies(b.atom(A.ArgIn(names["if#"], 1)),
-                      b.atom(A.Usable(names["ge"]))),
-            b.implies(b.atom(A.Usable(names["minus"])),
+            b.implies(b.atom(("in", names["div#"], 1)),
+                      b.atom(("usable", names["minus"]))),
+            b.implies(b.atom(("in", names["if#"], 1)),
+                      b.atom(("usable", names["ge"]))),
+            b.implies(b.atom(("usable", names["minus"])),
                       b.and_([ctx.tau_ge(r.lhs, r.rhs)
                               for r in trs.rules_for(names["minus"])])),
-            b.implies(b.atom(A.Usable(names["ge"])),
+            b.implies(b.atom(("usable", names["ge"])),
                       b.and_([ctx.tau_ge(r.lhs, r.rhs)
                               for r in trs.rules_for(names["ge"])])),
         }

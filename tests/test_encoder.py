@@ -11,7 +11,7 @@ from termfilter import encoder
 from termfilter.encoder import (DEADLINE_BUILDS, EMPTY_CTX, GE, GT, EncodingContext,
                                 encode_rp_formula)
 from termfilter.dp import DpProblem, dependency_pairs
-from termfilter.formula import dag_size, dump
+from termfilter.formula import FormulaBuilder, dag_size, dump
 from termfilter.lowering import VarMap
 from termfilter.orders import lpo_af_ge, lpo_af_gt
 from termfilter.prover import ProverConfig, Timeout, prove
@@ -35,13 +35,13 @@ def mk(f, *args):
 
 def golden_formula(b):
     """The hand-written simplified encoding of s(x) > minus(x,y)."""
-    col_m1 = b.atom(A.CollapsesTo(MINUS, 1))
-    list_s = b.atom(A.ListP(S1))
-    in_s1 = b.atom(A.ArgIn(S1, 1))
-    list_m = b.atom(A.ListP(MINUS))
-    gt_sm = b.atom(A.PoGt(S1, MINUS))
-    in_m1 = b.atom(A.ArgIn(MINUS, 1))
-    in_m2 = b.atom(A.ArgIn(MINUS, 2))
+    col_m1 = b.atom(("collapse", MINUS, 1))
+    list_s = b.atom(("list", S1))
+    in_s1 = b.atom(("in", S1, 1))
+    list_m = b.atom(("list", MINUS))
+    gt_sm = b.atom(("gt", S1, MINUS))
+    in_m1 = b.atom(("in", MINUS, 1))
+    in_m2 = b.atom(("in", MINUS, 2))
     return b.or_([
         b.and_([col_m1, list_s, in_s1]),
         b.and_([list_s, list_m, gt_sm,
@@ -51,8 +51,8 @@ def golden_formula(b):
 
 
 GOLDEN_ATOMS = [
-    A.CollapsesTo(MINUS, 1), A.ListP(S1), A.ArgIn(S1, 1), A.ListP(MINUS),
-    A.PoGt(S1, MINUS), A.ArgIn(MINUS, 1), A.ArgIn(MINUS, 2),
+    ("collapse", MINUS, 1), ("list", S1), ("in", S1, 1), ("list", MINUS),
+    ("gt", S1, MINUS), ("in", MINUS, 1), ("in", MINUS, 2),
 ]
 
 
@@ -78,7 +78,7 @@ def test_tau_ge_variable_cases():
     assert ctx.tau_ge(X, Y) is b.FALSE
     # x >= minus(x,y) exactly when minus collapses to position 1
     got = ctx.tau_ge(X, mk(MINUS, X, Y))
-    assert got is b.atom(A.CollapsesTo(MINUS, 1))
+    assert got is b.atom(("collapse", MINUS, 1))
 
 
 def test_tau_lex_base_cases():
@@ -106,29 +106,29 @@ def test_context_pruning_kills_contradictory_branch():
     # with minus collapsed, the same-root branch is gone; what remains must
     # not mention the list flag of minus positively
     for atom in _reachable_atoms(got):
-        assert atom != A.ListP(MINUS)
+        assert atom != ("list", MINUS)
 
 
 def _implied_facts(atom, positive, atoms):
     """What the literal ``(atom, positive)`` implies in every actual
     precedence and filtering, besides itself, as ``{atom: value}``."""
     facts = {atom: positive}
-    if isinstance(atom, (A.PoGt, A.PoEq)):
+    tag, fun = atom[0], atom[1]
+    if tag in ("gt", "eq"):
         if positive:
-            pair = {atom.left, atom.right}
-            facts.update((a, False) for a in atoms if a != atom and isinstance(
-                a, (A.PoGt, A.PoEq)) and {a.left, a.right} == pair)
+            pair = set(atom[1:])
+            facts.update((a, False) for a in atoms if a != atom and a[0] in ("gt", "eq")
+                         and set(a[1:]) == pair)
         return facts
-    positions = [a for a in atoms
-                 if isinstance(a, (A.ArgIn, A.CollapsesTo)) and a.fun == atom.fun]
-    if isinstance(atom, A.ListP) and positive:
-        facts.update((a, False) for a in positions if isinstance(a, A.CollapsesTo))
-    elif isinstance(atom, A.ArgIn) and not positive:
-        facts[A.CollapsesTo(atom.fun, atom.pos)] = False
-    elif isinstance(atom, A.CollapsesTo) and positive:
-        facts[A.ListP(atom.fun)] = False
-        facts[A.ArgIn(atom.fun, atom.pos)] = True
-        facts.update((a, False) for a in positions if a.pos != atom.pos)
+    positions = [a for a in atoms if a[0] in ("in", "collapse") and a[1] == fun]
+    if tag == "list" and positive:
+        facts.update((a, False) for a in positions if a[0] == "collapse")
+    elif tag == "in" and not positive:
+        facts[("collapse", fun, atom[2])] = False
+    elif tag == "collapse" and positive:
+        facts[("list", fun)] = False
+        facts[("in", fun, atom[2])] = True
+        facts.update((a, False) for a in positions if a[2] != atom[2])
     return facts
 
 
@@ -143,8 +143,8 @@ def test_every_literal_implies_exactly_its_facts(mode):
     number = {atom: k for k, atom in enumerate(atoms)}
     # the arity-4 symbol, met last, is checked for its masks only: the
     # worlds range over the atoms numbered before it
-    small = atoms[:number[A.ListP(f4)]]
-    usable = [a for a in small if isinstance(a, A.Usable)]
+    small = atoms[:number[("list", f4)]]
+    usable = [a for a in small if a[0] == "usable"]
     # every actual precedence and filtering, with usability flags free
     worlds = []
     for prec in all_precedences(symbols):
@@ -337,9 +337,8 @@ def test_encode_rp_formula_structure():
     trs = ex2()
     problem = DpProblem(dependency_pairs(trs), trs)
     enc = encode_rp_formula(problem, "thm5", "strict")
-    strict_atoms = [a for a in _reachable_atoms(enc.formula)
-                    if isinstance(a, A.StrictPair)]
-    assert {a.index for a in strict_atoms} == {0, 1, 2}
+    strict_atoms = [a for a in _reachable_atoms(enc.formula) if a[0] == "strict"]
+    assert {a[1] for a in strict_atoms} == {0, 1, 2}
     assert [str(r) for r in usable_rules(problem.pairs, problem.rules)] == [
         "minus(x,0) -> x", "minus(s(x),s(y)) -> minus(x,y)"]
 
@@ -348,8 +347,8 @@ def test_identity_filtering_constraint():
     ctx = EncodingContext("strict")
     f = identity_filtering(ctx.builder, [S1, MINUS])
     atoms = set(_reachable_atoms(f))
-    assert atoms == {A.ListP(S1), A.ArgIn(S1, 1), A.ListP(MINUS),
-                     A.ArgIn(MINUS, 1), A.ArgIn(MINUS, 2)}
+    assert atoms == {("list", S1), ("in", S1, 1), ("list", MINUS),
+                     ("in", MINUS, 1), ("in", MINUS, 2)}
 
 
 def test_mode_validation():
@@ -630,11 +629,11 @@ def test_tower_skips_collapsed_levels(monkeypatch, mode):
 
 
 ROT_QUASI = [
-    (3, 184, "bc462da3b6bf5c2740d3d4de3fae88f1ed842adec08852f9c2c0f87be4bf81ac"),
-    (4, 252, "d842c05cca21add553deb0674e686f024f3bf30c6cd471d4c1c084ec0f4971e8"),
-    (5, 332, "c2d2a263d945a918cfe4272a79f6ec45463a10a7a1563fc0b8349e6c595c6d65"),
-    (6, 424, "43111db4e82267e6d12a417012a7f05326df9891ff337809d9c49ad9a51c2fe7"),
-    (7, 528, "da6a52c72e5c979a53ce4a5792198142382c049a5a71befa9c443d0d636fa0af"),
+    (3, 184, "229cf61d3fbadab55d01395c49862507cf2eaea4eb441075ee8eac34ced9bf44"),
+    (4, 252, "d6301f77944f8683606cdf506fc44511727fc39fb399f50b523ebbf9e78ec52b"),
+    (5, 332, "3c192efc24f77e2ef51effb103e0b8e9046baa5dfc3df02f5db6173424a7bc6d"),
+    (6, 424, "d242409670e6e3466bc9228557be6045ac376d9596f6d7b1d0e67e5312712d65"),
+    (7, 528, "92e835eb1a33fe53ded5c2697ad1ac32c18e7df459807c3c6d2911ed1c7f88bc"),
 ]
 
 
@@ -647,7 +646,7 @@ def test_rot_quasi_dag_sizes(k, size, digest):
     import hashlib
     enc = encode_rp_formula(_rot_problem(k), "thm12", "quasi")
     assert dag_size(enc.formula) == size
-    assert hashlib.sha256(dump(enc.formula).encode()).hexdigest() == digest
+    assert hashlib.sha256(dump(enc.formula, A.describe).encode()).hexdigest() == digest
 
 
 def test_lex_two_calls_grow_polynomially(monkeypatch):
@@ -691,18 +690,18 @@ def _depth_problem(d):
 @pytest.mark.parametrize("mode", ["strict", "quasi"])
 @pytest.mark.parametrize("system", ["rot7", "depth120"])
 def test_each_atom_built_once_per_context(monkeypatch, system, mode):
-    # an encoder that builds an atom per literal makes 4,171 atom objects
-    # for rot7 quasi, with 45 numbered atoms, and 5,679 for depth120 quasi,
-    # with 11
+    # an encoder that asks the builder for an atom's node per literal, not
+    # once per numbered atom, makes 1,290 requests for rot7 quasi, with 45
+    # numbered atoms, and 272 for depth120 quasi, with 11
     problem = _rot_problem(7) if system == "rot7" else _depth_problem(120)
     built = 0
-    for cls in vars(A).values():
-        if isinstance(cls, type) and cls.__module__ == A.__name__:
-            def counted(self, *args, inner=cls.__init__, **kwargs):
-                nonlocal built
-                built += 1
-                inner(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counted)
+
+    def counted(self, payload, inner=FormulaBuilder.atom):
+        nonlocal built
+        built += 1
+        return inner(self, payload)
+
+    monkeypatch.setattr(FormulaBuilder, "atom", counted)
     enc = encode_rp_formula(problem, "thm12", mode)
     numbered = len(enc.context._atoms)
     assert 0 < built <= numbered + len(problem.pairs.rules)
@@ -802,12 +801,15 @@ def test_encoder_without_deadline_never_reads_the_clock(monkeypatch):
     assert builds[0] > DEADLINE_BUILDS
 
 
+# per system, the digest of its formulas, each dumped with its atoms shown by
+# ``atoms.describe``, under every setting of the switches, over both modes
+# and both processors
 ABLATION_DIGESTS = {
-    "EX2": "09b938117e6441ea54fd22defed55b33cb5dfd08173560848fcceedec7a7a33c",
-    "EX13": "3c9d1dcabf0e6c611515ade3c4f845ff6dd700771b6520c6756308f4674fee54",
-    "ACKERMANN": "9312be1b11894365f4e5e48a46e70176c0d2c53f01ff411850d6b09c81070841",
-    "REVERSE": "4a8072765ba2ee853be36e8dee5bbc8e3880bf11ec822d503eea5fdbb29c1bd5",
-    "SHUFFLE": "f883165b613ac005f2d26ea210feb185aa6ef7712a1bc0a75fa2ef7a487a3bee",
+    "EX2": "db7b7549f30aa75072675fd4f226a35a2263e79c61ed39ec52564d0feced3d9a",
+    "EX13": "fd1cfab67db7dc3057d4af56b93ad8d784e6d34619bd35abbbdb98bdaa9fd30c",
+    "ACKERMANN": "e0180fd4dd748e9694fa60524c4a86cd444a2b5d69e706fcbe56c3987d55b75c",
+    "REVERSE": "d9dc0caf37274dae6a62a3b713e6bc85bc4c0ab720bf5bab6de1ab9614ee062c",
+    "SHUFFLE": "91a1f65e0289f6f6a2f8e841d9bf93fe893fe85f5cea97fd80fe12d064e66943",
 }
 
 
@@ -827,15 +829,15 @@ CNF_DIGESTS = {
 # default switches, over both modes and both processors; these hold while a
 # change of the encoder moves only the ablation settings
 DEFAULT_DIGESTS = {
-    "EX2": ("3d36c22ca4ae0bcf097f263d208165c59392fc52120df53819e74c973df13b1f",
+    "EX2": ("e33712a5792d5b12aee87bb65643f5480330a7d3e4b0a89fc13990c2d633a6b8",
             "296a6e9d8bf8344761fc7880599a4dd2518e15e72f7c33c1224695ba48ecea9c"),
-    "EX13": ("259b9a4e2c8ac662f29069e5a0a3c0c559b859d40eacf510a369f96305316593",
+    "EX13": ("9570d9486e680c5e0df87a99be5adfe130c9b8492906e0685eeae1beeddd5d86",
              "ab4c6a02cfe153f35f740c9987fc1b73c67742055dd1c0e00acfd3162c5c5296"),
-    "ACKERMANN": ("d61882551329926cb792e2b8b8ec419a4e4299d453a1be9cf9859710881753a7",
+    "ACKERMANN": ("691d580cb4efc2d998e57c919121127686cfe6d81866fcfe439eb066165b9a58",
                   "f10ef28b296202856e9c11caee82e7a992b0d6f0fa25fc7049520ad7d6fc8a47"),
-    "REVERSE": ("1ee364d9feaf587b4e534f84da4363994952d0db28c7c1c001f1cfa297e956dd",
+    "REVERSE": ("4ca1488b4de27ed4b7573e84da358b58f9da3cd14208e5bebc30ed4cd39464b0",
                 "73d736b0b675692f5aa75f194e2e027753224a8c0af9d6e785444eac23f8563f"),
-    "SHUFFLE": ("6dafb9f91d6f3c3abfacea9dd3a27948110a32c76b64445d73b24ef307557ea9",
+    "SHUFFLE": ("d1fda2a65a358dda433c2cd198130cd59402dc99ef376b670634454c6012fb40",
                 "914e0586d13f98cc8d6fadd4602ae5d909cd7e3dd6b93cefa9016405b4620b8f"),
 }
 
@@ -845,15 +847,15 @@ DEFAULT_DIGESTS = {
 # Without folding, the encoder builds every branch: a change that stops a
 # disjunction or a conjunction early must leave these as they are
 RAW_DIGESTS = {
-    "EX2": ("e550bef89d304bf48b0fae05806d9c2111977b261d42df9db5f2237db815cd30",
+    "EX2": ("3004a6d5427170b88a989931e2616c66e13fcd4ff7e50c9cd137ea599e8ebb59",
             "08bd970a961c8ce581bc7558ef337a2afec47445377c80105b9b57abcd03c918"),
-    "EX13": ("69981aa7613cb10db2c044b436c3cedc3da55d6bd288291c7db1121d2b99002e",
+    "EX13": ("3af9775595c4602bf7a552c4097db8fa551f90631418101b827b46d2ae046fe9",
              "3370357ec5eeed9b0aefdf5845dd136253865aa3157f428d07f2aff835b97b42"),
-    "ACKERMANN": ("0c2a649863aa5dd384ebca4877528c380d60ce8e21bd70d36960bb688ffc14b6",
+    "ACKERMANN": ("5c8bb1c5c0090e6adef0db4e70375962c99c094bce28c878bc1308d232bd27ed",
                   "9db7b6803450939b2b11ce40bd87459652c395d06fb285658dc2a9dee52cd3a9"),
-    "REVERSE": ("7807bf8b3040a45dbce4f365e878ab0ebfde36387b4c72de46733185ca9f3b74",
+    "REVERSE": ("7b9e86611c05db56b09fe867a1ed20c4eef495012eb459a58cc476731d8b3061",
                 "ba089b5aec55fd2a82fe7477f25847bb7046218b0c24a41be8ebb564941f09a1"),
-    "SHUFFLE": ("784ed5fbdfb7092f52f4b007c03d42cb716d3043eaaeb26fb13c0dcd3a3b5330",
+    "SHUFFLE": ("eeb85dc974f87e564d2851b0c18ec50c9d60928dbc5d4e09b0cf5cd0a1f1ce74",
                 "1c39a12f862db719db0b8c990be800c31db5670e74b52dd37098a676f576fda9"),
 }
 
@@ -867,7 +869,7 @@ def _pinned_digests(problem, settings):
             for simplify, share, propagate in settings:
                 enc = encode_rp_formula(problem, processor, mode, simplify=simplify,
                                         share=share, propagate=propagate)
-                digest.update(dump(enc.formula).encode() + b"\n")
+                digest.update(dump(enc.formula, A.describe).encode() + b"\n")
                 vm = VarMap(problem_signature(problem), len(problem.pairs.rules),
                             enc.usable_symbols)
                 cnf = lowered_cnf(enc.formula, enc.context.builder, vm, mode).cnf

@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
-from termfilter import prover
+from termfilter import atoms, prover
 from termfilter.cli import main as cli_main
 from termfilter.dp import DpProblem, dependency_pairs, scc_decompose
 from termfilter.encoder import OutOfTime
@@ -19,7 +19,7 @@ from termfilter.orders import (ArgumentFiltering, Collapse, Keep, Precedence,
                                apply_filtering, lpo_af_ge, lpo_af_gt, lpo_ge, lpo_gt)
 from termfilter.prover import (Maybe, ProverConfig, Terminating, Timeout,
                                reduction_pair_processor, prove, render_proof)
-from termfilter.terms import Trs, symbol_key
+from termfilter.terms import Symbol, Trs, symbol_key
 from termfilter.tpdb import ParseError, parse_trs
 from termfilter.usable import usable_rules, usable_rules_mod_pi
 
@@ -222,7 +222,7 @@ def test_processor_past_the_deadline_raises_and_never_solves(monkeypatch):
 
 
 def test_refutation_after_the_deadline_is_timeout(monkeypatch):
-    from termfilter import prover
+    from termfilter import atoms, prover
     from termfilter.solver import UNSAT, SolveResult
     calls = []
 
@@ -237,7 +237,7 @@ def test_refutation_after_the_deadline_is_timeout(monkeypatch):
 
 
 def test_encoding_past_the_deadline_is_neither_lowered_nor_solved(monkeypatch):
-    from termfilter import prover
+    from termfilter import atoms, prover
     from termfilter.solver import UNKNOWN, SolveResult
     solved = []
     encode = prover.encode_rp_formula
@@ -258,7 +258,7 @@ def test_encoding_past_the_deadline_is_neither_lowered_nor_solved(monkeypatch):
 
 
 def test_cnf_past_the_deadline_is_not_solved(monkeypatch):
-    from termfilter import prover
+    from termfilter import atoms, prover
     from termfilter.solver import UNKNOWN, SolveResult
     solved = []
     lower = prover.tseitin_cnf
@@ -528,6 +528,54 @@ def test_cli_emit_dimacs_and_dump(tmp_path, capsys):
     assert list(manifest["definitions"]) == [str(v) for v in range(reserved + 1, num_vars + 1)]
     out = capsys.readouterr().out
     assert "(atom" in out  # formula dump made it to stdout
+
+
+def test_describe_renders_each_kind_of_atom():
+    f, g = Symbol("f", 2), Symbol("g", 0)
+    shown = [atoms.describe(atom) for atom in [
+        ("gt", f, g), ("eq", f, g), ("list", f), ("in", f, 2), ("collapse", f, 2),
+        ("usable", f), ("strict", 0)]]
+    assert shown == ["(gt f g)", "(eq f g)", "(list f)", "(in f 2)", "(collapse f 2)",
+                     "(usable f)", "(strict 0)"]
+    assert atoms.describe(("gt", Symbol("f", 1, True), g)) == "(gt f# g)"
+
+
+# ``termfilter --dump-formula`` on f(s(x)) -> f(x): one solver call
+DUMP_FS = """\
+; formula for solver call 1
+n2 = (atom (in f# 1))
+n3 = (not n2)
+n4 = (atom (collapse f# 1))
+n5 = (atom (collapse s 1))
+n6 = (atom (list s))
+n7 = (atom (in s 1))
+n8 = (and n6 n7)
+n9 = (or n5 n8)
+n10 = (and n4 n9)
+n11 = (atom (list f#))
+n12 = (and n2 n6 n7)
+n13 = (or n3 n5 n8)
+n14 = (or n3 n5 n8 n12)
+n15 = (and n11 n13 n14)
+n16 = (atom (gt s f#))
+n19 = (and n2 n6 n7 n11 n16)
+n20 = (or n10 n15 n19)
+n21 = (atom (strict 0))
+n22 = (and n4 n6 n7)
+n23 = (and n2 n6 n7 n11 n13)
+n25 = (not n21)
+n26 = (or n19 n22 n23 n25)
+n27 = (and n20 n21 n26)
+root = n27
+TERMINATING
+"""
+
+
+def test_cli_dump_formula_pinned(tmp_path, capsys):
+    path = tmp_path / "fs.trs"
+    path.write_text("(VAR x)(RULES f(s(x)) -> f(x))")
+    assert cli_main([str(path), "--dump-formula"]) == 0
+    assert capsys.readouterr().out == DUMP_FS
 
 
 def test_emit_dimacs_numbers_only_the_symbols_of_the_round(tmp_path, capsys):

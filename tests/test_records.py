@@ -1,18 +1,19 @@
-"""The record classes keep the contract of the frozen and mutable dataclasses
-they replace: construction by position and by keyword with the same
-defaults, ``Name(field=value, ...)`` as ``repr``, equality only within one
-class, the hash of the tuple of fields and no assignment for the frozen
-ones, and pickling."""
+"""The 16 record classes keep the contract of the frozen and mutable
+dataclasses they replace: construction by position and by keyword with the
+same defaults, ``Name(field=value, ...)`` as ``repr``, equality only within
+one class, the hash of the tuple of fields and no assignment for the frozen
+ones, and pickling.  Atoms are tagged tuples, not records: the formula
+builder keeps the seven kinds apart by their tags."""
 
 import pickle
 from itertools import combinations
 
 import pytest
 
-from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult
 from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.encoder import RpEncoding, encode_rp_formula
+from termfilter.formula import FormulaBuilder
 from termfilter.lowering import DecodedModel
 from termfilter.orders import ArgumentFiltering, Collapse, Keep, Precedence
 from termfilter.prover import (Maybe, ProofStep, ProverConfig, ReductionWitness,
@@ -34,13 +35,6 @@ CNF = Cnf(2, ((1, -2), (2,)))
 
 # class, its fields in order with a value each, the defaults, frozen, pickled
 RECORDS = [
-    (A.PoGt, {"left": F, "right": G}, {}, True, True),
-    (A.PoEq, {"left": F, "right": G}, {}, True, True),
-    (A.ListP, {"fun": F}, {}, True, True),
-    (A.ArgIn, {"fun": F, "pos": 1}, {}, True, True),
-    (A.CollapsesTo, {"fun": F, "pos": 1}, {}, True, True),
-    (A.Usable, {"fun": F}, {}, True, True),
-    (A.StrictPair, {"index": 3}, {}, True, True),
     (Rule, {"lhs": RULE.lhs, "rhs": RULE.rhs}, {}, True, True),
     (Trs, {"rules": TRS.rules, "signature": TRS.signature}, {}, True, True),
     (DpProblem, {"pairs": PROBLEM.pairs, "rules": PROBLEM.rules}, {}, True, True),
@@ -104,9 +98,6 @@ def test_record_equality_is_by_fields(cls, fields, defaults, frozen, pickled):
 
 
 def test_record_equality_is_strict_about_the_class():
-    assert A.ListP(F) != A.Usable(F)
-    assert A.PoGt(F, G) != A.PoEq(F, G)
-    assert A.ArgIn(F, 1) != A.CollapsesTo(F, 1)
     assert Terminating(()) != Timeout(())
     assert Keep((1,)) != Collapse(1)
     records = [cls(**fields) for cls, fields, *_ in RECORDS]
@@ -135,3 +126,14 @@ def test_records_pickle_round_trip(cls, fields, defaults, frozen, pickled):
     record = cls(**fields)
     again = pickle.loads(pickle.dumps(record))
     assert type(again) is cls and again == record
+
+
+def test_builder_keeps_the_seven_kinds_of_atom_apart():
+    kinds = [("gt", F, G), ("eq", F, G), ("list", F), ("in", F, 1), ("collapse", F, 1),
+             ("usable", F), ("strict", 1)]
+    b = FormulaBuilder()
+    nodes = [b.atom(atom) for atom in kinds]
+    assert len(set(nodes)) == 7
+    # an equal tuple built afresh finds the node of its kind
+    again = [b.atom((atom[0], *atom[1:])) for atom in kinds]
+    assert all(a is n for a, n in zip(again, nodes))

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termfilter import atoms as A
 from termfilter import cnf as cnf_module
 from termfilter import prover, solver
 from termfilter.cnf import Cnf, tseitin_cnf, write_dimacs
@@ -86,7 +85,7 @@ def test_poeq_rejected_in_strict_mode():
     g = Symbol("g", 1)
     vm = VarMap([f, g, Symbol("h", 0)])
     b = FormulaBuilder()
-    phi = b.atom(A.PoEq(f, g))
+    phi = b.atom(("eq", f, g))
     with pytest.raises(EncodingError):
         tseitin_cnf(phi, vm.num_reserved, lower_atoms(vm, "strict", b))
     # in quasi mode the atom is bit equality of the two ranks
@@ -96,6 +95,34 @@ def test_poeq_rejected_in_strict_mode():
     for values in itertools.product([False, True], repeat=len(bits)):
         env = dict(zip(bits, values))
         assert evaluate(eq, env.__getitem__) == (values[:2] == values[2:])
+
+
+def test_lower_atoms_maps_each_flag_to_its_variables():
+    f = Symbol("f", 2)
+    vm = VarMap([f], 1, [f])
+    b = FormulaBuilder()
+    lower = lower_atoms(vm, "strict", b)
+    assert lower(("list", f)) is b.atom(vm.list_var(f))
+    assert lower(("in", f, 2)) is b.atom(vm.arg_var(f, 2))
+    assert lower(("collapse", f, 2)) is b.and_([b.not_(b.atom(vm.list_var(f))),
+                                                b.atom(vm.arg_var(f, 2))])
+    assert lower(("usable", f)) is b.atom(vm.usable_var(f))
+    assert lower(("strict", 0)) is b.atom(vm.strict_var(0))
+
+
+def test_lower_atoms_refuses_an_unknown_tag():
+    f = Symbol("f", 1)
+    lower = lower_atoms(VarMap([f]), "quasi", FormulaBuilder())
+    with pytest.raises(EncodingError, match="unknown atom"):
+        lower(("bogus", f))
+
+
+def test_lower_atoms_refuses_a_usable_flag_the_varmap_lacks():
+    f, g = Symbol("f", 1), Symbol("g", 1)
+    vm = VarMap([f, g], usable_symbols=[g])
+    lower = lower_atoms(vm, "strict", FormulaBuilder())
+    with pytest.raises(EncodingError, match="no usability variable for f"):
+        lower(("usable", f))
 
 
 def test_decode_model_roundtrip():

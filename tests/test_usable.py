@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from termfilter import atoms as A
 from termfilter.dp import DpProblem, dependency_pairs
 from termfilter.encoder import EncodingContext, encode_rp_formula
 from termfilter.orders import (ArgumentFiltering, Collapse, Keep, lpo_af_ge,
@@ -152,15 +151,15 @@ def test_omega_golden_div_if():
     w = omega(pairs, trs, ctx, roots(usable_rules(pairs, trs)))
     assert w.kind == "and" and len(w.children) == 4
     children = set(w.children)
-    assert b.implies(b.atom(A.ArgIn(names["div#"], 1)),
-                     b.atom(A.Usable(names["minus"]))) in children
-    assert b.implies(b.atom(A.ArgIn(names["if#"], 1)),
-                     b.atom(A.Usable(names["ge"]))) in children
+    assert b.implies(b.atom(("in", names["div#"], 1)),
+                     b.atom(("usable", names["minus"]))) in children
+    assert b.implies(b.atom(("in", names["if#"], 1)),
+                     b.atom(("usable", names["ge"]))) in children
     minus_rules = trs.rules_for(names["minus"])
     ge_rules = trs.rules_for(names["ge"])
-    assert b.implies(b.atom(A.Usable(names["minus"])),
+    assert b.implies(b.atom(("usable", names["minus"])),
                      b.and_([ctx.tau_ge(r.lhs, r.rhs) for r in minus_rules])) in children
-    assert b.implies(b.atom(A.Usable(names["ge"])),
+    assert b.implies(b.atom(("usable", names["ge"])),
                      b.and_([ctx.tau_ge(r.lhs, r.rhs) for r in ge_rules])) in children
 
 
@@ -172,12 +171,10 @@ def test_omega_variable_rhs_only():
     g_only = Trs.of([p for p in g_pairs.rules if "g#" in str(p.rhs)])
     w = omega(g_only, trs, ctx, roots(usable_rules(g_only, trs)))
     # satisfiable with every usability flag off
-    env = {a: False for a in atoms_of(w) if isinstance(a, A.Usable)}
+    env = {a: False for a in atoms_of(w) if a[0] == "usable"}
 
     def val(atom):
-        if isinstance(atom, A.Usable):
-            return False
-        if isinstance(atom, A.ArgIn):
+        if atom[0] in ("usable", "in"):
             return False
         raise KeyError(atom)
 
@@ -219,9 +216,9 @@ def test_omega_completeness_on_division(mode):
             flags = {}
             for f in enc.usable_symbols:
                 rules_of = set(trs.rules_for(f))
-                flags[A.Usable(f)] = bool(rules_of & set(filtered))
+                flags[("usable", f)] = bool(rules_of & set(filtered))
             for i, p in enumerate(pairs_list):
-                flags[A.StrictPair(i)] = lpo_af_gt(prec, pi, mode, p.lhs, p.rhs)
+                flags[("strict", i)] = lpo_af_gt(prec, pi, mode, p.lhs, p.rhs)
             env = concrete_atom_value(prec, pi, flags)
             assert evaluate(enc.formula, env)
     assert winners > 0

@@ -9,7 +9,6 @@ import sys
 import time
 from typing import Any, Callable, Mapping
 
-from termfilter import atoms as A
 from termfilter.cnf import Cnf, TseitinResult, tseitin_cnf
 from termfilter.formula import AND, ATOM, FALSE, NOT, OR, TRUE, Formula, iter_nodes
 from termfilter.lowering import lower_atoms, structural_constraints
@@ -140,9 +139,9 @@ def identity_filtering(b, symbols):
     argument of every symbol of ``symbols``."""
     parts = []
     for f in symbols:
-        parts.append(b.atom(A.ListP(f)))
+        parts.append(b.atom(("list", f)))
         for i in range(1, f.arity + 1):
-            parts.append(b.atom(A.ArgIn(f, i)))
+            parts.append(b.atom(("in", f, i)))
     return b.and_(parts)
 
 
@@ -406,17 +405,18 @@ def concrete_atom_value(prec: Precedence, pi: ArgumentFiltering,
     extra = extra or {}
 
     def value(atom) -> bool:
-        if isinstance(atom, A.PoGt):
-            return prec.gt(atom.left, atom.right)
-        if isinstance(atom, A.PoEq):
-            return prec.rank(atom.left) == prec.rank(atom.right)
-        if isinstance(atom, A.ListP):
-            return isinstance(pi.get(atom.fun), Keep)
-        if isinstance(atom, A.ArgIn):
-            return atom.pos in pi.kept(atom.fun)
-        if isinstance(atom, A.CollapsesTo):
-            spec = pi.get(atom.fun)
-            return isinstance(spec, Collapse) and spec.position == atom.pos
+        tag = atom[0]
+        if tag == "gt":
+            return prec.gt(atom[1], atom[2])
+        if tag == "eq":
+            return prec.rank(atom[1]) == prec.rank(atom[2])
+        if tag == "list":
+            return isinstance(pi.get(atom[1]), Keep)
+        if tag == "in":
+            return atom[2] in pi.kept(atom[1])
+        if tag == "collapse":
+            spec = pi.get(atom[1])
+            return isinstance(spec, Collapse) and spec.position == atom[2]
         if atom in extra:
             return extra[atom]
         raise KeyError(f"no value for atom {atom!r}")
